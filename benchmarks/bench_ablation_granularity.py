@@ -16,6 +16,7 @@ isolating on the simulator:
 from repro.bench import format_percent, format_table
 from repro.gpu.costmodel import CostModel
 from repro.models import GptMlp
+from repro.pipeline import run
 
 POLICIES = ("TileSync", "RowSync", "BatchSync")
 
@@ -24,12 +25,13 @@ def _sweep(batch_seq, cost_model=None):
     from repro.cusync.policies import BatchSync, RowSync, TileSync
 
     workload = GptMlp(batch_seq=batch_seq, cost_model=cost_model)
-    baseline = workload.run_streamsync().total_time_us
+    baseline = run(
+        workload.to_graph(), scheme="streamsync", arch=workload.arch, cost_model=workload.cost_model
+    ).total_time_us
     instances = {"TileSync": TileSync(), "RowSync": RowSync(), "BatchSync": BatchSync()}
     results = {"streamsync_us": baseline}
     for name, policy in instances.items():
-        time_us = workload.run_cusync(policy=[policy, policy]).total_time_us
-        results[name] = (baseline - time_us) / baseline
+        results[name] = workload.improvement_over_streamsync(policy=[policy, policy])
     return results
 
 

@@ -90,7 +90,7 @@ def _pass_stats(report, elapsed: float) -> Dict[str, object]:
 
 def run_experiment(smoke: bool = False) -> Dict[str, object]:
     space = _space(smoke)
-    tuner = Tuner(session=Session(), mode="thread")
+    tuner = Tuner(session=Session(), mode="serial")
     strategy = SuccessiveHalving(eta=2)
 
     start = time.perf_counter()

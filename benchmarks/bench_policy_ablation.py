@@ -2,7 +2,7 @@
 
 Exercises the first-class policy API end to end — ``PolicySpec`` grids via
 ``sweep_policies``, hand-built ``PolicyAssignment`` mixes, and one
-multi-graph ``Session.sweep(mode="thread")`` call over all five model
+multi-graph ``Session.sweep(mode="serial")`` call over all five model
 workloads (GPT-3 MLP, LLaMA MLP, GPT-3 attention, ResNet-38 and VGG-19
 conv chains).
 

@@ -8,8 +8,8 @@ Demonstrates the architecture space API:
 3. build what-if variants with ``ArchSpec.scaled(...)`` (half the SMs,
    double the bandwidth) without constructing dataclasses by hand;
 4. fan a ``(graph, arch, scheme, policy)`` grid out with ``sweep_archs``
-   through one ``Session.sweep`` call — bit-identical in serial, thread
-   and process modes.
+   through one ``Session.sweep`` call — bit-identical in serial and
+   process modes.
 
 Run with::
 
@@ -50,7 +50,7 @@ def main() -> None:
     )
 
     session = Session()
-    results = session.sweep(work, mode="thread")
+    results = session.sweep(work, mode="serial")
 
     baselines = {
         result.arch_name: result.total_time_us

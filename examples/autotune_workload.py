@@ -36,7 +36,7 @@ def main() -> None:
     )
     print(f"search space {space.name!r}: {len(space)} candidates")
 
-    tuner = Tuner(mode="thread")
+    tuner = Tuner(mode="serial")
     cold = tuner.tune(space, SuccessiveHalving(eta=2))
     print(cold.summary())
 

@@ -5,23 +5,16 @@ Reproduces the three DSL programs of the paper's Figure 5 — the MLP, the
 Attention block and a pair of Conv2Ds — runs the cuSyncGen compiler over
 them (bounds checking, policy generation, tile-order generation, CUDA
 source emission), and finally auto-tunes the generated policies for GPT-3's
-MLP on the simulator.
+MLP on the simulator with ``repro.tune``.
 
-Run with:  python examples/dsl_codegen.py
+Run with:  PYTHONPATH=src python examples/dsl_codegen.py
 """
 
-from repro.dsl import (
-    AutoTuner,
-    CuSyncGen,
-    Dep,
-    Dim,
-    ForAll,
-    Grid,
-    Range,
-    Tile,
-)
+from repro.dsl import CuSyncGen, Dep, Dim, ForAll, Grid, Range, Tile
 from repro.dsl.cuda_codegen import emit_generated_header
 from repro.models import GptMlp
+from repro.pipeline import Session, SweepPoint
+from repro.tune import SearchSpace, Tuner
 
 # Shapes for GPT-3's MLP at B*S = 512 with 256x256 tiles (Table IV).
 TILE_M = TILE_N = 256
@@ -75,10 +68,28 @@ def main():
     print(emit_generated_header(generator.generate(attention_program())))
 
     print("Auto-tuning the generated policies for GPT-3's MLP at BxS=512 ...")
-    tuner = AutoTuner(policies=["TileSync", "RowSync"], include_streamk=True)
-    result = tuner.tune(GptMlp(batch_seq=BS))
-    print(result.summary())
-    print(f"best policy improves on StreamSync by {result.improvement * 100:.1f}%")
+    workload = GptMlp(batch_seq=BS)
+    graph = workload.to_graph()
+    space = SearchSpace(
+        name=graph.name,
+        builder=lambda _configs: graph,  # policies only: one tile choice
+        policies=("TileSync", "RowSync"),
+        arches=(workload.arch,),
+    )
+    tuner = Tuner(session=Session(arch=workload.arch, cost_model=workload.cost_model))
+    report = tuner.tune(space)
+    print(report.summary())
+
+    arch = workload.arch.name
+    best, baseline = report.best_for(arch), report.baseline_for(arch)
+    streamk = tuner.session.sweep_point(
+        graph, SweepPoint(scheme="streamk", policy=None, arch=workload.arch)
+    )
+    print(f"  Stream-K for comparison: {streamk.total_time_us:.2f}us")
+    print(
+        f"best policy {best.policy} improves on StreamSync by "
+        f"{(baseline - best.time_us) / baseline * 100:.1f}%"
+    )
 
 
 if __name__ == "__main__":

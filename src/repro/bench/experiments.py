@@ -388,9 +388,9 @@ def policy_ablation(
     :class:`~repro.cusync.PolicyAssignment` grids (e.g. the attention
     QKV → scores edge under ``StridedTileSync`` while its sibling
     softmax → values edge uses ``RowSync``), and the whole multi-graph
-    batch is evaluated by **one** ``Session.sweep`` call in thread mode
-    (the attention and LLaMA graphs carry closure range maps, so the
-    thread pool is what makes this batch concurrent).
+    batch is evaluated by **one** serial ``Session.sweep`` call (the
+    attention and LLaMA graphs carry closure range maps, which keep them
+    off the process pool).
 
     Returns one row per (workload, policy) with the improvement over that
     workload's StreamSync baseline.
@@ -429,7 +429,7 @@ def policy_ablation(
         if mixed is not None:
             work.append((graph, SweepPoint(scheme="cusync", policy=mixed, arch=arch)))
 
-    results = session.sweep(work, mode="thread")
+    results = session.sweep(work, mode="serial")
     baselines = {
         result.graph_label: result.total_time_us
         for result in results
@@ -463,7 +463,6 @@ def arch_comparison(
     conv_batch: int = 1,
     conv_channels: int = 256,
     include_end_to_end: bool = True,
-    mode: str = "thread",
     cache_stats: Optional[Dict[str, object]] = None,
     tuned: bool = False,
 ) -> List[Dict[str, object]]:
@@ -476,9 +475,9 @@ def arch_comparison(
     architecture, how much of the StreamSync time does the best cuSync
     policy recover?  Each workload's graph is built **once** and re-run
     under every ``(arch, scheme, policy)`` point — kernels are re-bound
-    per run, never rebuilt — via one multi-graph ``Session.sweep`` in
-    ``mode`` (thread by default: the attention and LLaMA graphs carry
-    closure range maps).  ``arches`` accepts registered names,
+    per run, never rebuilt — via one serial multi-graph ``Session.sweep``
+    (the attention and LLaMA graphs carry closure range maps, which keep
+    them off the process pool).  ``arches`` accepts registered names,
     :class:`~repro.gpu.arch.ArchSpec` values (including
     ``ArchSpec(...).scaled(...)`` what-ifs) and raw instances.
 
@@ -538,11 +537,11 @@ def arch_comparison(
             work.extend(
                 sweep_archs(graph, arches, policies=families, schemes=("streamsync", "cusync"))
             )
-    results = session.sweep(work, mode=mode)
+    results = session.sweep(work, mode="serial")
 
     if cache_stats is not None:
         replay_start = time.perf_counter()
-        replayed = session.sweep(work, mode=mode)
+        replayed = session.sweep(work, mode="serial")
         replay_s = time.perf_counter() - replay_start
         hits, misses = session.sweep_cache_hits, session.sweep_cache_misses
         cache_stats.update(

@@ -16,9 +16,9 @@ This package reproduces that pipeline in Python.  The front end
 terms and checks bounds; the code generator (:mod:`repro.dsl.codegen`)
 produces executable policy / tile-order objects for :mod:`repro.cusync`
 while :mod:`repro.dsl.cuda_codegen` emits the equivalent CUDA-like C source
-text; and :mod:`repro.dsl.autotune` runs the generated variants on the
-simulator to pick the fastest, replacing the manual experimentation the
-paper automates.
+text.  Running the generated variants on the simulator to pick the fastest
+— the manual experimentation the paper automates — is the job of
+:mod:`repro.tune`.
 """
 
 from repro.dsl.expr import Dim, AffineExpr, affine
@@ -28,7 +28,6 @@ from repro.dsl.program import DependencyProgram
 from repro.dsl.analysis import NormalizedDependence, DimensionAccess, analyze_dependence
 from repro.dsl.codegen import GeneratedPolicies, CuSyncGen
 from repro.dsl.cuda_codegen import emit_policy_source, emit_tile_order_source
-from repro.dsl.autotune import AutoTuner, TuningResult
 
 __all__ = [
     "Dim",
@@ -48,6 +47,4 @@ __all__ = [
     "CuSyncGen",
     "emit_policy_source",
     "emit_tile_order_source",
-    "AutoTuner",
-    "TuningResult",
 ]

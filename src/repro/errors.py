@@ -167,8 +167,8 @@ class InjectedCrashError(FaultInjectionError):
     """A ``crash`` fault fired outside a worker process.
 
     In ``mode="process"`` a crash fault kills the worker with ``os._exit``
-    (producing a ``BrokenProcessPool``); in serial and thread modes the
-    process cannot be sacrificed, so the crash degrades to this exception.
+    (producing a ``BrokenProcessPool``); in serial mode the process cannot
+    be sacrificed, so the crash degrades to this exception.
     """
 
 
@@ -214,12 +214,10 @@ class TuningError(ReproError):
     """An autotuning request is inconsistent or incomplete.
 
     Raised by :mod:`repro.tune` for malformed search spaces (empty axes,
-    unknown stage names in a tile choice) and by
-    :class:`repro.dsl.autotune.TuningResult` when a derived quantity is
-    requested that the tuning run never measured — e.g.
-    ``streamsync_time_us`` when no StreamSync baseline was part of the
-    run.  Structured replacement for the bare ``KeyError`` the legacy
-    tuner used to leak.
+    duplicate tile labels), malformed tuned-config tables, and report
+    queries the tuning run never measured — e.g.
+    :meth:`~repro.tune.tuner.TuneReport.baseline_for` an arch that was
+    not part of the search.
     """
 
 

@@ -6,86 +6,25 @@ dependence structure **once**, as an immutable
 :class:`~repro.pipeline.graph.PipelineGraph` (:meth:`Workload.to_graph`);
 execution — under StreamSync, Stream-K or a cuSync policy family — is the
 job of :mod:`repro.pipeline`, whose backends bind per-run synchronization
-state to the graph's kernels without ever rebuilding them.
-
-The historical entry points (:meth:`build`, :meth:`run_streamsync`,
-:meth:`run_streamk`, :meth:`run_cusync`) are kept as thin shims delegating
-to the new API; new code should call ``workload.to_graph()`` once and run
-the graph through :func:`repro.pipeline.run` or a
-:class:`~repro.pipeline.session.Session`.
+state to the graph's kernels without ever rebuilding them.  Call
+``workload.to_graph()`` once and run the graph through
+:func:`repro.pipeline.run` or a :class:`~repro.pipeline.session.Session`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.gpu.arch import ArchLike, GpuArchitecture, TESLA_V100, resolve_arch
+from repro.gpu.arch import ArchLike, TESLA_V100, resolve_arch
 from repro.gpu.costmodel import CostModel
-from repro.gpu.memory import GlobalMemory
-from repro.kernels.base import TiledKernel
-from repro.cusync.custage import RangeMap
 from repro.cusync.handle import PipelineResult
 from repro.cusync.optimizations import OptimizationFlags
-from repro.cusync.policies import SyncPolicy
-from repro.cusync.tile_orders import TileOrder
 from repro.pipeline import graph as pipeline_graph
-from repro.pipeline.executors import resolve_order, resolve_policy
+from repro.pipeline.executors import PolicyLike
 from repro.pipeline.session import run as run_graph
-
-#: Re-exported from :mod:`repro.pipeline.executors` for backward
-#: compatibility: a policy family name, PolicySpec, per-edge
-#: PolicyAssignment, or an explicit per-stage list.
-from repro.pipeline.executors import PolicyLike  # noqa: F401  (public API)
-from repro.cusync.policies import PolicyAssignment, PolicySpec  # noqa: F401  (public API)
-
-
-@dataclass
-class DependencySpec:
-    """One producer → consumer edge inside a workload (legacy description)."""
-
-    producer_index: int
-    tensor: str
-    range_map: Optional[RangeMap] = None
-
-
-@dataclass
-class KernelSpec:
-    """One kernel of a workload plus its dependence metadata (legacy).
-
-    New code should construct :class:`~repro.pipeline.graph.StageSpec` /
-    :class:`~repro.pipeline.graph.Edge` objects directly; this class is the
-    index-based form older call sites (and :meth:`Workload.build`) use.
-    """
-
-    kernel: TiledKernel
-    dependencies: List[DependencySpec] = field(default_factory=list)
-    #: When the workload is run under the ``StridedTileSync`` policy, this
-    #: stage's semaphores group ``strided_groups`` column tiles together
-    #: (the Q/K/V slices of the fused attention GeMM).
-    strided_groups: Optional[int] = None
-
-
-def _stage_of(spec: KernelSpec) -> pipeline_graph.StageSpec:
-    return pipeline_graph.StageSpec(
-        name=spec.kernel.name, kernel=spec.kernel, strided_groups=spec.strided_groups
-    )
-
-
-def make_policy(name: str, spec: KernelSpec) -> SyncPolicy:
-    """Build the policy instance a named policy family uses for one stage.
-
-    Legacy shim over :func:`repro.pipeline.executors.resolve_policy`.
-    """
-    return resolve_policy(name, _stage_of(spec))
-
-
-def make_order(name: str, spec: KernelSpec) -> TileOrder:
-    """Tile processing order paired with a policy family (legacy shim)."""
-    return resolve_order(name, _stage_of(spec))
 
 
 def _resolve_tuned_pair(workload_key: str, arch: ArchLike, stage1: str, stage2: str):
@@ -147,49 +86,16 @@ class Workload(ABC):
         return type(self).__name__
 
     # ------------------------------------------------------------------
-    # Legacy index-based description (shim over the graph)
-    # ------------------------------------------------------------------
-    def build(self) -> List[KernelSpec]:
-        """Create fresh kernels plus their dependence structure.
-
-        .. deprecated:: use :meth:`to_graph`; this adapter re-derives the
-           index-based :class:`KernelSpec` list from the graph for older
-           call sites.
-        """
-        graph = self.to_graph()
-        order = list(graph.topological_order)
-        index_of = {stage.name: index for index, stage in enumerate(order)}
-        specs: List[KernelSpec] = []
-        for stage in order:
-            dependencies = [
-                DependencySpec(
-                    producer_index=index_of[edge.producer],
-                    tensor=edge.tensor,
-                    range_map=edge.range_map,
-                )
-                for edge in graph.in_edges(stage.name)
-            ]
-            specs.append(
-                KernelSpec(
-                    kernel=stage.kernel,
-                    dependencies=dependencies,
-                    strided_groups=stage.strided_groups,
-                )
-            )
-        return specs
-
-    # ------------------------------------------------------------------
-    # Execution under the three schemes (shims over repro.pipeline.run)
+    # Convenience for benchmarks
     # ------------------------------------------------------------------
     def _run(
         self,
+        graph: pipeline_graph.PipelineGraph,
         scheme: str,
         policy: PolicyLike = "TileSync",
         optimizations: Optional[OptimizationFlags] = None,
-        memory: Optional[GlobalMemory] = None,
-        graph: Optional[pipeline_graph.PipelineGraph] = None,
     ) -> PipelineResult:
-        graph = graph if graph is not None else self.to_graph()
+        functional = self.functional and scheme != "streamk"
         return run_graph(
             graph,
             scheme=scheme,
@@ -197,79 +103,18 @@ class Workload(ABC):
             optimizations=optimizations,
             arch=self.arch,
             cost_model=self.cost_model,
-            functional=self.functional and scheme != "streamk",
-            memory=memory,
-            tensors=self.input_tensors() if self.functional and scheme != "streamk" else None,
+            functional=functional,
+            tensors=self.input_tensors() if functional else None,
         )
 
-    def run_streamsync(self, memory: Optional[GlobalMemory] = None) -> PipelineResult:
-        """Execute with CUDA stream synchronization (the baseline).
-
-        .. deprecated:: build the graph once with :meth:`to_graph` and call
-           ``repro.pipeline.run(graph, scheme="streamsync", ...)``.
-        """
-        return self._run("streamsync", memory=memory)
-
-    def run_streamk(self, memory: Optional[GlobalMemory] = None) -> PipelineResult:
-        """Execute with Stream-K GeMMs under stream synchronization.
-
-        .. deprecated:: use ``repro.pipeline.run(graph, scheme="streamk")``.
-        """
-        return self._run("streamk", memory=memory)
-
-    def run_cusync(
-        self,
-        policy: PolicyLike = "TileSync",
-        optimizations: Optional[OptimizationFlags] = None,
-        memory: Optional[GlobalMemory] = None,
-    ) -> PipelineResult:
-        """Execute with a cuSync pipeline under the chosen policy family.
-
-        ``optimizations=None`` applies the paper's automatic W/R/T choice
-        (Section IV-C), derived per dependency edge from the actual
-        producer and consumer kernels.
-
-        .. deprecated:: use ``repro.pipeline.run(graph, scheme="cusync",
-           policy=..., ...)``.
-        """
-        return self._run("cusync", policy=policy, optimizations=optimizations, memory=memory)
-
-    def _auto_flags(self, specs: List[KernelSpec]) -> Dict[str, OptimizationFlags]:
-        """Per-stage automatic W/R/T flags for a legacy spec list.
-
-        Flags are computed per dependency edge from the actual producer and
-        consumer kernels (Section IV-C) and combined per stage; see
-        :func:`repro.pipeline.executors.auto_flags`.
-        """
-        from repro.pipeline.executors import auto_flags
-
-        stages = [_stage_of(spec) for spec in specs]
-        edges = [
-            pipeline_graph.Edge(
-                producer=specs[dependency.producer_index].kernel.name,
-                consumer=spec.kernel.name,
-                tensor=dependency.tensor,
-                range_map=dependency.range_map,
-            )
-            for spec in specs
-            for dependency in spec.dependencies
-        ]
-        graph = pipeline_graph.PipelineGraph(stages=stages, edges=edges)
-        for stage in stages:
-            stage.kernel.cost_model = self.cost_model
-        return auto_flags(graph, self.arch)
-
-    # ------------------------------------------------------------------
-    # Convenience for benchmarks
-    # ------------------------------------------------------------------
     def improvement_over_streamsync(
         self, policy: PolicyLike = "TileSync", optimizations: Optional[OptimizationFlags] = None
     ) -> float:
         """Fractional improvement of cuSync over StreamSync (0.1 == 10%)."""
         graph = self.to_graph()
-        baseline = self._run("streamsync", graph=graph).total_time_us
+        baseline = self._run(graph, "streamsync").total_time_us
         synced = self._run(
-            "cusync", policy=policy, optimizations=optimizations, graph=graph
+            graph, "cusync", policy=policy, optimizations=optimizations
         ).total_time_us
         return (baseline - synced) / baseline
 
@@ -279,7 +124,7 @@ class Workload(ABC):
         """Run every policy family and report times (plus the baselines)."""
         policies = policies if policies is not None else ["TileSync", "RowSync"]
         graph = self.to_graph()
-        results = {"StreamSync": self._run("streamsync", graph=graph).total_time_us}
+        results = {"StreamSync": self._run(graph, "streamsync").total_time_us}
         for family in policies:
-            results[family] = self._run("cusync", policy=family, graph=graph).total_time_us
+            results[family] = self._run(graph, "cusync", policy=family).total_time_us
         return results

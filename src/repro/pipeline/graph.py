@@ -221,10 +221,10 @@ class PipelineGraph:
         same structural fingerprint as the original and therefore shares
         sweep-cache and result-store entries with it.  The copy *shares*
         the original's stage and kernel objects, so treat it as a
-        build-then-rename replacement for the original — do not sweep the
-        original and the renamed copy as distinct entries of one
-        ``mode="thread"`` work list (per-graph locks key on object
-        identity, so the two would re-bind the same kernels concurrently).
+        build-then-rename replacement for the original — do not evaluate
+        the original and the renamed copy concurrently (for example from
+        one ``SweepService``, whose per-graph locks key on object
+        identity), or the two would re-bind the same kernels at once.
         """
         return PipelineGraph(stages=self._stages, edges=self._edges, name=name)
 

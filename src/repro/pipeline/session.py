@@ -13,7 +13,7 @@ rebuilds a kernel.
 the classic ``(scheme, policy, arch)`` product over one graph, or an
 explicit iterable of ``(graph, SweepPoint)`` pairs mixing several graphs
 and per-edge :class:`~repro.cusync.policies.PolicyAssignment` grids in one
-call (:func:`sweep_policies` builds such grids).  Three execution modes are
+call (:func:`sweep_policies` builds such grids).  Two execution modes are
 available and produce bit-identical results, because the simulator is
 deterministic and every point runs on an independent binding:
 
@@ -21,17 +21,12 @@ deterministic and every point runs on an independent binding:
     Points fan out over ``concurrent.futures`` worker processes operating
     on pickled copies of the graphs.  Graphs whose range maps are ad-hoc
     closures cannot cross process boundaries.
-``mode="thread"``
-    Points fan out over a thread pool; points of the *same* graph
-    serialize on a per-graph lock (executors re-bind that graph's kernels
-    per run), so threads buy concurrency across graphs — exactly the
-    multi-graph batch case — and work for closure-carrying graphs.
 ``mode="serial"``
-    A plain in-process loop.
+    A plain in-process loop; the only mode for closure-carrying graphs.
 
 ``mode=None`` picks ``process`` when every graph is picklable and
-otherwise warns once (naming the offending stage and the ``mode="thread"``
-alternative) before running serially.
+otherwise warns once (naming the offending stage) before running
+serially.
 
 Sweeps degrade gracefully under partial failure: per-point ``timeout=``
 and ``retries=`` (with deterministic jittered exponential backoff) bound
@@ -53,18 +48,12 @@ import itertools
 import math
 import pickle
 import random
-import threading
 import time
 import traceback as traceback_module
 import warnings
 import weakref
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait as futures_wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -490,10 +479,8 @@ def _warn_serial_fallback(graph: PipelineGraph, culprit: str) -> None:
     label = graph.name or graph.describe()
     warnings.warn(
         f"Session.sweep: graph {label} cannot be sent to worker processes "
-        f"({culprit}); running this sweep serially. Pass mode='thread' to "
-        "sweep closure-carrying graphs concurrently (multi-graph batches "
-        "parallelize across graphs), or make the range maps module-level "
-        "functions to enable mode='process'.",
+        f"({culprit}); running this sweep serially. Make the range maps "
+        "module-level functions to enable mode='process'.",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -523,7 +510,7 @@ def sweep_policies(
 
         work = sweep_policies(mlp, ("TileSync", "RowSync"), mixed=True) \\
              + sweep_policies(attention, ("TileSync", "StridedTileSync"))
-        results = session.sweep(work, mode="thread")
+        results = session.sweep(work, mode="serial")
     """
     specs = [PolicySpec.coerce(family) for family in families]
     edges = [(edge.producer, edge.consumer, edge.tensor) for edge in graph.edges]
@@ -561,13 +548,13 @@ def sweep_archs(
     points — hashable and picklable, resolving against the registry in
     whatever process evaluates them — while raw
     :class:`~repro.gpu.arch.GpuArchitecture` instances pass through for
-    the legacy path.  Feed the work to :meth:`Session.sweep` in any of the
-    three modes::
+    the legacy path.  Feed the work to :meth:`Session.sweep` in either
+    mode::
 
         work = sweep_archs([mlp, attention], ("V100", "A100", "H100-SXM"),
                            policies=("TileSync", "RowSync"),
                            schemes=("streamsync", "cusync"))
-        results = session.sweep(work, mode="thread")
+        results = session.sweep(work, mode="serial")
     """
     graph_list = [graphs] if isinstance(graphs, PipelineGraph) else list(graphs)
     arch_axis: List[ArchLike] = [
@@ -586,6 +573,32 @@ def sweep_archs(
                 else:
                     work.append((graph, SweepPoint(scheme=scheme, policy=None, arch=arch)))
     return work
+
+
+def graph_labels(work: Iterable[Tuple[PipelineGraph, object]]) -> Dict[int, str]:
+    """One stable, *unique* label per distinct graph of a work list.
+
+    Keyed by ``id(graph)``: the graph's ``name`` when set (suffixed with
+    ``#n`` if two distinct graphs share a name), otherwise its position
+    among the work list's distinct graphs — results of a multi-graph
+    sweep stay attributable either way.
+    """
+    labels: Dict[int, str] = {}
+    taken: set = set()
+    ordinal = 0
+    for graph, _ in work:
+        if id(graph) in labels:
+            continue
+        label = graph.name if graph.name else f"graph{ordinal}"
+        if label in taken:
+            suffix = 2
+            while f"{label}#{suffix}" in taken:
+                suffix += 1
+            label = f"{label}#{suffix}"
+        labels[id(graph)] = label
+        taken.add(label)
+        ordinal += 1
+    return labels
 
 
 class Session:
@@ -1006,16 +1019,14 @@ class Session:
         (see :func:`sweep_policies`).  Non-cusync schemes ignore the policy
         axis (they contribute one point per arch).
 
-        ``mode`` selects how points execute — ``"process"``, ``"thread"``,
-        ``"serial"``, or ``None`` to pick automatically (processes when
-        every graph pickles, otherwise a one-time warning plus the serial
-        path).  Results are bit-identical across all modes: every path
-        evaluates points through the same :func:`_sweep_point_result`,
-        each point on an independent per-run binding (worker processes on
-        pickled copies; threads serialize same-graph points on a per-graph
-        lock because executors re-bind that graph's kernels per run).
-        ``workers`` caps the pool size; ``workers=0`` is legacy shorthand
-        for ``mode="serial"``.
+        ``mode`` selects how points execute — ``"process"``, ``"serial"``,
+        or ``None`` to pick automatically (processes when every graph
+        pickles, otherwise a one-time warning plus the serial path).
+        Results are bit-identical across modes: both paths evaluate points
+        through the same :func:`_sweep_point_result`, each point on an
+        independent per-run binding (worker processes on pickled copies).
+        ``workers`` caps the process pool's size (a positive count; by
+        default ``min(8, points)``).
 
         ``cache`` overrides the session's sweep-result cache for this call
         (``None`` keeps the session default): with caching on, points whose
@@ -1032,8 +1043,8 @@ class Session:
         exponential backoff (base ``backoff`` seconds) between attempts.
         ``timeout`` bounds each attempt's wall-clock seconds: in process
         mode a timed-out point's worker is killed (the pool is recycled and
-        other in-flight points requeued without charge); in serial/thread
-        mode the check is cooperative — the attempt's result is discarded
+        other in-flight points requeued without charge); in serial mode
+        the check is cooperative — the attempt's result is discarded
         once it finally returns.  A worker process that dies
         (``BrokenProcessPool``) respawns the pool; every point that was in
         flight is charged one attempt and requeued.  ``on_error`` decides
@@ -1060,14 +1071,16 @@ class Session:
                 "Session.sweep measures timing only; run functional points "
                 "individually with Session.run(graph, ..., tensors=...)"
             )
-        if mode not in (None, "serial", "thread", "process"):
+        if mode not in (None, "serial", "process"):
             raise SimulationError(
-                f"unknown sweep mode {mode!r}; choose 'serial', 'thread' or 'process'"
+                f"unknown sweep mode {mode!r}; choose 'serial' or 'process'"
             )
         if on_error not in ("raise", "collect", "skip"):
             raise SimulationError(
                 f"unknown on_error policy {on_error!r}; choose 'raise', 'collect' or 'skip'"
             )
+        if workers is not None and workers < 1:
+            raise SimulationError(f"workers must be positive, got {workers}")
         if retries < 0:
             raise SimulationError(f"retries must be non-negative, got {retries}")
         if timeout is not None and timeout <= 0:
@@ -1080,7 +1093,7 @@ class Session:
             fault_plan=active_fault_plan(),
         )
         work = self._normalize_work(graph_or_work, policies, arches, schemes)
-        labels = self._graph_labels(work)
+        labels = graph_labels(work)
         use_cache = self._sweep_cache_enabled if cache is None else bool(cache)
         if not use_cache:
             outputs = self._sweep_evaluate(
@@ -1236,21 +1249,19 @@ class Session:
         exhausted) or ``None`` (not evaluated because a raise-mode abort
         cut the sweep short).
         """
-        if workers == 0 or mode == "serial" or (len(work) <= 1 and mode is None):
+        if mode == "serial" or (len(work) <= 1 and mode is None):
             # A single point defaults to the serial path (no pool is worth
             # spinning up for it), but an *explicit* mode is honoured even
             # then — service fronts evaluate one point per call and still
             # want process-pool isolation semantics when asked for them.
             return self._sweep_serial(work, labels, recovery, positions)
-        if mode == "thread":
-            return self._sweep_threaded(work, labels, workers, recovery, positions)
         if mode == "process":
             culprits = self._pickle_culprits(work)
             if culprits:
                 raise SimulationError(
                     "Session.sweep(mode='process') needs picklable graphs, but "
                     + "; ".join(culprits)
-                    + ". Use mode='thread' for closure-carrying graphs."
+                    + ". Sweep closure-carrying graphs with mode='serial'."
                 )
             return self._sweep_processes(work, labels, workers, recovery, positions)
         # Automatic mode: processes when possible, else warn + serial.
@@ -1292,31 +1303,6 @@ class Session:
             work.append((graph, point))
         return work
 
-    @staticmethod
-    def _graph_labels(work: Sequence[Tuple[PipelineGraph, SweepPoint]]) -> Dict[int, str]:
-        """One stable, *unique* label per distinct graph.
-
-        The graph's ``name`` when set (suffixed with ``#n`` if two distinct
-        graphs share a name), otherwise its position in the work list —
-        results of a multi-graph sweep stay attributable either way.
-        """
-        labels: Dict[int, str] = {}
-        taken: set = set()
-        ordinal = 0
-        for graph, _ in work:
-            if id(graph) in labels:
-                continue
-            label = graph.name if graph.name else f"graph{ordinal}"
-            if label in taken:
-                suffix = 2
-                while f"{label}#{suffix}" in taken:
-                    suffix += 1
-                label = f"{label}#{suffix}"
-            labels[id(graph)] = label
-            taken.add(label)
-            ordinal += 1
-        return labels
-
     def _pickle_culprits(
         self, work: Sequence[Tuple[PipelineGraph, SweepPoint]], warn: bool = False
     ) -> List[str]:
@@ -1340,53 +1326,40 @@ class Session:
         graph_label: str,
         recovery: _RecoveryPolicy,
         position: int,
-        cost_model: Optional[CostModel] = None,
-        stage_summaries: Optional[Dict[str, StageSummary]] = None,
-        lock: Optional[threading.Lock] = None,
     ) -> object:
         """Evaluate one point in-process, honouring retries/backoff/timeout.
 
-        The timeout is cooperative here (a thread cannot be killed): an
-        attempt that overruns is discarded after the fact and the point is
-        retried — or failed — exactly as if the attempt had raised.  With
-        ``lock`` set, the lock is held only around the evaluation itself,
-        never across backoff sleeps, so other points sharing the graph
-        keep making progress while this one waits to retry.
+        The timeout is cooperative here (an in-process evaluation cannot be
+        killed): an attempt that overruns is discarded after the fact and
+        the point is retried — or failed — exactly as if the attempt had
+        raised.
         """
-        if cost_model is None:
-            cost_model = self.cost_model(point.arch)
-        if stage_summaries is None and point.scheme == "cusync":
-            stage_summaries = self.stage_summaries(graph, point.arch)
+        cost_model = self.cost_model(point.arch)
+        stage_summaries = (
+            self.stage_summaries(graph, point.arch) if point.scheme == "cusync" else None
+        )
+
+        def evaluate_once() -> SweepResult:
+            return _sweep_point_result(
+                graph,
+                point,
+                cost_model=cost_model,
+                stage_summaries=stage_summaries,
+                graph_label=graph_label,
+            )
+
         started = time.monotonic()
         last_exception: Optional[BaseException] = None
         last_traceback = ""
         for attempt in range(recovery.max_attempts):
             if attempt:
                 time.sleep(_backoff_delay(recovery.backoff, position, attempt))
-
-            def evaluate_once() -> SweepResult:
-                return _sweep_point_result(
-                    graph,
-                    point,
-                    cost_model=cost_model,
-                    stage_summaries=stage_summaries,
-                    graph_label=graph_label,
-                )
-
             try:
-                if lock is not None:
-                    with lock:
-                        attempt_start = time.monotonic()
-                        raw = run_point_with_faults(
-                            recovery.fault_plan, position, attempt, evaluate_once
-                        )
-                        attempt_elapsed = time.monotonic() - attempt_start
-                else:
-                    attempt_start = time.monotonic()
-                    raw = run_point_with_faults(
-                        recovery.fault_plan, position, attempt, evaluate_once
-                    )
-                    attempt_elapsed = time.monotonic() - attempt_start
+                attempt_start = time.monotonic()
+                raw = run_point_with_faults(
+                    recovery.fault_plan, position, attempt, evaluate_once
+                )
+                attempt_elapsed = time.monotonic() - attempt_start
                 result = _validate_sweep_result(raw)
             except Exception as exc:
                 last_exception = exc
@@ -1431,47 +1404,6 @@ class Session:
                 break
         return outputs
 
-    def _sweep_threaded(
-        self,
-        work: Sequence[Tuple[PipelineGraph, SweepPoint]],
-        labels: Dict[int, str],
-        workers: Optional[int],
-        recovery: _RecoveryPolicy,
-        positions: Sequence[int],
-    ) -> List[object]:
-        # Resolve each point's cost model and stage summaries serially up
-        # front so worker threads only read prepared values (no per-point
-        # registry/key work on the fan-out path); a per-graph lock
-        # serializes points that share a graph (executors re-bind the
-        # graph's kernels for every run, and two concurrent bindings of
-        # one graph would race).
-        locks: Dict[int, threading.Lock] = {}
-        prepared = []
-        for (graph, point), position in zip(work, positions):
-            cost_model = self.cost_model(point.arch)
-            stage_summaries = (
-                self.stage_summaries(graph, point.arch) if point.scheme == "cusync" else None
-            )
-            locks.setdefault(id(graph), threading.Lock())
-            prepared.append((graph, point, cost_model, stage_summaries, position))
-
-        def evaluate(item) -> object:
-            graph, point, cost_model, stage_summaries, position = item
-            return self._evaluate_with_recovery(
-                graph,
-                point,
-                labels[id(graph)],
-                recovery,
-                position,
-                cost_model=cost_model,
-                stage_summaries=stage_summaries,
-                lock=locks[id(graph)],
-            )
-
-        max_workers = workers if workers else min(8, len(work))
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(evaluate, prepared))
-
     @staticmethod
     def _terminate_pool(pool: ProcessPoolExecutor) -> None:
         """Kill a pool's worker processes and discard the pool.
@@ -1509,7 +1441,7 @@ class Session:
             (graph, point, self.cost_model(point.arch), labels[id(graph)], position)
             for (graph, point), position in zip(work, positions)
         ]
-        max_workers = workers if workers else min(8, n)
+        max_workers = workers if workers is not None else min(8, n)
 
         pool = ProcessPoolExecutor(max_workers=max_workers)
         try:

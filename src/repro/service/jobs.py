@@ -59,7 +59,13 @@ from typing import (
 
 from repro.errors import SimulationError
 from repro.pipeline.graph import PipelineGraph
-from repro.pipeline.session import Session, SweepFailure, SweepPoint, SweepResult
+from repro.pipeline.session import (
+    Session,
+    SweepFailure,
+    SweepPoint,
+    SweepResult,
+    graph_labels,
+)
 
 from .store import ResultStore
 
@@ -190,10 +196,10 @@ class SessionWorker:
     process-pool path (worker-kill timeouts included); the default
     ``None`` picks the in-process serial path.
 
-    Calls are thread-safe: concurrent evaluations of points sharing a
-    graph serialize on a per-graph lock, because an evaluation re-binds
-    that graph's kernels (same discipline as ``Session.sweep``'s thread
-    mode).  ``calls`` counts evaluations — the figure the coalescing
+    Calls are thread-safe: the service evaluates points on its thread
+    pool, and concurrent evaluations of points sharing a graph serialize
+    on a per-graph lock, because an evaluation re-binds that graph's
+    kernels.  ``calls`` counts evaluations — the figure the coalescing
     acceptance tests assert on.
     """
 
@@ -242,26 +248,6 @@ class SessionWorker:
                 on_error="collect",
             )
         return results[0]
-
-
-def _job_labels(items: Sequence[WorkItem]) -> Dict[int, str]:
-    """One unique label per distinct graph, mirroring ``Session.sweep``'s."""
-    labels: Dict[int, str] = {}
-    taken: set = set()
-    ordinal = 0
-    for graph, _ in items:
-        if id(graph) in labels:
-            continue
-        label = graph.name if graph.name else f"graph{ordinal}"
-        if label in taken:
-            suffix = 2
-            while f"{label}#{suffix}" in taken:
-                suffix += 1
-            label = f"{label}#{suffix}"
-        labels[id(graph)] = label
-        taken.add(label)
-        ordinal += 1
-    return labels
 
 
 class SweepService:
@@ -389,7 +375,7 @@ class SweepService:
                     f"(PipelineGraph, SweepPoint) pairs, got {item!r}"
                 )
             items.append((graph, point))
-        labels = _job_labels(items)
+        labels = graph_labels(items)
         cancel_event = asyncio.Event()
         deadline = (
             None if timeout_s is None else asyncio.get_running_loop().time() + timeout_s

@@ -17,14 +17,14 @@ Fault taxonomy (:data:`FAULT_KINDS`):
 
 ``crash``
     The evaluating worker process dies mid-point (``os._exit``), producing
-    a ``BrokenProcessPool`` in the parent.  Serial and thread modes cannot
-    sacrifice the host process, so the crash degrades to
+    a ``BrokenProcessPool`` in the parent.  Serial mode cannot sacrifice
+    the host process, so the crash degrades to
     :class:`~repro.errors.InjectedCrashError` there.
 ``hang``
     The evaluation sleeps for :attr:`FaultSpec.hang_seconds` before
     running.  Under a per-point ``timeout`` this exercises the timed-out
-    path: process mode kills and respawns the pool, the cooperative modes
-    discard the late result.
+    path: process mode kills and respawns the pool, serial mode discards
+    the late result.
 ``error``
     The evaluation raises :class:`~repro.errors.InjectedFaultError`
     deterministically — the plain exception-propagation path.
@@ -47,8 +47,8 @@ retried point recovers — the property the chaos acceptance test pins
 
 Injection is thread-safe: the *plan* is a process-global (it crosses
 worker-process boundaries inside sweep payloads), while the simulator-level
-post-fault context is thread-local so concurrent thread-mode points cannot
-see each other's faults.
+post-fault context is thread-local so points evaluated concurrently on a
+``SweepService`` thread pool cannot see each other's faults.
 """
 
 from __future__ import annotations
@@ -301,7 +301,7 @@ def run_point_with_faults(
     """Evaluate one sweep point under the plan's fault for ``(point, attempt)``.
 
     The single choke point every sweep execution mode funnels through:
-    serial and thread evaluation call it in-process, the process-mode
+    serial evaluation calls it in-process, the process-mode
     worker entry point calls it with ``in_worker_process=True`` after
     unpickling the plan from its payload.  With no plan (the fault-free
     path) it is a plain call-through.
@@ -316,7 +316,7 @@ def run_point_with_faults(
             os._exit(CRASH_EXIT_CODE)
         raise InjectedCrashError(
             f"injected worker crash for point {point} (attempt {attempt}); "
-            "serial/thread modes surface the crash as this exception"
+            "serial mode surfaces the crash as this exception"
         )
     if spec.kind == "hang":
         time.sleep(spec.hang_seconds)

@@ -1,8 +1,8 @@
 """Autotuning over ``(tile, policy, arch)`` on top of :class:`Session.sweep`.
 
 The package that closes the paper's loop — "generate every candidate,
-run them all, keep the fastest" — as a real subsystem instead of the
-dormant seed-era ``dsl.autotune``:
+run them all, keep the fastest" (Section IV-A, "Running the Generated
+Code"):
 
 :mod:`repro.tune.space`
     :class:`SearchSpace`: the cross product of tile-config choices

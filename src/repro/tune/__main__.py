@@ -4,7 +4,7 @@ Usage::
 
     PYTHONPATH=src python -m repro.tune [--output PATH] [--strategy grid|halving]
                                         [--arches A100 H100-SXM RTX-4090]
-                                        [--mode thread] [--batch-seq 512]
+                                        [--mode serial] [--batch-seq 512]
 
 Tunes the preset MLP spaces per architecture and writes the merged
 best-known-config table.  Tesla V100 is deliberately *not* tuned: the
@@ -34,7 +34,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--arches", nargs="+", default=["A100", "H100-SXM", "RTX-4090"]
     )
-    parser.add_argument("--mode", default="thread", choices=("serial", "thread", "process"))
+    parser.add_argument("--mode", default="serial", choices=("serial", "process"))
     parser.add_argument("--batch-seq", type=int, default=512)
     args = parser.parse_args(argv)
 

@@ -6,10 +6,10 @@ in {128, 256}² with a small split-K ladder per stage, plus the
 ``default`` tile (the workload's V100-tuned grids) as the anchor the
 winner must beat.  21 tile choices × policies × arches.
 
-``gpt3_mlp_space`` graphs are fully picklable (every sweep mode works
+``gpt3_mlp_space`` graphs are fully picklable (both sweep modes work
 and results persist to the store); ``llama_mlp_space`` graphs carry the
-SwiGLU closure range map, so they sweep in serial/thread modes with
-in-memory caching only.
+SwiGLU closure range map, so they sweep in serial mode with in-memory
+caching only.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def llama_mlp_space(
     The default tile is :func:`~repro.kernels.gemm.choose_gemm_config`'s
     V100 heuristic choice — the graphs the untuned model builds.  The
     SwiGLU closure keeps these graphs out of ``mode="process"`` sweeps
-    and the persistent store; use serial or thread mode.
+    and the persistent store; use serial mode.
     """
     from repro.models.llama_mlp import LlamaMlp
 

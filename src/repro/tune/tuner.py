@@ -129,7 +129,7 @@ class Tuner:
     ``session`` defaults to a fresh :class:`Session`; pass a long-lived
     one (optionally backed by a ``result_store``) to make reruns replay
     from cache.  ``mode`` / ``workers`` forward to every underlying
-    :meth:`Session.sweep` call; all modes are bit-identical.
+    :meth:`Session.sweep` call; both modes are bit-identical.
     """
 
     def __init__(

@@ -13,6 +13,7 @@ import pytest
 
 from repro.gpu.arch import TESLA_V100
 from repro.gpu.costmodel import CostModel
+from repro.pipeline import run
 
 #: Per-test wall-clock budget for the fallback watchdog, in seconds.
 #: Overridable via REPRO_TEST_TIMEOUT; 0 disables the watchdog.
@@ -97,3 +98,27 @@ def v100_cost_model():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def run_functional():
+    """Run a ``functional=True`` workload once on a freshly built graph.
+
+    The workload itself must be functional: its ``to_graph`` then picks
+    split-K-free tiles and builds kernels that reject a split-K GeMM with a
+    fused epilogue, which a timing-mode graph run functionally would skip.
+    """
+
+    def run_once(workload, scheme="cusync", policy="TileSync"):
+        assert workload.functional, "build the workload with functional=True"
+        return run(
+            workload.to_graph(),
+            scheme=scheme,
+            policy=policy,
+            arch=workload.arch,
+            cost_model=workload.cost_model,
+            functional=True,
+            tensors=workload.input_tensors(),
+        )
+
+    return run_once

@@ -2,10 +2,9 @@
 
 The execution layer guarantees that any ``(workload, arch, scheme,
 policy)`` point produces **bit-identical** results no matter which
-``Session.sweep`` mode evaluates it — ``serial``, ``thread`` or
-``process``.  PR 2 and PR 3 each grew their own ad-hoc parity tests; this
-module turns them into one parameterized harness that any test (and any
-future PR) can feed an arbitrary work list:
+``Session.sweep`` mode evaluates it — ``serial`` or ``process``.  This
+module is one parameterized parity harness that any test can feed an
+arbitrary work list:
 
 * :func:`small_workloads` — the five model workloads at small shapes
   (tiny transformer configs, the smallest conv stage), cheap enough to
@@ -13,8 +12,8 @@ future PR) can feed an arbitrary work list:
 * :func:`differential_work` — the ``(graph, arch, scheme, policy)`` cube
   as a ``Session.sweep`` work list, built via
   :func:`repro.pipeline.sweep_archs`;
-* :func:`assert_modes_identical` — runs a work list through all three
-  modes on fresh sessions and asserts exact equality.  Graphs that carry
+* :func:`assert_modes_identical` — runs a work list through both modes
+  on fresh sessions and asserts exact equality.  Graphs that carry
   closure range maps (attention, LLaMA) cannot cross process boundaries,
   so the process mode runs on the picklable subset of the work and is
   compared positionally;
@@ -87,20 +86,18 @@ def assert_modes_identical(
     work: Sequence[Tuple[PipelineGraph, SweepPoint]],
     session_arch="V100",
 ) -> List[SweepResult]:
-    """Assert serial == thread == process for ``work``; return the results.
+    """Assert serial == process for ``work``; return the serial results.
 
-    Every mode runs on a *fresh* session so no mode benefits from another's
-    caches.  The process mode is restricted to the picklable graphs of the
-    work list (closure-carrying graphs cannot cross process boundaries by
-    design); its results are compared against the matching serial subset.
-    In sandboxes that forbid worker processes, ``Session.sweep`` already
-    probes the pool and falls back to a serial evaluation of the same
-    points, so the comparison still holds.
+    Each mode runs on a *fresh* session so neither benefits from the
+    other's caches.  The process mode is restricted to the picklable graphs
+    of the work list (closure-carrying graphs cannot cross process
+    boundaries by design); its results are compared against the matching
+    serial subset.  In sandboxes that forbid worker processes,
+    ``Session.sweep`` already probes the pool and falls back to a serial
+    evaluation of the same points, so the comparison still holds.
     """
     work = list(work)
     serial = Session(arch=session_arch).sweep(list(work), mode="serial")
-    threaded = Session(arch=session_arch).sweep(list(work), mode="thread")
-    assert threaded == serial, "thread-mode sweep diverged from serial"
 
     picklable_graphs = {id(graph) for graph, _ in work if _picklable(graph)}
     process_work = [(g, p) for g, p in work if id(g) in picklable_graphs]
@@ -131,11 +128,11 @@ def run_cube(
     arches: Sequence = ("V100", "A100"),
     workload_names: Optional[Sequence[str]] = None,
 ) -> List[SweepResult]:
-    """Sweep the five small workloads over ``arches`` in all three modes.
+    """Sweep the five small workloads over ``arches`` in both modes.
 
     The canonical acceptance check: every workload's per-family policy set
     plus the StreamSync baseline, per architecture, bit-identical across
-    serial/thread/process.  Returns the serial results for further shape
+    serial and process.  Returns the serial results for further shape
     assertions.
     """
     workloads = small_workloads()

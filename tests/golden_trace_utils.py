@@ -30,6 +30,7 @@ from repro.models.config import GPT3_145B, LLAMA_65B, RESNET38_LAYERS, VGG19_LAY
 from repro.models.conv_layers import ConvChain
 from repro.models.llama_mlp import LlamaMlp
 from repro.models.mlp import GptMlp
+from repro.pipeline import run
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "fixtures", "golden_traces.json")
 
@@ -70,10 +71,15 @@ def _schemes(name: str) -> List[str]:
 
 
 def _run(workload, scheme: str):
-    if scheme == "streamsync":
-        return workload.run_streamsync()
-    _, policy = scheme.split(":", 1)
-    return workload.run_cusync(policy=policy)
+    """Run ``scheme`` (``"streamsync"`` or ``"cusync:<policy>"``) on a fresh graph."""
+    scheme, _, policy = scheme.partition(":")
+    return run(
+        workload.to_graph(),
+        scheme=scheme,
+        policy=policy or "TileSync",
+        arch=workload.arch,
+        cost_model=workload.cost_model,
+    )
 
 
 def _serialize_result(result) -> Dict[str, object]:

@@ -217,7 +217,7 @@ class TestSpecProperties:
     @settings(max_examples=10, deadline=None)
     def test_spec_points_sweep_identically_across_modes(self, name):
         """A SweepPoint carrying any registered ArchSpec produces identical
-        results across serial/thread/process modes (the differential
+        results across the serial and process modes (the differential
         harness's core guarantee, per architecture)."""
         graph = _TINY_GRAPH
         work = differential_work(

@@ -6,7 +6,7 @@ Pins the revived autotuner's contract:
   ``(graph, point)`` pairs ``Session.sweep`` evaluates, with
   deterministic graph names per tile choice;
 * strategies are deterministic (same seed → same trajectory → same
-  winner) and identical across serial/thread/process sweep modes;
+  winner) and identical across the serial and process sweep modes;
 * tuner reruns replay every previously-visited point from the sweep
   cache — zero novel simulations, bit-identical trajectory;
 * successive halving never persists partial results: tuner-populated
@@ -14,10 +14,7 @@ Pins the revived autotuner's contract:
   of the same points writes;
 * ``TUNED_CONFIGS.json`` round-trips through the resolver and model
   constructors (``tuned=True``), with the documented one-time V100
-  fallback warning;
-* the legacy ``repro.dsl.AutoTuner`` shim keeps its surface and raises
-  structured :class:`~repro.errors.TuningError` instead of bare
-  ``KeyError``.
+  fallback warning.
 """
 
 from __future__ import annotations
@@ -27,8 +24,6 @@ import warnings
 import pytest
 
 from repro.cusync.optimizations import OptimizationFlags
-from repro.cusync.policies import PolicySpec
-from repro.dsl import AutoTuner, TuningResult
 from repro.errors import ReproError, TuningError
 from repro.gpu import resolve_arch
 from repro.kernels.gemm import GemmConfig
@@ -248,15 +243,12 @@ class TestTuner:
 
     def test_modes_produce_identical_trajectories(self):
         # The same search must be bit-identical in every sweep mode.
-        reports = {
-            mode: Tuner(mode=mode).tune(tiny_space(), SuccessiveHalving(eta=2))
-            for mode in ("serial", "thread", "process")
-        }
-        serial = reports["serial"]
-        assert serial.trajectory() == reports["thread"].trajectory()
-        assert serial.trajectory() == reports["process"].trajectory()
-        assert serial.entries == reports["thread"].entries
-        assert serial.entries == reports["process"].entries
+        serial, process = (
+            Tuner(mode=mode).tune(tiny_space(), SuccessiveHalving(eta=2))
+            for mode in ("serial", "process")
+        )
+        assert serial.trajectory() == process.trajectory()
+        assert serial.entries == process.entries
 
     def test_warm_rerun_replays_everything_from_cache(self):
         tuner = Tuner(mode="serial")
@@ -275,7 +267,7 @@ class TestTuner:
         assert warm.trajectory() == cold.trajectory()
         assert warm.entries == cold.entries
 
-    def test_llama_space_tunes_in_thread_mode(self):
+    def test_llama_space_tunes_in_serial_mode(self):
         # SwiGLU closures keep LLaMA graphs out of process mode and the
         # store, but in-memory tuning works; exercise the preset wiring.
         from repro.tune import llama_mlp_space
@@ -289,7 +281,7 @@ class TestTuner:
             policies=("TileSync",),
             tile_choices=mlp_tile_grid("llama_gemm1", "llama_gemm2")[:3],
         )
-        report = Tuner(mode="thread").tune(space, GridSearch())
+        report = Tuner(mode="serial").tune(space, GridSearch())
         assert len(report.entries) == 1
         assert report.entries[0].time_us <= report.entries[0].baseline_us
 
@@ -514,50 +506,3 @@ class TestSweepPointOptimizations:
         assert second.total_time_us >= first.total_time_us
         # Replays hit the right entry.
         assert session.sweep_point(graph, vanilla).cached
-
-
-# ----------------------------------------------------------------------
-# The legacy DSL shim
-# ----------------------------------------------------------------------
-class TestAutoTunerShim:
-    def test_tunes_a_workload_with_the_historic_surface(self):
-        workload = GptMlp(config=TINY, batch_seq=96)
-        result = AutoTuner(include_streamk=True).tune(workload)
-        assert result.workload == workload.name
-        assert {"StreamSync", "StreamK", "TileSync", "RowSync"} <= set(result.times_us)
-        assert result.best_policy in {"TileSync", "RowSync"}
-        assert result.best_time_us == result.times_us[result.best_policy]
-        assert result.best_time_us <= min(
-            result.times_us["TileSync"], result.times_us["RowSync"]
-        )
-        assert result.improvement == pytest.approx(
-            (result.streamsync_time_us - result.best_time_us)
-            / result.streamsync_time_us
-        )
-        assert workload.name in result.summary()
-        assert "<= best" in result.summary()
-
-    def test_accepts_policy_specs(self):
-        result = AutoTuner(policies=[PolicySpec("TileSync")]).tune(
-            GptMlp(config=TINY, batch_seq=96)
-        )
-        assert result.best_policy == "TileSync"
-
-    def test_empty_policy_list_is_a_structured_error(self):
-        with pytest.raises(TuningError):
-            AutoTuner(policies=[]).tune(GptMlp(config=TINY, batch_seq=96))
-
-    def test_unmeasured_quantities_raise_tuning_errors(self):
-        sparse = TuningResult(workload="w", times_us={"RowSync": 1.0}, best_policy="TileSync")
-        with pytest.raises(TuningError):
-            sparse.best_time_us
-        with pytest.raises(TuningError):
-            sparse.streamsync_time_us
-        with pytest.raises(TuningError):
-            sparse.improvement
-        # Structured ReproError, never a bare KeyError.
-        try:
-            sparse.streamsync_time_us
-        except ReproError as exc:
-            assert not isinstance(exc, KeyError)
-            assert "StreamSync" in str(exc)

@@ -11,13 +11,14 @@ from repro.bench import (
     table3_lines_changed,
 )
 from repro.bench.experiments import figure7_conv, table5_conv_optimizations
-from repro.dsl import AutoTuner
 from repro.errors import DataRaceError
 from repro.gpu.arch import TESLA_V100
 from repro.models import Attention, ConvChain, GptMlp, TransformerConfig
 from repro.models.config import RESNET38_LAYERS
 from repro.models.inference import TransformerLayer, VisionModel
 from repro.models.config import resnet38_config
+from repro.pipeline import Session
+from repro.tune import SearchSpace, Tuner
 
 TINY = TransformerConfig(name="tiny", hidden=256, layers=2, tensor_parallel=8)
 
@@ -73,16 +74,26 @@ class TestExperiments:
         assert row["+WRT"] <= row["Vanilla"] + 1e-6
 
 
-class TestAutoTuner:
+class TestTuner:
     def test_tuner_reports_best(self):
-        tuner = AutoTuner(policies=["TileSync", "RowSync"])
-        result = tuner.tune(GptMlp(config=TINY, batch_seq=96))
-        assert result.best_policy in ("TileSync", "RowSync")
-        assert "StreamSync" in result.times_us
-        assert result.best_time_us <= min(
-            result.times_us["TileSync"], result.times_us["RowSync"]
-        ) + 1e-9
-        assert "auto-tuning" in result.summary()
+        workload = GptMlp(config=TINY, batch_seq=96)
+        graph = workload.to_graph()
+        space = SearchSpace(
+            name=graph.name,
+            builder=lambda _configs: graph,
+            policies=("TileSync", "RowSync"),
+            arches=(workload.arch,),
+        )
+        session = Session(arch=workload.arch, cost_model=workload.cost_model)
+        report = Tuner(session=session).tune(space)
+        arch = workload.arch.name
+        best = report.best_for(arch)
+        assert best.policy in ("TileSync", "RowSync")
+        assert report.baseline_for(arch) > 0
+        assert best.time_us == min(
+            trial.time_us for trial in report.trials if not trial.is_baseline
+        )
+        assert space.name in report.summary()
 
 
 class TestEndToEndEstimates:
@@ -104,25 +115,24 @@ class TestEndToEndEstimates:
 class TestCrossSchemeConsistency:
     """The same workload must produce identical numerics under every scheme."""
 
-    def test_all_policies_agree_numerically(self):
-        outputs = {}
-        for policy in ("TileSync", "RowSync"):
-            workload = GptMlp(config=TINY, batch_seq=96, functional=True)
-            outputs[policy] = workload.run_cusync(policy=policy).tensor("XW12")
+    def test_all_policies_agree_numerically(self, run_functional):
         workload = GptMlp(config=TINY, batch_seq=96, functional=True)
-        outputs["StreamSync"] = workload.run_streamsync().tensor("XW12")
-        baseline = outputs.pop("StreamSync")
+        outputs = {
+            policy: run_functional(workload, policy=policy).tensor("XW12")
+            for policy in ("TileSync", "RowSync")
+        }
+        baseline = run_functional(workload, scheme="streamsync").tensor("XW12")
         for name, value in outputs.items():
             np.testing.assert_allclose(value, baseline, rtol=1e-5, atol=1e-5, err_msg=name)
 
-    def test_attention_policies_agree(self):
+    def test_attention_policies_agree(self, run_functional):
         outputs = []
         for policy in ("TileSync", "StridedTileSync"):
             workload = Attention(config=TINY, batch=1, seq=64, functional=True, dropout=0.0)
-            outputs.append(workload.run_cusync(policy=policy).tensor("XW12"))
+            outputs.append(run_functional(workload, policy=policy).tensor("XW12"))
         np.testing.assert_allclose(outputs[0], outputs[1], rtol=1e-5, atol=1e-5)
 
-    def test_under_synchronized_policy_detected_as_race(self):
+    def test_under_synchronized_policy_detected_as_race(self, run_functional):
         """A policy that waits for too few posts must surface as a data race.
 
         ``LeakyRowSync`` shares one semaphore per row (like RowSync) but only
@@ -143,7 +153,7 @@ class TestCrossSchemeConsistency:
         configs = (GemmConfig(32, 32, 32), GemmConfig(32, 32, 32))
         workload = GptMlp(config=TINY, batch_seq=96, functional=True, gemm_configs=configs)
         with pytest.raises(DataRaceError):
-            workload.run_cusync(policy=[LeakyRowSync(), LeakyRowSync()])
+            run_functional(workload, policy=[LeakyRowSync(), LeakyRowSync()])
 
     def test_improvements_deterministic_across_runs(self):
         first = ConvChain(RESNET38_LAYERS[0], batch=1).improvement_over_streamsync("RowSync")

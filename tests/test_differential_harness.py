@@ -2,7 +2,7 @@
 
 Acceptance criterion of the cross-architecture subsystem: ``sweep_archs``
 over >= 3 registered architectures x the five model workloads is
-bit-identical across serial/thread/process sweep modes.  The fast
+bit-identical across the serial and process sweep modes.  The fast
 per-workload parameterization runs in the tier-1 lane; the full cube is
 marked ``slow`` (deselect with ``-m "not slow"``).
 """

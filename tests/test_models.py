@@ -18,8 +18,9 @@ from repro.models import (
     resnet38_config,
     vgg19_config,
 )
+from repro.kernels.gemm import GemmKernel
 from repro.models.mlp import gpt3_mlp_gemm_configs
-from repro.models.workload import make_policy
+from repro.pipeline.executors import resolve_policy
 from repro.cusync.policies import RowSync, StridedSync, TileSync
 
 TINY = TransformerConfig(name="tiny", hidden=256, layers=2, tensor_parallel=8)
@@ -58,47 +59,65 @@ class TestConfigs:
         assert small_first.split_k == 4
 
 
+class TestFunctionalTiles:
+    """A functional workload drops split-K: fused epilogues need split_k == 1."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda functional: GptMlp(batch_seq=64, functional=functional),
+            lambda functional: LlamaMlp(batch_seq=64, functional=functional),
+            lambda functional: Attention(batch=1, seq=64, functional=functional),
+        ],
+        ids=["GptMlp", "LlamaMlp", "Attention"],
+    )
+    def test_functional_graph_has_no_split_k(self, make):
+        def split_ks(functional):
+            stages = make(functional).to_graph().stages
+            return {s.kernel.config.split_k for s in stages if isinstance(s.kernel, GemmKernel)}
+
+        assert max(split_ks(False)) > 1
+        assert split_ks(True) == {1}
+
+
 class TestPolicySelection:
     def test_named_policies(self):
-        workload = GptMlp(config=TINY, batch_seq=64)
-        spec = workload.build()[0]
-        assert isinstance(make_policy("TileSync", spec), TileSync)
-        assert isinstance(make_policy("RowSync", spec), RowSync)
+        stage = GptMlp(config=TINY, batch_seq=64).to_graph().stage("mlp_gemm1")
+        assert isinstance(resolve_policy("TileSync", stage), TileSync)
+        assert isinstance(resolve_policy("RowSync", stage), RowSync)
 
     def test_strided_policy_uses_group_hint(self):
-        attention = Attention(config=TINY, batch=1, seq=64)
-        qkv_spec = attention.build()[0]
-        policy = make_policy("StridedTileSync", qkv_spec)
+        qkv = Attention(config=TINY, batch=1, seq=64).to_graph().stage("attn_qkv")
+        policy = resolve_policy("StridedTileSync", qkv)
         assert isinstance(policy, (StridedSync, TileSync))
 
     def test_unknown_policy_rejected(self):
-        workload = GptMlp(config=TINY, batch_seq=64)
+        stage = GptMlp(config=TINY, batch_seq=64).to_graph().stage("mlp_gemm1")
         with pytest.raises(ModelConfigError):
-            make_policy("MagicSync", workload.build()[0])
+            resolve_policy("MagicSync", stage)
 
 
 class TestGptMlp:
     def test_build_structure(self):
-        specs = GptMlp(config=TINY, batch_seq=96).build()
-        assert len(specs) == 2
-        assert specs[1].dependencies[0].tensor == "XW1"
+        graph = GptMlp(config=TINY, batch_seq=96).to_graph()
+        assert len(graph.stages) == 2
+        assert graph.in_edges("mlp_gemm2")[0].tensor == "XW1"
 
     def test_grid_matches_table_i_at_batch_256(self):
-        specs = GptMlp(batch_seq=256).build()
-        producer = specs[0].kernel
+        producer = GptMlp(batch_seq=256).to_graph().stage("mlp_gemm1").kernel
         assert producer.grid.volume == 192
         assert producer.occupancy() == 2
 
-    def test_functional_correctness_tilesync(self):
+    def test_functional_correctness_tilesync(self, run_functional):
         workload = GptMlp(config=TINY, batch_seq=96, functional=True)
-        result = workload.run_cusync(policy="TileSync")
+        result = run_functional(workload, policy="TileSync")
         np.testing.assert_allclose(
             result.tensor("XW12"), workload.reference_output(), rtol=1e-3, atol=1e-3
         )
 
-    def test_functional_correctness_streamsync(self):
+    def test_functional_correctness_streamsync(self, run_functional):
         workload = GptMlp(config=TINY, batch_seq=96, functional=True)
-        result = workload.run_streamsync()
+        result = run_functional(workload, scheme="streamsync")
         np.testing.assert_allclose(
             result.tensor("XW12"), workload.reference_output(), rtol=1e-3, atol=1e-3
         )
@@ -115,13 +134,13 @@ class TestGptMlp:
 
 class TestLlamaMlp:
     def test_combined_gemm_width(self):
-        specs = LlamaMlp(config=TINY_SWIGLU, batch_seq=64).build()
-        first = specs[0].kernel
+        graph = LlamaMlp(config=TINY_SWIGLU, batch_seq=64).to_graph()
+        first = graph.stage("llama_gemm1").kernel
         assert first.problem.n == 2 * (TINY_SWIGLU.hidden // 3)
 
-    def test_functional_correctness(self):
+    def test_functional_correctness(self, run_functional):
         workload = LlamaMlp(config=TINY_SWIGLU, batch_seq=64, functional=True)
-        result = workload.run_cusync(policy="RowSync")
+        result = run_functional(workload, policy="RowSync")
         np.testing.assert_allclose(
             result.tensor("XW12"), workload.reference_output(), rtol=1e-3, atol=1e-3
         )
@@ -133,10 +152,10 @@ class TestLlamaMlp:
 
 class TestAttention:
     def test_build_has_five_kernels_and_strided_hint(self):
-        specs = Attention(config=TINY, batch=1, seq=64).build()
-        assert len(specs) == 5
-        assert specs[0].strided_groups == 3
-        assert {d.tensor for d in specs[1].dependencies} == {"XQ", "Kall"}
+        graph = Attention(config=TINY, batch=1, seq=64).to_graph()
+        assert len(graph.stages) == 5
+        assert graph.stage("attn_qkv").strided_groups == 3
+        assert {edge.tensor for edge in graph.in_edges("attn_scores")} == {"XQ", "Kall"}
 
     def test_rows_and_keys(self):
         attention = Attention(config=TINY, batch=2, seq=4, cached=16)
@@ -144,44 +163,43 @@ class TestAttention:
         assert attention.keys == 20
 
     @pytest.mark.parametrize("policy", ["TileSync", "RowSync", "StridedTileSync"])
-    def test_functional_correctness(self, policy):
+    def test_functional_correctness(self, policy, run_functional):
         workload = Attention(config=TINY, batch=1, seq=64, cached=0, functional=True, dropout=0.0)
-        result = workload.run_cusync(policy=policy)
+        result = run_functional(workload, policy=policy)
         np.testing.assert_allclose(
             result.tensor("XW12"), workload.reference_output(), rtol=1e-2, atol=1e-2
         )
 
-    def test_streamsync_functional(self):
+    def test_streamsync_functional(self, run_functional):
         workload = Attention(config=TINY, batch=1, seq=64, cached=0, functional=True, dropout=0.0)
-        result = workload.run_streamsync()
+        result = run_functional(workload, scheme="streamsync")
         np.testing.assert_allclose(
             result.tensor("XW12"), workload.reference_output(), rtol=1e-2, atol=1e-2
         )
 
     def test_kv_cache_changes_key_count(self):
-        specs = Attention(config=TINY, batch=1, seq=1, cached=32).build()
-        score_kernel = specs[1].kernel
+        graph = Attention(config=TINY, batch=1, seq=1, cached=32).to_graph()
+        score_kernel = graph.stage("attn_scores").kernel
         assert score_kernel.problem.n == 33
 
 
 class TestConvChain:
     def test_build_chain_dependencies(self):
-        chain = ConvChain(RESNET38_LAYERS[1], batch=1)
-        specs = chain.build()
-        assert len(specs) == 2
-        assert specs[1].dependencies[0].tensor == "act1"
+        graph = ConvChain(RESNET38_LAYERS[1], batch=1).to_graph()
+        assert len(graph.stages) == 2
+        assert graph.in_edges("conv1")[0].tensor == "act1"
 
     def test_vgg_four_conv_chain(self):
         spec = VGG19_LAYERS[2]
         chain = ConvChain(spec, batch=1)
-        assert len(chain.build()) == 4
+        assert len(chain.to_graph().stages) == 4
 
-    def test_functional_correctness(self):
+    def test_functional_correctness(self, run_functional):
         from repro.models.config import ConvLayerSpec
 
         spec = ConvLayerSpec(image=8, channels=16, kernel=3, convs_per_layer=2, layers=1)
         chain = ConvChain(spec, batch=1, functional=True)
-        result = chain.run_cusync(policy="Conv2DTileSync")
+        result = run_functional(chain, policy="Conv2DTileSync")
         np.testing.assert_allclose(
             result.tensor("act2"), chain.reference_output(), rtol=1e-2, atol=1e-2
         )

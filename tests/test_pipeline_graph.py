@@ -9,7 +9,6 @@ from repro.cusync.policies import RowSync, StridedSync, TileSync
 from repro.cusync.tile_orders import GroupedColumnsOrder, RowMajorOrder
 from repro.pipeline import Edge, PipelineGraph, StageSpec, linear_graph
 from repro.pipeline.executors import resolve_order, resolve_policy
-from repro.models.workload import DependencySpec, KernelSpec, make_order, make_policy
 
 
 def _gemm(name, m=128, n=128, k=128, a="A", b="B", c="C"):
@@ -152,8 +151,6 @@ class TestPolicyResolution:
         stage = StageSpec("s", _gemm("s"))
         with pytest.raises(ModelConfigError, match="unknown synchronization policy"):
             resolve_policy("MagicSync", stage)
-        with pytest.raises(ModelConfigError):
-            make_policy("MagicSync", KernelSpec(kernel=_gemm("k")))
 
     def test_strided_resolves_when_groups_divide_grid(self):
         # n=384 with tile_n=64 -> grid.x = 6, divisible into 3 groups.
@@ -179,10 +176,12 @@ class TestPolicyResolution:
         assert isinstance(resolve_policy("StridedTileSync", stage), TileSync)
 
     def test_legacy_make_policy_make_order_shims(self):
-        spec = KernelSpec(kernel=_gemm("k", n=384), strided_groups=3)
-        assert isinstance(make_policy("StridedTileSync", spec), StridedSync)
-        assert isinstance(make_order("StridedTileSync", spec), GroupedColumnsOrder)
-        assert isinstance(make_order("TileSync", spec), RowMajorOrder)
+        """What the removed ``make_policy``/``make_order`` shims returned,
+        from their replacements ``resolve_policy``/``resolve_order``."""
+        stage = StageSpec("k", _gemm("k", n=384), strided_groups=3)
+        assert isinstance(resolve_policy("StridedTileSync", stage), StridedSync)
+        assert isinstance(resolve_order("StridedTileSync", stage), GroupedColumnsOrder)
+        assert isinstance(resolve_order("TileSync", stage), RowMajorOrder)
 
 
 class TestAutoFlagsPerEdge:

@@ -3,8 +3,7 @@
 The core guarantee of the PipelineGraph API: a graph built once is run
 under all three schemes and multiple policy families without rebuilding
 kernels (object identity is preserved across runs), and every run is
-bit-identical to the legacy ``Workload.run_*`` paths, which rebuild
-kernels from scratch.
+bit-identical to a run on a freshly built graph.
 """
 
 import pytest
@@ -57,12 +56,17 @@ class TestGraphReuseAcrossSchemes:
         )
         assert rerun.total_time_us == times[("cusync", "TileSync")]
 
-        # Bit-identical to the legacy paths, which rebuild kernels per run.
-        legacy = GptMlp(config=TINY, batch_seq=96)
-        assert legacy.run_streamsync().total_time_us == times[("streamsync", None)]
-        assert legacy.run_streamk().total_time_us == times[("streamk", None)]
-        assert legacy.run_cusync(policy="TileSync").total_time_us == times[("cusync", "TileSync")]
-        assert legacy.run_cusync(policy="RowSync").total_time_us == times[("cusync", "RowSync")]
+        # Bit-identical to runs that rebuild the workload's kernels each time.
+        fresh = GptMlp(config=TINY, batch_seq=96)
+        for (scheme, policy), time_us in times.items():
+            rebuilt = run(
+                fresh.to_graph(),
+                scheme=scheme,
+                policy=policy if policy is not None else "TileSync",
+                arch=fresh.arch,
+                cost_model=fresh.cost_model,
+            )
+            assert rebuilt.total_time_us == time_us
 
     def test_results_independent_of_run_order(self, workload):
         graph_a = workload.to_graph()
@@ -108,7 +112,7 @@ class TestSweep:
             graph, policies=policies, schemes=schemes, workers=2
         )
         serial = Session(arch=workload.arch).sweep(
-            graph, policies=policies, schemes=schemes, workers=0
+            graph, policies=policies, schemes=schemes, mode="serial"
         )
         assert parallel == serial
         assert len(serial) == 3  # streamsync + one point per policy
@@ -121,7 +125,7 @@ class TestSweep:
         graph = workload.to_graph()
         arches = (workload.arch, small_arch)
         results = Session(arch=workload.arch).sweep(
-            graph, policies=("TileSync",), arches=arches, workers=0
+            graph, policies=("TileSync",), arches=arches, mode="serial"
         )
         assert [r.arch_name for r in results] == [workload.arch.name, small_arch.name]
         # Different architectures give different simulated times (the 8-SM
@@ -131,8 +135,7 @@ class TestSweep:
     def test_sweep_with_unpicklable_graph_falls_back_serial_with_warning(self):
         """Attention graphs carry closure range-maps and cannot cross
         process boundaries; the automatic mode must fall back to the serial
-        path with a one-time warning that names the offending stage/edge
-        and points at ``mode="thread"``."""
+        path with a one-time warning that names the offending stage/edge."""
         import warnings
 
         from repro.pipeline.session import _FALLBACK_WARNED, _closure_culprit
@@ -154,13 +157,13 @@ class TestSweep:
             )
         fallback_warnings = [
             w for w in caught if issubclass(w.category, RuntimeWarning)
-            and "mode='thread'" in str(w.message)
+            and "running this sweep serially" in str(w.message)
         ]
         assert len(fallback_warnings) == 1
         assert "attn_qkv" in str(fallback_warnings[0].message)
 
         serial = Session(arch=workload.arch).sweep(
-            graph, policies=("TileSync", "StridedTileSync"), workers=0
+            graph, policies=("TileSync", "StridedTileSync"), mode="serial"
         )
         assert results == serial == again
 
@@ -169,7 +172,7 @@ class TestSweep:
 
         workload = Attention(config=TINY, batch=1, seq=64)
         graph = workload.to_graph()
-        with pytest.raises(SimulationError, match="mode='thread'"):
+        with pytest.raises(SimulationError, match="needs picklable graphs"):
             Session(arch=workload.arch).sweep(
                 graph, policies=("TileSync", "RowSync"), mode="process"
             )
@@ -183,7 +186,7 @@ class TestSweep:
 
 class TestMultiGraphSweep:
     """The redesigned Session.sweep: (graph, SweepPoint) work lists, policy
-    grids and the three execution modes, all bit-identical."""
+    grids and both execution modes, all bit-identical."""
 
     def _work(self, workload):
         from repro.pipeline import PolicyAssignment, SweepPoint, sweep_policies
@@ -208,7 +211,7 @@ class TestMultiGraphSweep:
         )
         return work
 
-    def test_thread_process_serial_modes_bit_identical(self, workload):
+    def test_process_serial_modes_bit_identical(self, workload):
         """Mode parity, via the reusable differential harness (which also
         runs the picklable subset of the work through the process pool)."""
         from differential_harness import assert_modes_identical
@@ -232,7 +235,7 @@ class TestMultiGraphSweep:
         from repro.cusync.policies import PolicyAssignment
 
         session = Session(arch=workload.arch)
-        results = session.sweep(self._work(workload), mode="thread")
+        results = session.sweep(self._work(workload), mode="serial")
         mixed = [r for r in results if isinstance(r.policy, PolicyAssignment) and r.policy.edges]
         assert mixed and all(r.total_time_us > 0.0 for r in mixed)
         assert all("=" in r.policy_label for r in mixed)
@@ -270,7 +273,8 @@ class TestMultiGraphSweep:
         from repro.errors import SimulationError
 
         session = Session(arch=workload.arch)
-        with pytest.raises(SimulationError, match="unknown sweep mode"):
-            session.sweep(workload.to_graph(), mode="fleet")
+        for mode in ("fleet", "thread"):
+            with pytest.raises(SimulationError, match="unknown sweep mode"):
+                session.sweep(workload.to_graph(), mode=mode)
         with pytest.raises(SimulationError, match="work items"):
             session.sweep([("not a graph", "not a point")], mode="serial")

@@ -22,7 +22,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ServingError, ServingStallError
 from repro.models.config import TransformerConfig
@@ -526,6 +526,10 @@ class TestPreemptionProperty:
         count=st.integers(min_value=1, max_value=20),
         preemption=st.booleans(),
     )
+    # The last queued request is shed for an expired deadline inside
+    # next_plan, which then returns None with everything resolved.
+    @example(seed=7584, max_batch=1, max_kv=64, count=4, preemption=False)
+    @example(seed=367, max_batch=1, max_kv=64, count=10, preemption=False)
     def test_kv_bounded_and_everything_resolves(
         self, seed, max_batch, max_kv, count, preemption
     ):
@@ -570,6 +574,8 @@ class TestPreemptionProperty:
             shed.extend(batcher.drain_shed())
             assert batcher.kv_reserved <= max_kv
             if plan is None:
+                if len(completed) + len(shed) >= count:
+                    break
                 assert arrived < len(pending), "batcher stalled with work left"
                 clock = max(clock, pending[arrived].arrival_us)
                 continue

@@ -249,11 +249,11 @@ class TestOptOut:
 
 
 class TestModesAndRegistry:
-    def test_thread_mode_dedups_and_replays(self, graph, workload):
+    def test_process_mode_dedups_and_replays(self, graph, workload):
         session = Session(arch=workload.arch)
         work = sweep_archs(graph, ("V100", "A100"), policies=("TileSync",))
-        cold = session.sweep(work, mode="thread")
-        warm = session.sweep(work, mode="thread")
+        cold = session.sweep(work, mode="process")
+        warm = session.sweep(work, mode="process")
         assert warm == cold
         assert all(result.cached for result in warm)
 

@@ -1,5 +1,5 @@
 """Fault-tolerant sweep semantics: retries, timeouts, ``on_error`` modes,
-and exception propagation across all three execution modes.
+and exception propagation across both execution modes.
 
 The invariants pinned here:
 
@@ -29,7 +29,7 @@ from repro.testing import FaultPlan, FaultSpec, inject_faults
 
 TINY = TransformerConfig(name="tiny", hidden=256, layers=2, tensor_parallel=8)
 POLICIES = ("TileSync", "RowSync", "StridedTileSync")
-MODES = ("serial", "thread", "process")
+MODES = ("serial", "process")
 
 
 class ExplodingCostModel(CostModel):
@@ -77,6 +77,11 @@ class TestArgumentValidation:
     def test_non_positive_timeout_rejected(self, graph):
         with pytest.raises(SimulationError, match="timeout"):
             Session().sweep(graph, policies=POLICIES, timeout=0.0)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_non_positive_workers_rejected(self, graph, workers):
+        with pytest.raises(SimulationError, match="workers"):
+            Session().sweep(graph, policies=POLICIES, workers=workers)
 
 
 @pytest.mark.parametrize("mode", MODES)

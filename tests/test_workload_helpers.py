@@ -13,7 +13,7 @@ from repro.cusync.policies import RowSync, TileSync
 from repro.gpu.memory import GlobalMemory
 from repro.kernels.base import StageGeometry
 from repro.models import GptMlp, TransformerConfig
-from repro.models.workload import make_order
+from repro.pipeline import auto_flags, resolve_order, run
 from repro.cusync.tile_orders import GroupedColumnsOrder, RowMajorOrder
 
 TINY = TransformerConfig(name="tiny", hidden=256, layers=2, tensor_parallel=8)
@@ -79,31 +79,31 @@ class TestSemaphoreAllocator:
 
 class TestWorkloadPolicyHelpers:
     def test_make_order_defaults_to_row_major(self):
-        workload = GptMlp(config=TINY, batch_seq=64)
-        spec = workload.build()[0]
-        assert isinstance(make_order("TileSync", spec), RowMajorOrder)
+        stage = GptMlp(config=TINY, batch_seq=64).to_graph().stage("mlp_gemm1")
+        assert isinstance(resolve_order("TileSync", stage), RowMajorOrder)
 
     def test_strided_order_for_attention_producer(self):
         from repro.models import Attention
 
-        attention = Attention(config=TINY, batch=1, seq=64)
-        qkv_spec = attention.build()[0]
-        order = make_order("StridedTileSync", qkv_spec)
+        qkv = Attention(config=TINY, batch=1, seq=64).to_graph().stage("attn_qkv")
+        order = resolve_order("StridedTileSync", qkv)
         assert isinstance(order, (GroupedColumnsOrder, RowMajorOrder))
 
     def test_explicit_policy_list(self):
-        workload = GptMlp(config=TINY, batch_seq=96)
-        result = workload.run_cusync(policy=[TileSync(), RowSync()])
+        graph = GptMlp(config=TINY, batch_seq=96).to_graph()
+        result = run(graph, scheme="cusync", policy=[TileSync(), RowSync()])
         assert result.total_time_us > 0.0
 
     def test_explicit_optimizations_respected(self):
-        workload = GptMlp(config=TINY, batch_seq=96)
-        with_wait_kernel = workload.run_cusync(policy="TileSync", optimizations=OptimizationFlags.none())
+        graph = GptMlp(config=TINY, batch_seq=96).to_graph()
+        with_wait_kernel = run(
+            graph, scheme="cusync", policy="TileSync", optimizations=OptimizationFlags.none()
+        )
         assert any(name.startswith("waitkernel") for name in with_wait_kernel.wait_kernel_names)
 
     def test_auto_flags_for_small_workload(self):
         workload = GptMlp(config=TINY, batch_seq=96)
-        flags = workload._auto_flags(workload.build())
+        flags = auto_flags(workload.to_graph(), workload.arch)
         assert set(flags) == {"mlp_gemm1", "mlp_gemm2"}
         for stage_flags in flags.values():
             assert stage_flags.avoid_wait_kernel and stage_flags.reorder_loads
