@@ -1,29 +1,23 @@
 """Cross-architecture comparison benchmark: the Figure 6/7/8 story per GPU.
 
 Sweeps the five model workloads over the registered architecture axis
-(V100, A100, H100-SXM, RTX-4090 by default) in one multi-graph
-``Session.sweep`` call and records the improvement of the best cuSync
-policy over StreamSync per (workload, architecture), plus a Figure 8-style
-end-to-end estimate per architecture.
-
-``BENCH_arch_comparison.json`` in the repository root is the **committed
-baseline**.  A plain run refreshes it (do this deliberately);
-``--check-baseline`` instead writes ``BENCH_arch_comparison.latest.json``
-and gates the fresh numbers against the committed baseline with the same
-2x wall-clock tolerance scheme as the simulator-throughput gate, also
-requiring the (workload, arch, policy) row set to match.  ``--smoke``
-shrinks the grid to two architectures and the smallest shapes for CI.
+(V100, A100, H100-SXM, RTX-4090) in one multi-graph ``Session.sweep``
+call and records the improvement of the best cuSync policy over
+StreamSync per (workload, architecture), plus a Figure 8-style
+end-to-end estimate per architecture.  :mod:`repro.bench.harness` gates
+every row exactly against the committed ``BENCH_arch_comparison.json``
+(see benchmarks/README.md, "Gates").
 
 Run standalone::
 
-    PYTHONPATH=src python benchmarks/bench_arch_comparison.py [--smoke] [--check-baseline]
+    PYTHONPATH=src python benchmarks/bench_arch_comparison.py [--check-baseline]
 
 or through pytest (``pytest benchmarks/bench_arch_comparison.py``).
 
 JSON schema (see also benchmarks/README.md):
 
 * ``arches`` — the architecture axis the rows cover, in sweep order;
-* ``elapsed_s`` — wall time of the full experiment (the gated quantity);
+* ``elapsed_s`` — wall time of the full experiment;
 * ``tuned`` — MLP tile configs resolved per arch from the committed
   ``TUNED_CONFIGS.json`` (see ``docs/autotune.md``);
 * ``rows`` — one entry per (workload, arch, policy):
@@ -35,39 +29,25 @@ JSON schema (see also benchmarks/README.md):
 
 from __future__ import annotations
 
-import json
-import os
+import sys
 import time
-from typing import Dict, List
+from typing import Dict
 
-from repro.bench import arch_comparison, format_percent, format_table
+from repro.bench import arch_comparison, format_percent, format_table, harness
 
-DEFAULT_ARCHES = ("V100", "A100", "H100-SXM", "RTX-4090")
-SMOKE_ARCHES = ("V100", "A100")
+ARCHES = ("V100", "A100", "H100-SXM", "RTX-4090")
 
-DEFAULT_OUTPUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_arch_comparison.json"
-)
-#: Non-destructive output used by the pytest path and ``--check-baseline``.
-LATEST_OUTPUT = DEFAULT_OUTPUT.replace(".json", ".latest.json")
-
-#: Tolerated wall-clock slowdown vs the committed baseline (CI runners
-#: differ from the machine that recorded it; only step-function
-#: regressions should fail).  Matches bench_sim_throughput.py.
-BASELINE_TOLERANCE = 2.0
+TIMING = ("elapsed_s", "sweep_cache.replay_s")
 
 
-def run_experiment(smoke: bool = False) -> Dict[str, object]:
+def run_experiment() -> Dict[str, object]:
     from repro.gpu import resolve_arch
 
-    arches = SMOKE_ARCHES if smoke else DEFAULT_ARCHES
-    kwargs = dict(batch_seq=128, seq=128, conv_channels=64) if smoke else {}
     cache_stats: Dict[str, object] = {}
     start = time.perf_counter()
     # tuned=True: MLP tile configs resolve per arch from the committed
-    # TUNED_CONFIGS.json (V100 keeps the paper's Table-IV grids).  The
-    # smoke shapes have no tuned entries and fall back to the defaults.
-    rows = arch_comparison(arches=arches, cache_stats=cache_stats, tuned=True, **kwargs)
+    # TUNED_CONFIGS.json (V100 keeps the paper's Table-IV grids).
+    rows = arch_comparison(arches=ARCHES, cache_stats=cache_stats, tuned=True)
     elapsed = time.perf_counter() - start
     # ``elapsed_s`` covers the full experiment including the cached replay
     # of the grid (arch_comparison re-sweeps the same work list to measure
@@ -76,61 +56,12 @@ def run_experiment(smoke: bool = False) -> Dict[str, object]:
     # Record the *resolved* names so the list joins against the rows'
     # "arch" field (the registry key "V100" resolves to "Tesla V100").
     return {
-        "arches": [resolve_arch(arch).name for arch in arches],
+        "arches": [resolve_arch(arch).name for arch in ARCHES],
         "elapsed_s": elapsed,
         "tuned": True,
         "sweep_cache": cache_stats,
         "rows": rows,
     }
-
-
-def write_record(record: Dict[str, object], output_path: str = "") -> None:
-    path = output_path or os.environ.get("BENCH_ARCH_COMPARISON_OUT", DEFAULT_OUTPUT)
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-
-def compare_against_baseline(
-    record: Dict[str, object],
-    baseline: Dict[str, object],
-    tolerance: float = BASELINE_TOLERANCE,
-) -> List[str]:
-    """Failures of ``record`` against the committed baseline (empty = pass)."""
-    failures: List[str] = []
-    ceiling = baseline["elapsed_s"] * tolerance
-    if record["elapsed_s"] > ceiling:
-        failures.append(
-            f"elapsed_s {record['elapsed_s']:.3f} exceeded {ceiling:.3f} "
-            f"(baseline {baseline['elapsed_s']:.3f} * {tolerance}x tolerance)"
-        )
-
-    def triples(payload: Dict[str, object]) -> set:
-        return {(row["workload"], row["arch"], row["policy"]) for row in payload["rows"]}
-
-    missing = triples(baseline) - triples(record)
-    if missing:
-        failures.append(
-            f"rows missing vs committed baseline: {sorted(missing)[:5]}"
-            + ("..." if len(missing) > 5 else "")
-        )
-    extra = triples(record) - triples(baseline)
-    if extra:
-        failures.append(
-            f"rows not in committed baseline (regenerate it deliberately): "
-            f"{sorted(extra)[:5]}" + ("..." if len(extra) > 5 else "")
-        )
-
-    baseline_cache = baseline.get("sweep_cache") or {}
-    record_cache = record.get("sweep_cache") or {}
-    if "hit_rate" in baseline_cache:
-        floor = baseline_cache["hit_rate"] / tolerance
-        if record_cache.get("hit_rate", 0.0) < floor:
-            failures.append(
-                f"sweep_cache hit_rate {record_cache.get('hit_rate', 0.0):.3f} fell below "
-                f"{floor:.3f} (baseline {baseline_cache['hit_rate']:.3f} / {tolerance}x tolerance)"
-            )
-    return failures
 
 
 def _print(record: Dict[str, object]) -> None:
@@ -170,62 +101,21 @@ def _check(record: Dict[str, object]) -> None:
             assert row["improvement"] > 0.0, (
                 f"conv chain did not improve on {row['arch']}: {row['improvement']:.4f}"
             )
-    cache = record.get("sweep_cache") or {}
-    if cache:
-        assert cache["replay_identical"], "cached replay diverged from the fresh sweep"
-        assert cache["hit_rate"] >= 0.5, f"replaying the grid should hit: {cache}"
-        # The whole point of the cache: replaying the grid must be a clear
-        # wall-clock win over simulating it fresh.
-        fresh_s = record["elapsed_s"] - cache["replay_s"]
-        assert cache["replay_s"] < fresh_s / 2, (
-            f"cached replay ({cache['replay_s']:.3f}s) is not a wall-clock win "
-            f"over the fresh sweep (~{fresh_s:.3f}s)"
-        )
+    cache = record["sweep_cache"]
+    assert cache["replay_identical"], "cached replay diverged from the fresh sweep"
+    assert cache["hit_rate"] >= 0.5, f"replaying the grid should hit: {cache}"
+    # The whole point of the cache: replaying the grid must be a clear
+    # wall-clock win over simulating it fresh.
+    fresh_s = record["elapsed_s"] - cache["replay_s"]
+    assert cache["replay_s"] < fresh_s / 2, (
+        f"cached replay ({cache['replay_s']:.3f}s) is not a wall-clock win "
+        f"over the fresh sweep (~{fresh_s:.3f}s)"
+    )
 
 
-def test_arch_comparison(bench_once, benchmark):
-    record = bench_once(benchmark, run_experiment, smoke=True)
-    write_record(record, output_path=LATEST_OUTPUT)
-    _print(record)
-    _check(record)
-
-
-def main(argv: List[str]) -> int:
-    smoke = "--smoke" in argv
-    check = "--check-baseline" in argv
-    baseline = None
-    if check:
-        with open(DEFAULT_OUTPUT) as handle:
-            baseline = json.load(handle)
-    record = run_experiment(smoke=smoke)
-    _print(record)
-    _check(record)
-    # A plain full run refreshes the committed baseline; smoke and gated
-    # runs record next to it (the baseline stays authoritative).
-    write_record(record, output_path=LATEST_OUTPUT if (check or smoke) else "")
-    if baseline is not None:
-        if smoke:
-            print("note: --check-baseline gates the full grid; --smoke compares wall time only")
-            failures = [
-                failure
-                for failure in compare_against_baseline(record, baseline)
-                if failure.startswith("elapsed_s")
-            ]
-        else:
-            failures = compare_against_baseline(record, baseline)
-        if failures:
-            print("arch-comparison regression vs committed BENCH_arch_comparison.json:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        print(
-            f"baseline gate ok: {record['elapsed_s']:.2f}s vs committed "
-            f"{baseline['elapsed_s']:.2f}s (tolerance {BASELINE_TOLERANCE}x)"
-        )
-    return 0
+def test_arch_comparison():
+    assert harness.main(sys.modules[__name__], ["--check-baseline"]) == 0
 
 
 if __name__ == "__main__":
-    import sys
-
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(harness.main(sys.modules[__name__]))

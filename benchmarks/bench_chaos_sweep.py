@@ -1,21 +1,20 @@
-"""Chaos sweep smoke: recovery cost and correctness under injected faults.
+"""Chaos sweep: recovery cost and correctness under injected faults.
 
-Runs one sweep grid twice — fault-free, then under a seeded
-:class:`~repro.testing.faults.FaultPlan` that faults a large share of the
-points (worker crashes, evaluation errors, corrupted result payloads, and
-a deliberately unrecoverable point) with ``on_error="collect"`` and
-``retries=2`` — and checks the acceptance invariant: every point comes
-back either bit-identical to the fault-free sweep or as a structured
-``SweepFailure``, and no failed point leaks into the sweep-result cache.
+Runs one sweep grid twice in process mode — fault-free, then under a
+seeded :class:`~repro.testing.faults.FaultPlan` that faults a large
+share of the points (worker crashes, evaluation errors, corrupted result
+payloads, and a deliberately unrecoverable point) with
+``on_error="collect"`` and ``retries=2`` — and checks the acceptance
+invariant: every point comes back either bit-identical to the fault-free
+sweep or as a structured ``SweepFailure``, and no failed point leaks
+into the sweep-result cache.
 
 The wall-clock ratio between the two sweeps is reported as the price of
-recovery (retries, backoff and — in process mode — pool respawns).
+recovery (retries, backoff and pool respawns).
 
-Run standalone (``--smoke`` shrinks the grid and forces serial mode so
-sandboxes without worker processes still exercise the full recovery
-path)::
+Run standalone::
 
-    PYTHONPATH=src python benchmarks/bench_chaos_sweep.py [--smoke]
+    PYTHONPATH=src python benchmarks/bench_chaos_sweep.py
 """
 
 import math
@@ -29,13 +28,10 @@ from repro.testing import FaultPlan, FaultSpec, inject_faults
 POLICIES = ("TileSync", "RowSync", "StridedTileSync")
 
 
-def _grid(smoke):
-    config = TransformerConfig(
-        name="chaos", hidden=256 if smoke else 1024, layers=2, tensor_parallel=8
-    )
-    graph = GptMlp(config=config, batch_seq=96 if smoke else 512).to_graph()
-    arches = ("V100",) if smoke else ("V100", "A100")
-    return graph, arches
+def _grid():
+    config = TransformerConfig(name="chaos", hidden=1024, layers=2, tensor_parallel=8)
+    graph = GptMlp(config=config, batch_seq=512).to_graph()
+    return graph, ("V100", "A100")
 
 
 def _plan(num_points):
@@ -53,16 +49,15 @@ def _plan(num_points):
     return plan, unrecoverable
 
 
-def chaos_sweep(smoke=False, mode=None):
-    graph, arches = _grid(smoke)
-    mode = mode or ("serial" if smoke else "process")
+def chaos_sweep():
+    graph, arches = _grid()
     num_points = len(POLICIES) * len(arches)
     plan, unrecoverable = _plan(num_points)
 
     session = Session()
     started = time.perf_counter()
     baseline = session.sweep(
-        graph, policies=POLICIES, arches=arches, mode=mode, cache=False
+        graph, policies=POLICIES, arches=arches, mode="process", cache=False
     )
     clean_s = time.perf_counter() - started
 
@@ -72,7 +67,7 @@ def chaos_sweep(smoke=False, mode=None):
             graph,
             policies=POLICIES,
             arches=arches,
-            mode=mode,
+            mode="process",
             on_error="collect",
             retries=2,
         )
@@ -99,7 +94,7 @@ def chaos_sweep(smoke=False, mode=None):
         assert math.isfinite(cached.total_time_us), "poisoned cache entry"
 
     return {
-        "mode": mode,
+        "mode": "process",
         "points": num_points,
         "faulted_points": len(plan.fault_points),
         "fault_fraction": plan.fault_fraction(num_points),
@@ -111,10 +106,9 @@ def chaos_sweep(smoke=False, mode=None):
     }
 
 
-def main(argv):
-    smoke = "--smoke" in argv
-    stats = chaos_sweep(smoke=smoke)
-    print("chaos sweep smoke" if smoke else "chaos sweep")
+def main():
+    stats = chaos_sweep()
+    print("chaos sweep")
     for key, value in stats.items():
         if isinstance(value, float):
             print(f"  {key:>20}: {value:.3f}")
@@ -128,4 +122,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -6,9 +6,9 @@ multi-graph ``Session.sweep(mode="serial")`` call over all five model
 workloads (GPT-3 MLP, LLaMA MLP, GPT-3 attention, ResNet-38 and VGG-19
 conv chains).
 
-Run standalone (``--smoke`` shrinks the problem sizes for CI)::
+Run standalone::
 
-    PYTHONPATH=src python benchmarks/bench_policy_ablation.py [--smoke]
+    PYTHONPATH=src python benchmarks/bench_policy_ablation.py
 
 or through pytest (``pytest benchmarks/bench_policy_ablation.py``).
 """
@@ -64,14 +64,12 @@ def test_policy_ablation(bench_once, benchmark):
     _check(rows)
 
 
-def main(argv):
-    smoke = "--smoke" in argv
-    kwargs = dict(batch_seq=256, seq=256) if smoke else {}
-    rows = policy_ablation(**kwargs)
+def main():
+    rows = policy_ablation()
     _print(rows, "Policy ablation: TileSync / RowSync / StridedSync / mixed per-edge")
     _check(rows)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

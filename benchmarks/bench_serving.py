@@ -4,21 +4,14 @@ Runs one seeded :class:`~repro.serving.ServingScenario` (Poisson
 arrivals, mixed prompt/decode lengths) under every execution scheme via
 :func:`repro.bench.serving_comparison` and records per-scheme p50/p99,
 TTFT, throughput, SLO-goodput and the session cache counters.  The
-serving loop is bit-deterministic for its seed, so every latency number
-in the record is exact — only the wall time varies between machines.
-
-``BENCH_serving.json`` in the repository root is the **committed
-baseline**.  A plain run refreshes it (do this deliberately);
-``--check-baseline`` writes ``BENCH_serving.latest.json`` and gates the
-fresh numbers against the committed baseline: wall time within the
-suite's 2x tolerance, every deterministic metric (percentiles, goodput,
-iteration counts) matched exactly.  ``--smoke`` drops the Stream-K
-scheme but keeps the *same* scenario, so the exact per-scheme gates stay
-valid and ``--smoke --check-baseline`` still verifies determinism in CI.
+serving loop is bit-deterministic for its seed, so
+:mod:`repro.bench.harness` gates every number in the record except
+``elapsed_s`` exactly against the committed ``BENCH_serving.json`` (see
+benchmarks/README.md, "Gates").
 
 Run standalone::
 
-    PYTHONPATH=src python benchmarks/bench_serving.py [--smoke] [--check-baseline]
+    PYTHONPATH=src python benchmarks/bench_serving.py [--check-baseline]
 
 or through pytest (``pytest benchmarks/bench_serving.py``).
 
@@ -26,33 +19,24 @@ JSON schema (see also benchmarks/README.md):
 
 * ``requests`` / ``rate_rps`` / ``seed`` — the open-loop scenario;
 * ``schemes`` — ``{scheme: LatencyReport.summary()}`` per scheme run:
-  exact ``p50_total_us`` / ``p99_total_us`` / ``p50_ttft_us`` /
+  ``p50_total_us`` / ``p99_total_us`` / ``p50_ttft_us`` /
   ``goodput_rps`` / ``iterations`` plus ``sweep_cache_hits`` /
   ``sweep_cache_misses`` (how much of the load the session cache
   absorbed);
 * ``cusync_p99_improvement`` — 1 - cusync p99 / streamsync p99, the
   headline number;
-* ``elapsed_s`` — wall time of the full comparison (the gated quantity).
+* ``elapsed_s`` — wall time of the full comparison.
 """
 
 from __future__ import annotations
 
-import json
-import os
+import sys
 import time
-from typing import Dict, List
+from typing import Dict
 
-from repro.bench import format_table
+from repro.bench import format_table, harness, serving_comparison
 
-DEFAULT_OUTPUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_serving.json"
-)
-#: Non-destructive output used by the pytest path and ``--check-baseline``.
-LATEST_OUTPUT = DEFAULT_OUTPUT.replace(".json", ".latest.json")
-
-#: Tolerated wall-clock slowdown vs the committed baseline (CI runners
-#: differ from the machine that recorded it).  Matches the other gates.
-BASELINE_TOLERANCE = 2.0
+TIMING = ("elapsed_s",)
 
 #: The seeded reference scenario.  Changing any of these is a baseline
 #: refresh, not a regression.
@@ -61,30 +45,14 @@ RATE_RPS = 400.0
 SEED = 7
 SLO_US = 5_000.0
 
-#: Per-scheme metrics that are exact for a fixed scenario and must match
-#: the committed baseline bit for bit.
-EXACT_METRICS = (
-    "p50_total_us",
-    "p99_total_us",
-    "p50_ttft_us",
-    "goodput_rps",
-    "iterations",
-    "completed",
-)
 
-
-def run_experiment(smoke: bool = False) -> Dict[str, object]:
-    from repro.bench import serving_comparison
-
-    # Smoke keeps the SAME scenario and drops only the slowest scheme, so
-    # the per-scheme exact gates remain meaningful under --smoke.
-    schemes = ("streamsync", "cusync") if smoke else ("streamsync", "streamk", "cusync")
+def run_experiment() -> Dict[str, object]:
     start = time.perf_counter()
     rows = serving_comparison(
         requests=REQUESTS,
         rate_rps=RATE_RPS,
         seed=SEED,
-        schemes=schemes,
+        schemes=("streamsync", "streamk", "cusync"),
         slo_us=SLO_US,
     )
     elapsed = time.perf_counter() - start
@@ -97,45 +65,9 @@ def run_experiment(smoke: bool = False) -> Dict[str, object]:
         "rate_rps": RATE_RPS,
         "seed": SEED,
         "slo_us": SLO_US,
-        "smoke": smoke,
         "schemes": by_scheme,
         "cusync_p99_improvement": 1.0 - cusync_p99 / streamsync_p99,
     }
-
-
-def write_record(record: Dict[str, object], output_path: str = "") -> None:
-    path = output_path or os.environ.get("BENCH_SERVING_OUT", DEFAULT_OUTPUT)
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-
-def compare_against_baseline(
-    record: Dict[str, object],
-    baseline: Dict[str, object],
-    tolerance: float = BASELINE_TOLERANCE,
-) -> List[str]:
-    """Failures of ``record`` against the committed baseline (empty = pass)."""
-    failures: List[str] = []
-    ceiling = baseline["elapsed_s"] * tolerance
-    if record["elapsed_s"] > ceiling:
-        failures.append(
-            f"elapsed_s {record['elapsed_s']:.3f} exceeded {ceiling:.3f} "
-            f"(baseline {baseline['elapsed_s']:.3f} * {tolerance}x tolerance)"
-        )
-    # The serving loop is deterministic: every latency metric of every
-    # scheme both runs share must match the baseline exactly.
-    for scheme, fresh in record["schemes"].items():
-        committed = baseline["schemes"].get(scheme)
-        if committed is None:
-            continue
-        for metric in EXACT_METRICS:
-            if fresh[metric] != committed[metric]:
-                failures.append(
-                    f"{scheme}.{metric} {fresh[metric]} != committed "
-                    f"{committed[metric]} (deterministic; investigate)"
-                )
-    return failures
 
 
 def _print(record: Dict[str, object]) -> None:
@@ -183,44 +115,9 @@ def _check(record: Dict[str, object]) -> None:
     assert record["cusync_p99_improvement"] >= 0.0
 
 
-def test_serving(bench_once, benchmark):
-    record = bench_once(benchmark, run_experiment, smoke=True)
-    write_record(record, output_path=LATEST_OUTPUT)
-    _print(record)
-    _check(record)
-
-
-def main(argv: List[str]) -> int:
-    smoke = "--smoke" in argv
-    check = "--check-baseline" in argv
-    baseline = None
-    if check:
-        with open(DEFAULT_OUTPUT) as handle:
-            baseline = json.load(handle)
-    record = run_experiment(smoke=smoke)
-    _print(record)
-    _check(record)
-    # A plain full run refreshes the committed baseline; smoke and gated
-    # runs record next to it (the baseline stays authoritative).
-    write_record(record, output_path=LATEST_OUTPUT if (check or smoke) else "")
-    if baseline is not None:
-        failures = compare_against_baseline(record, baseline)
-        if smoke:
-            print("note: --check-baseline with --smoke gates determinism only, not wall time")
-            failures = [f for f in failures if not f.startswith("elapsed_s")]
-        if failures:
-            print("serving regression vs committed BENCH_serving.json:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        print(
-            f"baseline gate ok: {record['elapsed_s']:.2f}s vs committed "
-            f"{baseline['elapsed_s']:.2f}s (tolerance {BASELINE_TOLERANCE}x)"
-        )
-    return 0
+def test_serving():
+    assert harness.main(sys.modules[__name__], ["--check-baseline"]) == 0
 
 
 if __name__ == "__main__":
-    import sys
-
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(harness.main(sys.modules[__name__]))

@@ -5,12 +5,13 @@ at roughly twice the system's service capacity, in four cells —
 ``{none, priority} x {streamsync, cusync}`` — where ``none`` is the
 legacy queue-forever discipline and ``priority`` is the full admission
 stack (bounded queue, deadline shedding, priority preemption).  The
-serving loop is bit-deterministic for its seed, so every latency/shed
-number in the record is exact — only the wall time varies between
-machines.  The record also carries ``replay_identical``: the cusync
-priority cell is run twice in fresh sessions and the reports compared
-``==``, pinning the overload determinism contract inside the benchmark
-itself.
+serving loop is bit-deterministic for its seed, so
+:mod:`repro.bench.harness` gates every latency/shed number in the record
+exactly against the committed ``BENCH_serving_overload.json`` (see
+benchmarks/README.md, "Gates").  The record also carries
+``replay_identical``: the cusync priority cell is run twice in fresh
+sessions and the reports compared ``==``, pinning the overload
+determinism contract inside the benchmark itself.
 
 The two headline numbers:
 
@@ -18,55 +19,35 @@ The two headline numbers:
   under the priority policy.  Queueing amplifies per-iteration latency
   differences, so overload is where tile-level sync pays the most.
 * ``p99_bound_improvement`` — per scheme, how much the priority policy
-  shrinks p99 vs queue-forever (full runs only; smoke drops the ``none``
-  cells).
-
-``BENCH_serving_overload.json`` in the repository root is the
-**committed baseline**.  A plain run refreshes it (do this
-deliberately); ``--check-baseline`` writes the fresh record to
-``BENCH_serving_overload.latest.json`` and gates it against the
-committed baseline: wall time within the suite's 2x tolerance, every
-deterministic metric matched exactly.  ``--smoke`` keeps the *same*
-scenario and drops only the ``none`` cells, so the per-cell exact gates
-stay valid and ``--smoke --check-baseline`` still verifies determinism
-in CI.
+  shrinks p99 vs queue-forever.
 
 Run standalone::
 
-    PYTHONPATH=src python benchmarks/bench_serving_overload.py [--smoke] [--check-baseline]
+    PYTHONPATH=src python benchmarks/bench_serving_overload.py [--check-baseline]
 
 or through pytest (``pytest benchmarks/bench_serving_overload.py``).
 
 JSON schema (see also benchmarks/README.md):
 
 * ``requests`` / ``rate_rps`` / ``seed`` / ``slo_us`` — the scenario;
-* ``cells`` — ``{"policy/scheme": LatencyReport.summary()}``: exact
+* ``cells`` — ``{"policy/scheme": LatencyReport.summary()}``:
   percentiles, goodput, ``shed`` / ``preemptions`` /
   ``restarted_tokens`` / ``kv_reserved_peak`` / ``deadline_hits`` and
   per-priority-class stats;
 * ``cusync_goodput_advantage`` — the headline number;
 * ``replay_identical`` — the determinism pin (must be true);
-* ``elapsed_s`` — wall time of all cells (the gated quantity).
+* ``elapsed_s`` — wall time of all cells.
 """
 
 from __future__ import annotations
 
-import json
-import os
+import sys
 import time
-from typing import Dict, List
+from typing import Dict
 
-from repro.bench import format_table
+from repro.bench import format_table, harness
 
-DEFAULT_OUTPUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_serving_overload.json",
-)
-#: Non-destructive output used by the pytest path and ``--check-baseline``.
-LATEST_OUTPUT = DEFAULT_OUTPUT.replace(".json", ".latest.json")
-
-#: Tolerated wall-clock slowdown vs the committed baseline.
-BASELINE_TOLERANCE = 2.0
+TIMING = ("elapsed_s",)
 
 #: The seeded overload scenario: ~2x the measured service capacity of the
 #: tiny reference config, mixed priorities (half best-effort), finite
@@ -77,21 +58,6 @@ SEED = 7
 SLO_US = 6_000.0
 MAX_KV_TOKENS = 1024
 MAX_QUEUE = 6
-
-#: Per-cell metrics that are exact for a fixed scenario and must match
-#: the committed baseline bit for bit.
-EXACT_METRICS = (
-    "p50_total_us",
-    "p99_total_us",
-    "goodput_rps",
-    "iterations",
-    "completed",
-    "shed",
-    "preemptions",
-    "restarted_tokens",
-    "kv_reserved_peak",
-    "deadline_hits",
-)
 
 
 def _scenario(shed: bool):
@@ -130,14 +96,13 @@ def _scenario(shed: bool):
     return scenario
 
 
-def run_experiment(smoke: bool = False) -> Dict[str, object]:
+def run_experiment() -> Dict[str, object]:
     from repro.pipeline import Session
     from repro.serving import ServingSimulator
 
-    policies = ("priority",) if smoke else ("none", "priority")
     start = time.perf_counter()
     cells: Dict[str, object] = {}
-    for policy in policies:
+    for policy in ("none", "priority"):
         for scheme in ("streamsync", "cusync"):
             report = ServingSimulator(scheme=scheme, session=Session()).run(
                 _scenario(shed=policy == "priority")
@@ -153,7 +118,7 @@ def run_experiment(smoke: bool = False) -> Dict[str, object]:
     elapsed = time.perf_counter() - start
     streamsync_goodput = cells["priority/streamsync"]["goodput_rps"]
     cusync_goodput = cells["priority/cusync"]["goodput_rps"]
-    record: Dict[str, object] = {
+    return {
         "elapsed_s": elapsed,
         "requests": REQUESTS,
         "rate_rps": RATE_RPS,
@@ -161,54 +126,16 @@ def run_experiment(smoke: bool = False) -> Dict[str, object]:
         "slo_us": SLO_US,
         "max_kv_tokens": MAX_KV_TOKENS,
         "max_queue": MAX_QUEUE,
-        "smoke": smoke,
         "cells": cells,
         "cusync_goodput_advantage": cusync_goodput / streamsync_goodput - 1.0,
         "replay_identical": replay[0] == replay[1],
-    }
-    if not smoke:
-        record["p99_bound_improvement"] = {
+        "p99_bound_improvement": {
             scheme: 1.0
             - cells[f"priority/{scheme}"]["p99_total_us"]
             / cells[f"none/{scheme}"]["p99_total_us"]
             for scheme in ("streamsync", "cusync")
-        }
-    return record
-
-
-def write_record(record: Dict[str, object], output_path: str = "") -> None:
-    path = output_path or os.environ.get("BENCH_SERVING_OVERLOAD_OUT", DEFAULT_OUTPUT)
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-
-def compare_against_baseline(
-    record: Dict[str, object],
-    baseline: Dict[str, object],
-    tolerance: float = BASELINE_TOLERANCE,
-) -> List[str]:
-    """Failures of ``record`` against the committed baseline (empty = pass)."""
-    failures: List[str] = []
-    ceiling = baseline["elapsed_s"] * tolerance
-    if record["elapsed_s"] > ceiling:
-        failures.append(
-            f"elapsed_s {record['elapsed_s']:.3f} exceeded {ceiling:.3f} "
-            f"(baseline {baseline['elapsed_s']:.3f} * {tolerance}x tolerance)"
-        )
-    if not record["replay_identical"]:
-        failures.append("replay_identical is false (determinism broken)")
-    for cell, fresh in record["cells"].items():
-        committed = baseline["cells"].get(cell)
-        if committed is None:
-            continue
-        for metric in EXACT_METRICS:
-            if fresh[metric] != committed[metric]:
-                failures.append(
-                    f"{cell}.{metric} {fresh[metric]} != committed "
-                    f"{committed[metric]} (deterministic; investigate)"
-                )
-    return failures
+        },
+    }
 
 
 def _print(record: Dict[str, object]) -> None:
@@ -274,48 +201,13 @@ def _check(record: Dict[str, object]) -> None:
             >= record["cells"][f"{policy}/streamsync"]["goodput_rps"]
         ), policy
     assert record["cusync_goodput_advantage"] >= 0.0
-    for improvement in record.get("p99_bound_improvement", {}).values():
+    for improvement in record["p99_bound_improvement"].values():
         assert improvement > 0.0  # shedding bounds the tail for every scheme
 
 
-def test_serving_overload(bench_once, benchmark):
-    record = bench_once(benchmark, run_experiment, smoke=True)
-    write_record(record, output_path=LATEST_OUTPUT)
-    _print(record)
-    _check(record)
-
-
-def main(argv: List[str]) -> int:
-    smoke = "--smoke" in argv
-    check = "--check-baseline" in argv
-    baseline = None
-    if check:
-        with open(DEFAULT_OUTPUT) as handle:
-            baseline = json.load(handle)
-    record = run_experiment(smoke=smoke)
-    _print(record)
-    _check(record)
-    # A plain full run refreshes the committed baseline; smoke and gated
-    # runs record next to it (the baseline stays authoritative).
-    write_record(record, output_path=LATEST_OUTPUT if (check or smoke) else "")
-    if baseline is not None:
-        failures = compare_against_baseline(record, baseline)
-        if smoke:
-            print("note: --check-baseline with --smoke gates determinism only, not wall time")
-            failures = [f for f in failures if not f.startswith("elapsed_s")]
-        if failures:
-            print("overload regression vs committed BENCH_serving_overload.json:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        print(
-            f"baseline gate ok: {record['elapsed_s']:.2f}s vs committed "
-            f"{baseline['elapsed_s']:.2f}s (tolerance {BASELINE_TOLERANCE}x)"
-        )
-    return 0
+def test_serving_overload():
+    assert harness.main(sys.modules[__name__], ["--check-baseline"]) == 0
 
 
 if __name__ == "__main__":
-    import sys
-
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(harness.main(sys.modules[__name__]))

@@ -1,9 +1,8 @@
 """Simulator throughput benchmark: blocks simulated per second.
 
 Unlike the other benchmarks (which regenerate tables/figures of the paper),
-this one measures the *simulator itself* so that simulator-performance
-regressions are caught and future optimisation PRs have a trajectory to
-defend.  Two numbers are recorded:
+this one measures the *simulator itself*, so future optimisation PRs have
+a trajectory to defend.  The record holds:
 
 * ``blocks_per_sec`` — thread blocks simulated per wall-clock second on a
   fixed synthetic two-kernel pipeline (producer posts one semaphore per
@@ -20,38 +19,31 @@ defend.  Two numbers are recorded:
 * ``sweep_cache_hit_rate`` (plus ``sweep_cache_cold_s`` /
   ``sweep_cache_replay_s``) — a small arch×policy grid swept twice through
   one :class:`~repro.pipeline.Session`: the second pass must replay every
-  point from the session's sweep-result cache bit-identically.  The hit
-  rate is deterministic (0.5 for two passes over a duplicate-free grid);
-  the gate exists so a broken cache (rate → 0) fails CI.
+  point from the session's sweep-result cache bit-identically, so the
+  hit rate is exactly 0.5.
+
+Every wall time is a ``TIMING`` leaf; :mod:`repro.bench.harness` gates the
+rest of the record exactly against the committed
+``BENCH_sim_throughput.json`` (see benchmarks/README.md, "Gates").
 
 Pass ``--profile`` to print the cProfile top 25 (by cumulative time)
 over three synthetic runs instead of benchmarking — the shared
 methodology for hot-path PRs (see benchmarks/README.md).
 
-``BENCH_sim_throughput.json`` in the repository root is the **committed
-baseline**.  A plain run refreshes it (do this deliberately, on the
-machine whose numbers you want to pin); ``--check-baseline`` and the
-pytest path instead write ``BENCH_sim_throughput.latest.json`` (ignored)
-and — for the flag — gate the fresh numbers against the committed
-baseline with a :data:`BASELINE_TOLERANCE` slack, exiting non-zero on a
-step-function regression.  Override the output path with the
-``BENCH_SIM_THROUGHPUT_OUT`` environment variable.
-
 Run standalone::
 
-    PYTHONPATH=src python benchmarks/bench_sim_throughput.py [--check-baseline]
+    PYTHONPATH=src python benchmarks/bench_sim_throughput.py [--check-baseline | --profile]
 
 or through pytest (``pytest benchmarks/bench_sim_throughput.py``).
 """
 
 from __future__ import annotations
 
-import json
-import os
+import sys
 import time
 from typing import Dict, List
 
-from repro.bench.experiments import table4_mlp
+from repro.bench import format_table, harness, table4_mlp
 from repro.common.dim3 import Dim3
 from repro.gpu.kernel import KernelLaunch, SemPost, SemWait, simple_kernel
 from repro.gpu.memory import GlobalMemory
@@ -63,10 +55,14 @@ SYNTHETIC_GRID = Dim3(48, 80, 1)
 #: Minimum measurement repetitions (best-of is reported).
 REPEATS = 3
 
-DEFAULT_OUTPUT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_sim_throughput.json")
-#: Non-destructive output used by the pytest path and ``--check-baseline``,
-#: so measuring never silently rewrites the committed baseline.
-LATEST_OUTPUT = DEFAULT_OUTPUT.replace(".json", ".latest.json")
+TIMING = (
+    "elapsed_s",
+    "blocks_per_sec",
+    "table4_mlp_s",
+    "attention_sweep_s",
+    "sweep_cache_cold_s",
+    "sweep_cache_replay_s",
+)
 
 
 def _linear(tile: Dim3) -> int:
@@ -175,78 +171,37 @@ def measure_sweep_cache() -> Dict[str, float]:
     }
 
 
-def run_benchmark(output_path: str = "") -> Dict[str, float]:
+def run_experiment() -> Dict[str, float]:
     record = measure_throughput()
     record["table4_mlp_s"] = measure_table4()
     record["attention_sweep_s"] = measure_attention()
     record.update(measure_sweep_cache())
-    path = output_path or os.environ.get("BENCH_SIM_THROUGHPUT_OUT", DEFAULT_OUTPUT)
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=1, sort_keys=True)
-        handle.write("\n")
     return record
 
 
-#: Tolerated slowdown vs the committed baseline before the gate fails.
-#: CI runners differ from the machine that recorded the baseline, so the
-#: gate only catches step-function regressions (a 2x slowdown), not noise.
-BASELINE_TOLERANCE = 2.0
-
-
-def compare_against_baseline(
-    record: Dict[str, float],
-    baseline: Dict[str, float],
-    tolerance: float = BASELINE_TOLERANCE,
-) -> List[str]:
-    """Failures of ``record`` against the committed baseline (empty = pass).
-
-    ``blocks_per_sec`` may not drop below ``baseline / tolerance`` and
-    ``table4_mlp_s`` may not grow past ``baseline * tolerance``.
-    """
-    failures: List[str] = []
-    floor = baseline["blocks_per_sec"] / tolerance
-    if record["blocks_per_sec"] < floor:
-        failures.append(
-            f"blocks_per_sec {record['blocks_per_sec']:,.0f} fell below "
-            f"{floor:,.0f} (baseline {baseline['blocks_per_sec']:,.0f} / {tolerance}x tolerance)"
-        )
-    ceiling = baseline["table4_mlp_s"] * tolerance
-    if record["table4_mlp_s"] > ceiling:
-        failures.append(
-            f"table4_mlp_s {record['table4_mlp_s']:.3f} exceeded "
-            f"{ceiling:.3f} (baseline {baseline['table4_mlp_s']:.3f} * {tolerance}x tolerance)"
-        )
-    if "attention_sweep_s" in baseline:
-        ceiling = baseline["attention_sweep_s"] * tolerance
-        if record["attention_sweep_s"] > ceiling:
-            failures.append(
-                f"attention_sweep_s {record['attention_sweep_s']:.3f} exceeded "
-                f"{ceiling:.3f} (baseline {baseline['attention_sweep_s']:.3f} * {tolerance}x tolerance)"
-            )
-    if "sweep_cache_hit_rate" in baseline:
-        floor = baseline["sweep_cache_hit_rate"] / tolerance
-        if record["sweep_cache_hit_rate"] < floor:
-            failures.append(
-                f"sweep_cache_hit_rate {record['sweep_cache_hit_rate']:.3f} fell below "
-                f"{floor:.3f} (baseline {baseline['sweep_cache_hit_rate']:.3f} / {tolerance}x tolerance)"
-            )
-    return failures
-
-
-def test_sim_throughput(capsys=None):
-    """Smoke check: the simulator sustains a sane block throughput."""
-    record = run_benchmark(output_path=LATEST_OUTPUT)
+def _print(record: Dict[str, float]) -> None:
     print()
-    print(f"simulator throughput: {record['blocks_per_sec']:,.0f} blocks/sec")
-    print(f"table4_mlp regeneration: {record['table4_mlp_s']:.3f} s")
-    print(f"attention sweep: {record['attention_sweep_s']:.3f} s")
-    print(f"sweep cache hit rate: {record['sweep_cache_hit_rate']:.2f}")
-    # Loose floor (~20x below current hardware-dependent numbers) so CI
-    # flags order-of-magnitude regressions without flaking on slow runners.
-    assert record["blocks_per_sec"] > 10_000
-    assert record["table4_mlp_s"] < 10.0
+    print(
+        format_table(
+            ["metric", "value"],
+            [
+                ["simulator throughput (blocks/s)", f"{record['blocks_per_sec']:,.0f}"],
+                ["table4_mlp regeneration (s)", f"{record['table4_mlp_s']:.3f}"],
+                ["attention sweep (s)", f"{record['attention_sweep_s']:.3f}"],
+                ["sweep cache hit rate", f"{record['sweep_cache_hit_rate']:.2f}"],
+            ],
+            title="Simulator throughput",
+        )
+    )
+
+
+def _check(record: Dict[str, float]) -> None:
     # Two passes over a duplicate-free grid: exactly half the points replay.
-    assert record["sweep_cache_hit_rate"] == 0.5
+    assert record["sweep_cache_hit_rate"] == 0.5, record["sweep_cache_hit_rate"]
+
+
+def test_sim_throughput():
+    assert harness.main(sys.modules[__name__], ["--check-baseline"]) == 0
 
 
 def profile_run(top: int = 25) -> None:
@@ -271,34 +226,8 @@ def profile_run(top: int = 25) -> None:
     pstats.Stats(profiler).sort_stats("cumulative").print_stats(top)
 
 
-def main(argv: List[str]) -> int:
-    if "--profile" in argv:
-        profile_run()
-        return 0
-    check = "--check-baseline" in argv
-    baseline = None
-    if check:
-        with open(DEFAULT_OUTPUT) as handle:
-            baseline = json.load(handle)
-    # A plain run refreshes the committed baseline; the gated run records
-    # its measurement next to it instead (the baseline stays authoritative).
-    result = run_benchmark(output_path=LATEST_OUTPUT if check else "")
-    print(json.dumps(result, indent=1, sort_keys=True))
-    if baseline is not None:
-        failures = compare_against_baseline(result, baseline)
-        if failures:
-            print("throughput regression vs committed BENCH_sim_throughput.json:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        print(
-            f"baseline gate ok: {result['blocks_per_sec']:,.0f} blocks/sec vs "
-            f"committed {baseline['blocks_per_sec']:,.0f} (tolerance {BASELINE_TOLERANCE}x)"
-        )
-    return 0
-
-
 if __name__ == "__main__":
-    import sys
-
-    sys.exit(main(sys.argv[1:]))
+    if "--profile" in sys.argv[1:]:
+        profile_run()
+    else:
+        sys.exit(harness.main(sys.modules[__name__]))

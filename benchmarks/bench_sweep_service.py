@@ -13,17 +13,14 @@ Exercises the two properties the service subsystem exists for:
   submitted points) must show every duplicate landing on the one
   in-flight evaluation.
 
-``BENCH_sweep_service.json`` in the repository root is the **committed
-baseline**.  A plain run refreshes it (do this deliberately);
-``--check-baseline`` writes ``BENCH_sweep_service.latest.json`` and gates
-the fresh numbers against the committed baseline with the suite's 2x
-wall-clock tolerance.  The dedup ratio and replay identity are
-deterministic, so the gate requires them to match exactly at any
-tolerance.  ``--smoke`` shrinks the grid for CI.
+The wall times and the speedup are ``TIMING`` leaves;
+:mod:`repro.bench.harness` gates every count exactly against the
+committed ``BENCH_sweep_service.json`` (see benchmarks/README.md,
+"Gates").
 
 Run standalone::
 
-    PYTHONPATH=src python benchmarks/bench_sweep_service.py [--smoke] [--check-baseline]
+    PYTHONPATH=src python benchmarks/bench_sweep_service.py [--check-baseline]
 
 or through pytest (``pytest benchmarks/bench_sweep_service.py``).
 
@@ -36,54 +33,41 @@ JSON schema (see also benchmarks/README.md):
 * ``store`` — writes / hits counted by the disk store itself;
 * ``coalescing`` — ``{clients, submitted, simulated, coalesced,
   dedup_ratio}`` from the concurrent-clients scenario;
-* ``elapsed_s`` — wall time of the full experiment (the gated quantity).
+* ``elapsed_s`` — wall time of the full experiment.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import os
+import sys
 import tempfile
 import time
 from typing import Dict, List
 
-from repro.bench import format_table
+from repro.bench import format_table, harness
 
-DEFAULT_OUTPUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_sweep_service.json"
-)
-#: Non-destructive output used by the pytest path and ``--check-baseline``.
-LATEST_OUTPUT = DEFAULT_OUTPUT.replace(".json", ".latest.json")
-
-#: Tolerated wall-clock slowdown vs the committed baseline (CI runners
-#: differ from the machine that recorded it).  Matches the other gates.
-BASELINE_TOLERANCE = 2.0
+TIMING = ("elapsed_s", "cold_s", "warm_s", "warm_speedup")
 
 #: Concurrent clients in the coalescing scenario.
 CLIENTS = 5
 
 
-def _grid(smoke: bool):
+def _grid():
     from repro.models.config import TransformerConfig
+    from repro.models.mlp import GptMlp
     from repro.pipeline import sweep_archs
 
-    from repro.models.mlp import GptMlp
-
-    arches = ("V100", "A100") if smoke else ("V100", "A100", "H100-SXM")
-    policies = ("TileSync", "RowSync") if smoke else ("TileSync", "RowSync", "BatchSync")
-    configs = [
-        TransformerConfig(name="svc-small", hidden=256, layers=2, tensor_parallel=8),
-    ]
-    if not smoke:
-        configs.append(
-            TransformerConfig(name="svc-wide", hidden=512, layers=2, tensor_parallel=8)
-        )
     work = []
-    for config in configs:
+    for name, hidden in (("svc-small", 256), ("svc-wide", 512)):
+        config = TransformerConfig(name=name, hidden=hidden, layers=2, tensor_parallel=8)
         graph = GptMlp(config=config, batch_seq=96).to_graph()
         work.extend(
-            sweep_archs(graph, arches, policies=policies, schemes=("cusync", "streamsync"))
+            sweep_archs(
+                graph,
+                ("V100", "A100", "H100-SXM"),
+                policies=("TileSync", "RowSync", "BatchSync"),
+                schemes=("cusync", "streamsync"),
+            )
         )
     return work
 
@@ -147,8 +131,8 @@ def _run_coalescing(work) -> Dict[str, object]:
     }
 
 
-def run_experiment(smoke: bool = False) -> Dict[str, object]:
-    work = _grid(smoke)
+def run_experiment() -> Dict[str, object]:
+    work = _grid()
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="sweep-service-bench-") as root:
         cold = _run_grid(work, root)
@@ -173,44 +157,6 @@ def run_experiment(smoke: bool = False) -> Dict[str, object]:
         },
         "coalescing": coalescing,
     }
-
-
-def write_record(record: Dict[str, object], output_path: str = "") -> None:
-    path = output_path or os.environ.get("BENCH_SWEEP_SERVICE_OUT", DEFAULT_OUTPUT)
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-
-def compare_against_baseline(
-    record: Dict[str, object],
-    baseline: Dict[str, object],
-    tolerance: float = BASELINE_TOLERANCE,
-) -> List[str]:
-    """Failures of ``record`` against the committed baseline (empty = pass)."""
-    failures: List[str] = []
-    ceiling = baseline["elapsed_s"] * tolerance
-    if record["elapsed_s"] > ceiling:
-        failures.append(
-            f"elapsed_s {record['elapsed_s']:.3f} exceeded {ceiling:.3f} "
-            f"(baseline {baseline['elapsed_s']:.3f} * {tolerance}x tolerance)"
-        )
-    floor = baseline["warm_speedup"] / tolerance
-    if record["warm_speedup"] < floor:
-        failures.append(
-            f"warm_speedup {record['warm_speedup']:.2f}x fell below {floor:.2f}x "
-            f"(baseline {baseline['warm_speedup']:.2f}x / {tolerance}x tolerance)"
-        )
-    # Deterministic quantities hold exactly at any tolerance.
-    if not record["replay_identical"]:
-        failures.append("warm-store replay was not bit-identical to the cold run")
-    expected_dedup = baseline["coalescing"]["dedup_ratio"]
-    if record["coalescing"]["dedup_ratio"] != expected_dedup:
-        failures.append(
-            f"coalescing dedup_ratio {record['coalescing']['dedup_ratio']:.4f} != "
-            f"baseline {expected_dedup:.4f} (deterministic; investigate)"
-        )
-    return failures
 
 
 def _print(record: Dict[str, object]) -> None:
@@ -261,46 +207,9 @@ def _check(record: Dict[str, object]) -> None:
     assert coalescing["dedup_ratio"] == expected, coalescing
 
 
-def test_sweep_service(bench_once, benchmark):
-    record = bench_once(benchmark, run_experiment, smoke=True)
-    write_record(record, output_path=LATEST_OUTPUT)
-    _print(record)
-    _check(record)
-
-
-def main(argv: List[str]) -> int:
-    smoke = "--smoke" in argv
-    check = "--check-baseline" in argv
-    baseline = None
-    if check:
-        with open(DEFAULT_OUTPUT) as handle:
-            baseline = json.load(handle)
-    record = run_experiment(smoke=smoke)
-    _print(record)
-    _check(record)
-    # A plain full run refreshes the committed baseline; smoke and gated
-    # runs record next to it (the baseline stays authoritative).
-    write_record(record, output_path=LATEST_OUTPUT if (check or smoke) else "")
-    if baseline is not None:
-        failures = compare_against_baseline(record, baseline)
-        if smoke:
-            print("note: --check-baseline with --smoke gates determinism only, not wall time")
-            failures = [
-                failure for failure in failures if not failure.startswith(("elapsed_s", "warm_speedup"))
-            ]
-        if failures:
-            print("sweep-service regression vs committed BENCH_sweep_service.json:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        print(
-            f"baseline gate ok: {record['elapsed_s']:.2f}s vs committed "
-            f"{baseline['elapsed_s']:.2f}s (tolerance {BASELINE_TOLERANCE}x)"
-        )
-    return 0
+def test_sweep_service():
+    assert harness.main(sys.modules[__name__], ["--check-baseline"]) == 0
 
 
 if __name__ == "__main__":
-    import sys
-
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(harness.main(sys.modules[__name__]))

@@ -35,8 +35,7 @@ def timing_study():
     ]
     for phase, kwargs in configs:
         # One graph per configuration, reused across the baseline and all
-        # three policy families (the range-mapped Q/K/V edges are ad-hoc
-        # closures, so the sweep transparently runs serially in-process).
+        # three policy families.
         graph = Attention(**kwargs).to_graph()
         baseline = session.run(graph, scheme="streamsync").total_time_us
         cells = [phase, kwargs["batch"], kwargs["seq"], kwargs["cached"], f"{baseline:.0f}"]

@@ -389,8 +389,8 @@ def policy_ablation(
     QKV → scores edge under ``StridedTileSync`` while its sibling
     softmax → values edge uses ``RowSync``), and the whole multi-graph
     batch is evaluated by **one** serial ``Session.sweep`` call (the
-    attention and LLaMA graphs carry closure range maps, which keep them
-    off the process pool).
+    LLaMA graph carries a closure range map, which keeps it off the
+    process pool).
 
     Returns one row per (workload, policy) with the improvement over that
     workload's StreamSync baseline.
@@ -476,8 +476,8 @@ def arch_comparison(
     policy recover?  Each workload's graph is built **once** and re-run
     under every ``(arch, scheme, policy)`` point — kernels are re-bound
     per run, never rebuilt — via one serial multi-graph ``Session.sweep``
-    (the attention and LLaMA graphs carry closure range maps, which keep
-    them off the process pool).  ``arches`` accepts registered names,
+    (the LLaMA graph carries a closure range map, which keeps it off the
+    process pool).  ``arches`` accepts registered names,
     :class:`~repro.gpu.arch.ArchSpec` values (including
     ``ArchSpec(...).scaled(...)`` what-ifs) and raw instances.
 

@@ -762,9 +762,6 @@ class PolicyAssignment:
         return tuple(name for name, _ in self.stages)
 
     # ------------------------------------------------------------------
-    def with_default(self, default: Union[str, PolicySpec]) -> "PolicyAssignment":
-        return PolicyAssignment(default=default, stages=dict(self.stages), edges=dict(self.edges))
-
     def with_stage(self, name: str, spec: Union[str, PolicySpec]) -> "PolicyAssignment":
         stages = dict(self.stages)
         stages[name] = PolicySpec.coerce(spec)

@@ -22,7 +22,6 @@ from repro.kernels.base import (
     ReadPlanStep,
     StageGeometry,
     TiledKernel,
-    KernelArtifacts,
 )
 from repro.kernels.epilogue import Epilogue, Identity, GeLU, ReLU, SwiGLUMultiply
 from repro.kernels.gemm import GemmProblem, GemmConfig, GemmKernel, choose_gemm_config
@@ -37,7 +36,6 @@ __all__ = [
     "ReadPlanStep",
     "StageGeometry",
     "TiledKernel",
-    "KernelArtifacts",
     "Epilogue",
     "Identity",
     "GeLU",

@@ -27,7 +27,7 @@ site per mechanism.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.common.dim3 import Dim3
@@ -141,30 +141,12 @@ class StageGeometry:
         return Dim3(self.grid.x, self.grid.y, self.batch)
 
 
-@dataclass
-class KernelArtifacts:
-    """Static information about a built kernel, used by reports and tests."""
-
-    name: str
-    grid: Dim3
-    occupancy: int
-    blocks: int
-    #: Number of cuSync integration call sites in the kernel implementation
-    #: (the quantity Table III reports as "lines changed").
-    sync_call_sites: int = 0
-    tags: dict = field(default_factory=dict)
-
-
 class TiledKernel(ABC):
     """Common machinery for building a :class:`KernelLaunch` from a kernel.
 
     Subclasses provide the grid, the per-tile program and the kernel's
     resource usage; this base class handles occupancy and launch assembly.
     """
-
-    #: Number of cuSync integration call sites (wait/post/tile/start) in the
-    #: kernel's implementation, reported by the Table III experiment.
-    SYNC_CALL_SITES = 0
 
     def __init__(
         self,
@@ -291,18 +273,6 @@ class TiledKernel(ABC):
             tile_order=self.sync.tile_order(grid),
             on_first_block_start=self.sync.first_block_posts(),
             issue_delay_us=issue_delay_us,
-            tags={"kernel_class": type(self).__name__},
-        )
-
-    def artifacts(self) -> KernelArtifacts:
-        """Static description used by reports (Table III, DESIGN docs)."""
-        grid = self.grid
-        return KernelArtifacts(
-            name=self.name,
-            grid=grid,
-            occupancy=self.occupancy(),
-            blocks=grid.volume,
-            sync_call_sites=self.SYNC_CALL_SITES,
             tags={"kernel_class": type(self).__name__},
         )
 

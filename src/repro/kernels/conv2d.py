@@ -110,8 +110,6 @@ def choose_conv2d_config(problem: Conv2dProblem) -> Conv2dConfig:
 class Conv2dKernel(TiledKernel):
     """Implicit-GeMM Conv2D kernel runnable on the simulator."""
 
-    SYNC_CALL_SITES = 3
-
     def __init__(
         self,
         name: str,

@@ -63,8 +63,6 @@ class CopyProblem:
 class CopyKernel(TiledKernel):
     """1-D copy kernel: block *i* copies elements ``[i*n, (i+1)*n)``."""
 
-    SYNC_CALL_SITES = 2
-
     def __init__(
         self,
         name: str,

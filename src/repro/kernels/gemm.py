@@ -179,11 +179,6 @@ class GemmKernel(TiledKernel):
         transformed slice; ``a_transform_flops`` models its per-element cost.
     """
 
-    #: cuSync integration call sites in this kernel (tile order + wait-kernel
-    #: release are installed by ``TiledKernel.build_launch``; this method adds
-    #: two ``plan_reads`` waits, a gate wait and one ``posts_for``).
-    SYNC_CALL_SITES = 4
-
     def __init__(
         self,
         name: str,

@@ -56,8 +56,6 @@ class SoftmaxDropoutProblem:
 class SoftmaxDropoutKernel(TiledKernel):
     """Fused Softmax-Dropout kernel; one thread block per band of rows."""
 
-    SYNC_CALL_SITES = 2
-
     def __init__(
         self,
         name: str,

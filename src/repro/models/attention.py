@@ -24,7 +24,8 @@ is validated for B = 1).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -36,6 +37,49 @@ from repro.kernels.softmax_dropout import SoftmaxDropoutKernel, SoftmaxDropoutPr
 from repro.models.config import GPT3_145B, TransformerConfig
 from repro.models.workload import Workload
 from repro.pipeline.graph import Edge, PipelineGraph, StageSpec
+
+__all__ = ["Attention", "QuerySliceMap", "KeySliceMap", "ValueSliceMap"]
+
+
+@dataclass(frozen=True)
+class QuerySliceMap:
+    """XQ is XQKV columns ``[0, H/8)``: identity rows, identity columns."""
+
+    def __call__(self, row_range, col_range, batch):
+        return row_range, col_range, 0
+
+
+@dataclass(frozen=True)
+class KeySliceMap:
+    """The score GeMM reads ``Kall[k, key]``; the new-token keys live in
+    XQKV columns ``[offset, offset + width)``.  Producer rows are covered
+    conservatively (all new-token rows), columns map to the XK slice."""
+
+    rows: int
+    offset: int
+
+    def __call__(self, row_range, col_range, batch):
+        return (
+            (0, self.rows),
+            (self.offset + row_range[0], self.offset + row_range[1]),
+            0,
+        )
+
+
+@dataclass(frozen=True)
+class ValueSliceMap:
+    """The value GeMM reads ``Vall[key, v]``; the new-token values live in
+    XQKV columns ``[offset, offset + width)``."""
+
+    rows: int
+    offset: int
+
+    def __call__(self, row_range, col_range, batch):
+        return (
+            (0, self.rows),
+            (self.offset + col_range[0], self.offset + col_range[1]),
+            0,
+        )
 
 
 class Attention(Workload):
@@ -117,25 +161,6 @@ class Attention(Workload):
         values = gemm("attn_values", value_problem, sync_inputs=("R", "Vall"))
         output = gemm("attn_out", out_problem, sync_inputs=("T",))
 
-        width_offset_k = 2 * width   # XK lives in XQKV columns [2H/8, 3H/8)
-        width_offset_v = width       # XV lives in XQKV columns [H/8, 2H/8)
-        all_rows = (0, rows)
-
-        def query_map(row_range, col_range, batch):
-            # XQ is XQKV columns [0, H/8): identity rows, identity columns.
-            return row_range, col_range, 0
-
-        def key_map(row_range, col_range, batch):
-            # The score GeMM reads Kall[k, key]; only the last S keys come
-            # from XQKV.  Rows of the producer are covered conservatively
-            # (all new-token rows), columns map to the XK slice.
-            return all_rows, (width_offset_k + row_range[0], width_offset_k + row_range[1]), 0
-
-        def value_map(row_range, col_range, batch):
-            # The value GeMM reads Vall[key, v]; the last S keys are XQKV's
-            # XV slice.
-            return all_rows, (width_offset_v + col_range[0], width_offset_v + col_range[1]), 0
-
         # With a KV cache (``cached > 0``) most keys pre-exist in memory;
         # the dependence on XQKV's key/value slices remains, only its
         # weight shrinks — the graph is identical in both phases.
@@ -148,11 +173,19 @@ class Attention(Workload):
                 StageSpec(name="attn_out", kernel=output),
             ],
             edges=[
-                Edge("attn_qkv", "attn_scores", tensor="XQ", range_map=query_map),
-                Edge("attn_qkv", "attn_scores", tensor="Kall", range_map=key_map),
+                Edge("attn_qkv", "attn_scores", tensor="XQ", range_map=QuerySliceMap()),
+                # XK lives in XQKV columns [2H/8, 3H/8).
+                Edge(
+                    "attn_qkv", "attn_scores", tensor="Kall",
+                    range_map=KeySliceMap(rows=rows, offset=2 * width),
+                ),
                 Edge("attn_scores", "attn_softmax", tensor="P"),
                 Edge("attn_softmax", "attn_values", tensor="R"),
-                Edge("attn_qkv", "attn_values", tensor="Vall", range_map=value_map),
+                # XV lives in XQKV columns [H/8, 2H/8).
+                Edge(
+                    "attn_qkv", "attn_values", tensor="Vall",
+                    range_map=ValueSliceMap(rows=rows, offset=width),
+                ),
                 Edge("attn_values", "attn_out", tensor="T"),
             ],
             name=f"attn_{self.config.name}_s{self.seq}_c{self.cached}",

@@ -18,20 +18,18 @@ the batch composition:
     longest sequence's full context (shorter sequences are padded up,
     the usual padded-batch modelling substitution).
 
-Two deliberate differences from :class:`repro.models.attention.Attention`
-make these graphs *serving-grade*:
-
-* The Q/K/V slice dependences are expressed as module-level frozen
-  dataclasses (:class:`QuerySliceMap` / :class:`KeySliceMap` /
-  :class:`ValueSliceMap`) instead of closures, so every serving graph
-  has a portable :meth:`~repro.pipeline.graph.PipelineGraph.structural_fingerprint`
-  — rebuilt graphs of the same bucketed shape share
-  :class:`~repro.pipeline.Session` sweep-cache (and disk-store) entries,
-  which is what makes a long serving simulation cheap: only novel batch
-  shapes simulate.
-* Attention and MLP are fused into **one seven-stage graph** (the MLP's
-  first GeMM consumes the attention output through a plain edge), so an
-  iteration is a single `Session` evaluation.
+Attention and MLP are fused into **one seven-stage graph** (the MLP's
+first GeMM consumes the attention output through a plain edge), so an
+iteration is a single `Session` evaluation.  The Q/K/V slice dependences
+reuse the attention module's frozen-dataclass range maps
+(:class:`~repro.models.attention.QuerySliceMap` /
+:class:`~repro.models.attention.KeySliceMap` /
+:class:`~repro.models.attention.ValueSliceMap`), so every serving graph
+has a portable :meth:`~repro.pipeline.graph.PipelineGraph.structural_fingerprint`
+— rebuilt graphs of the same bucketed shape share
+:class:`~repro.pipeline.Session` sweep-cache (and disk-store) entries,
+which is what makes a long serving simulation cheap: only novel batch
+shapes simulate.
 
 :class:`ServingGraphCache` buckets raw batch compositions to a small set
 of shapes (rows up to a multiple of ``row_bucket``, keys up to a multiple
@@ -41,7 +39,6 @@ shapes reuse the same object *and* the same fingerprint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.common.validation import check_positive
@@ -50,59 +47,16 @@ from repro.gpu.costmodel import CostModel
 from repro.kernels.epilogue import GeLU
 from repro.kernels.gemm import GemmConfig, GemmKernel, GemmProblem, choose_gemm_config
 from repro.kernels.softmax_dropout import SoftmaxDropoutKernel, SoftmaxDropoutProblem
+from repro.models.attention import KeySliceMap, QuerySliceMap, ValueSliceMap
 from repro.models.config import GPT3_145B, TransformerConfig
 from repro.models.workload import Workload
 from repro.pipeline.graph import Edge, PipelineGraph, StageSpec
 
 __all__ = [
-    "QuerySliceMap",
-    "KeySliceMap",
-    "ValueSliceMap",
     "ServingLayer",
     "ServingGraphCache",
     "bucketed",
 ]
-
-
-@dataclass(frozen=True)
-class QuerySliceMap:
-    """XQ is XQKV columns ``[0, H/8)``: identity rows, identity columns."""
-
-    def __call__(self, row_range, col_range, batch):
-        return row_range, col_range, 0
-
-
-@dataclass(frozen=True)
-class KeySliceMap:
-    """The score GeMM reads ``Kall[k, key]``; the new-token keys live in
-    XQKV columns ``[offset, offset + width)``.  Producer rows are covered
-    conservatively (all new-token rows), columns map to the XK slice."""
-
-    rows: int
-    offset: int
-
-    def __call__(self, row_range, col_range, batch):
-        return (
-            (0, self.rows),
-            (self.offset + row_range[0], self.offset + row_range[1]),
-            0,
-        )
-
-
-@dataclass(frozen=True)
-class ValueSliceMap:
-    """The value GeMM reads ``Vall[key, v]``; the new-token values live in
-    XQKV columns ``[offset, offset + width)``."""
-
-    rows: int
-    offset: int
-
-    def __call__(self, row_range, col_range, batch):
-        return (
-            (0, self.rows),
-            (self.offset + col_range[0], self.offset + col_range[1]),
-            0,
-        )
 
 
 def bucketed(value: int, bucket: int) -> int:

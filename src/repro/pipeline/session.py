@@ -17,16 +17,13 @@ call (:func:`sweep_policies` builds such grids).  Two execution modes are
 available and produce bit-identical results, because the simulator is
 deterministic and every point runs on an independent binding:
 
+``mode="serial"`` (the default)
+    A plain in-process loop; the only mode for closure-carrying graphs.
 ``mode="process"``
     Points fan out over ``concurrent.futures`` worker processes operating
     on pickled copies of the graphs.  Graphs whose range maps are ad-hoc
-    closures cannot cross process boundaries.
-``mode="serial"``
-    A plain in-process loop; the only mode for closure-carrying graphs.
-
-``mode=None`` picks ``process`` when every graph is picklable and
-otherwise warns once (naming the offending stage) before running
-serially.
+    closures cannot cross process boundaries.  It is the only mode that
+    can kill a hung point (see ``timeout=`` below).
 
 Sweeps degrade gracefully under partial failure: per-point ``timeout=``
 and ``retries=`` (with deterministic jittered exponential backoff) bound
@@ -50,7 +47,6 @@ import pickle
 import random
 import time
 import traceback as traceback_module
-import warnings
 import weakref
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait as futures_wait
@@ -464,26 +460,6 @@ def _evict_graph_entries(session_ref: "weakref.ref[Session]", token: int) -> Non
         dead = ("token", token)
         for key in [key for key in cache if key[0] == dead]:
             del cache[key]
-
-
-#: Culprit strings already warned about (the serial fallback warns once per
-#: distinct cause per process, not once per sweep call).
-_FALLBACK_WARNED: set = set()
-
-
-def _warn_serial_fallback(graph: PipelineGraph, culprit: str) -> None:
-    key = (graph.name or "", culprit)
-    if key in _FALLBACK_WARNED:
-        return
-    _FALLBACK_WARNED.add(key)
-    label = graph.name or graph.describe()
-    warnings.warn(
-        f"Session.sweep: graph {label} cannot be sent to worker processes "
-        f"({culprit}); running this sweep serially. Make the range maps "
-        "module-level functions to enable mode='process'.",
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -1002,7 +978,7 @@ class Session:
         arches: Optional[Sequence[GpuArchitecture]] = None,
         schemes: Sequence[str] = ("cusync",),
         workers: Optional[int] = None,
-        mode: Optional[str] = None,
+        mode: str = "serial",
         cache: Optional[bool] = None,
         timeout: Optional[float] = None,
         retries: int = 0,
@@ -1019,12 +995,11 @@ class Session:
         (see :func:`sweep_policies`).  Non-cusync schemes ignore the policy
         axis (they contribute one point per arch).
 
-        ``mode`` selects how points execute — ``"process"``, ``"serial"``,
-        or ``None`` to pick automatically (processes when every graph
-        pickles, otherwise a one-time warning plus the serial path).
-        Results are bit-identical across modes: both paths evaluate points
-        through the same :func:`_sweep_point_result`, each point on an
-        independent per-run binding (worker processes on pickled copies).
+        ``mode`` selects how points execute — ``"serial"`` (the default)
+        or ``"process"``.  Results are bit-identical across modes: both
+        paths evaluate points through the same :func:`_sweep_point_result`,
+        each point on an independent per-run binding (worker processes on
+        pickled copies).
         ``workers`` caps the process pool's size (a positive count; by
         default ``min(8, points)``).
 
@@ -1071,7 +1046,7 @@ class Session:
                 "Session.sweep measures timing only; run functional points "
                 "individually with Session.run(graph, ..., tensors=...)"
             )
-        if mode not in (None, "serial", "process"):
+        if mode not in ("serial", "process"):
             raise SimulationError(
                 f"unknown sweep mode {mode!r}; choose 'serial' or 'process'"
             )
@@ -1235,7 +1210,7 @@ class Session:
         work: Sequence[Tuple[PipelineGraph, SweepPoint]],
         labels: Dict[int, str],
         workers: Optional[int],
-        mode: Optional[str],
+        mode: str,
         recovery: _RecoveryPolicy,
         positions: Sequence[int],
     ) -> List[object]:
@@ -1249,25 +1224,15 @@ class Session:
         exhausted) or ``None`` (not evaluated because a raise-mode abort
         cut the sweep short).
         """
-        if mode == "serial" or (len(work) <= 1 and mode is None):
-            # A single point defaults to the serial path (no pool is worth
-            # spinning up for it), but an *explicit* mode is honoured even
-            # then — service fronts evaluate one point per call and still
-            # want process-pool isolation semantics when asked for them.
+        if mode == "serial":
             return self._sweep_serial(work, labels, recovery, positions)
-        if mode == "process":
-            culprits = self._pickle_culprits(work)
-            if culprits:
-                raise SimulationError(
-                    "Session.sweep(mode='process') needs picklable graphs, but "
-                    + "; ".join(culprits)
-                    + ". Sweep closure-carrying graphs with mode='serial'."
-                )
-            return self._sweep_processes(work, labels, workers, recovery, positions)
-        # Automatic mode: processes when possible, else warn + serial.
-        culprits = self._pickle_culprits(work, warn=True)
+        culprits = self._pickle_culprits(work)
         if culprits:
-            return self._sweep_serial(work, labels, recovery, positions)
+            raise SimulationError(
+                "Session.sweep(mode='process') needs picklable graphs, but "
+                + "; ".join(culprits)
+                + ". Sweep closure-carrying graphs with mode='serial'."
+            )
         return self._sweep_processes(work, labels, workers, recovery, positions)
 
     # ------------------------------------------------------------------
@@ -1303,9 +1268,7 @@ class Session:
             work.append((graph, point))
         return work
 
-    def _pickle_culprits(
-        self, work: Sequence[Tuple[PipelineGraph, SweepPoint]], warn: bool = False
-    ) -> List[str]:
+    def _pickle_culprits(self, work: Sequence[Tuple[PipelineGraph, SweepPoint]]) -> List[str]:
         culprits: List[str] = []
         seen: set = set()
         for graph, _ in work:
@@ -1315,8 +1278,6 @@ class Session:
             culprit = _closure_culprit(graph)
             if culprit is not None:
                 culprits.append(culprit)
-                if warn:
-                    _warn_serial_fallback(graph, culprit)
         return culprits
 
     def _evaluate_with_recovery(

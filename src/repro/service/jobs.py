@@ -192,9 +192,9 @@ class SessionWorker:
     per-attempt timeouts, retries with deterministic backoff, structured
     :class:`~repro.pipeline.session.SweepFailure` values instead of
     raises — is inherited wholesale rather than reimplemented.  ``mode``
-    is forwarded: ``"process"`` evaluates each point in the existing
-    process-pool path (worker-kill timeouts included); the default
-    ``None`` picks the in-process serial path.
+    is forwarded: the default ``"serial"`` evaluates in-process,
+    ``"process"`` in the existing process-pool path (worker-kill timeouts
+    included).
 
     Calls are thread-safe: the service evaluates points on its thread
     pool, and concurrent evaluations of points sharing a graph serialize
@@ -207,7 +207,7 @@ class SessionWorker:
         self,
         session: Session,
         *,
-        mode: Optional[str] = None,
+        mode: str = "serial",
         workers: Optional[int] = None,
         timeout: Optional[float] = None,
         retries: int = 0,
@@ -273,7 +273,7 @@ class SweepService:
         store: Optional[ResultStore] = None,
         worker=None,
         *,
-        mode: Optional[str] = None,
+        mode: str = "serial",
         workers: Optional[int] = None,
         timeout: Optional[float] = None,
         retries: int = 0,

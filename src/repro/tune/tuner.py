@@ -136,7 +136,7 @@ class Tuner:
         self,
         session: Optional[Session] = None,
         result_store=None,
-        mode: Optional[str] = "serial",
+        mode: str = "serial",
         workers: Optional[int] = None,
     ) -> None:
         if session is None:

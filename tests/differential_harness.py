@@ -14,9 +14,9 @@ arbitrary work list:
   :func:`repro.pipeline.sweep_archs`;
 * :func:`assert_modes_identical` — runs a work list through both modes
   on fresh sessions and asserts exact equality.  Graphs that carry
-  closure range maps (attention, LLaMA) cannot cross process boundaries,
-  so the process mode runs on the picklable subset of the work and is
-  compared positionally;
+  closure range maps (LLaMA's SwiGLU edge) cannot cross process
+  boundaries, so the process mode runs on the picklable subset of the
+  work and is compared positionally;
 * :func:`capture_trace` / :func:`assert_traces_equivalent` — full
   block-level trace capture for equivalence arguments that go beyond the
   sweep summary (e.g. the slot-0 post-elision defence).

@@ -9,10 +9,13 @@ bit-identical to a run on a freshly built graph.
 import pytest
 
 from repro.gpu.arch import TESLA_V100
-from repro.models import Attention, GptMlp, TransformerConfig
+from repro.models import Attention, GptMlp, LlamaMlp, TransformerConfig
 from repro.pipeline import Session, run
 
 TINY = TransformerConfig(name="tiny", hidden=256, layers=2, tensor_parallel=8)
+TINY_LLAMA = TransformerConfig(
+    name="tiny-llama", hidden=384, layers=2, tensor_parallel=8, swiglu=True
+)
 
 
 @pytest.fixture
@@ -109,7 +112,7 @@ class TestSweep:
         schemes = ("streamsync", "cusync")
 
         parallel = Session(arch=workload.arch).sweep(
-            graph, policies=policies, schemes=schemes, workers=2
+            graph, policies=policies, schemes=schemes, workers=2, mode="process"
         )
         serial = Session(arch=workload.arch).sweep(
             graph, policies=policies, schemes=schemes, mode="serial"
@@ -132,50 +135,17 @@ class TestSweep:
         # test GPU has different wave structure and zero launch latency).
         assert results[0].total_time_us != results[1].total_time_us
 
-    def test_sweep_with_unpicklable_graph_falls_back_serial_with_warning(self):
-        """Attention graphs carry closure range-maps and cannot cross
-        process boundaries; the automatic mode must fall back to the serial
-        path with a one-time warning that names the offending stage/edge."""
-        import warnings
-
-        from repro.pipeline.session import _FALLBACK_WARNED, _closure_culprit
-
-        workload = Attention(config=TINY, batch=1, seq=64)
-        graph = workload.to_graph()
-        culprit = _closure_culprit(graph)
-        assert culprit is not None and "attn_qkv" in culprit  # closures don't pickle
-
-        _FALLBACK_WARNED.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            results = Session(arch=workload.arch).sweep(
-                graph, policies=("TileSync", "StridedTileSync"), workers=2
-            )
-            # The fallback is announced once, not once per sweep call.
-            again = Session(arch=workload.arch).sweep(
-                graph, policies=("TileSync", "StridedTileSync"), workers=2
-            )
-        fallback_warnings = [
-            w for w in caught if issubclass(w.category, RuntimeWarning)
-            and "running this sweep serially" in str(w.message)
-        ]
-        assert len(fallback_warnings) == 1
-        assert "attn_qkv" in str(fallback_warnings[0].message)
-
-        serial = Session(arch=workload.arch).sweep(
-            graph, policies=("TileSync", "StridedTileSync"), mode="serial"
-        )
-        assert results == serial == again
-
     def test_explicit_process_mode_rejects_closure_graphs(self):
+        """LLaMA's SwiGLU range map is a closure; the error names its edge."""
         from repro.errors import SimulationError
 
-        workload = Attention(config=TINY, batch=1, seq=64)
+        workload = LlamaMlp(config=TINY_LLAMA, batch_seq=64)
         graph = workload.to_graph()
-        with pytest.raises(SimulationError, match="needs picklable graphs"):
+        with pytest.raises(SimulationError, match="needs picklable graphs") as info:
             Session(arch=workload.arch).sweep(
                 graph, policies=("TileSync", "RowSync"), mode="process"
             )
+        assert "'llama_gemm1' -> 'llama_gemm2'" in str(info.value)
 
     def test_sweep_point_labels(self, workload):
         from repro.pipeline.session import SweepPoint
@@ -218,8 +188,8 @@ class TestMultiGraphSweep:
 
         work = self._work(workload)
         serial = assert_modes_identical(work, session_arch=workload.arch)
-        auto = Session(arch=workload.arch).sweep(list(work))  # fresh session: no shared caches
-        assert auto == serial
+        default = Session(arch=workload.arch).sweep(list(work))  # fresh session: no shared caches
+        assert default == serial
         assert len(serial) == len(work)
         assert all(result.total_time_us > 0.0 for result in serial)
 
@@ -273,7 +243,7 @@ class TestMultiGraphSweep:
         from repro.errors import SimulationError
 
         session = Session(arch=workload.arch)
-        for mode in ("fleet", "thread"):
+        for mode in ("fleet", "thread", None):
             with pytest.raises(SimulationError, match="unknown sweep mode"):
                 session.sweep(workload.to_graph(), mode=mode)
         with pytest.raises(SimulationError, match="work items"):

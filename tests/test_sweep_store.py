@@ -235,12 +235,13 @@ class TestRobustness:
 
 
 class TestFreshProcessReplay:
-    """Acceptance: a brand-new process replays the persisted grid
-    bit-identically with zero simulations."""
+    """Acceptance: a brand-new process replays the persisted grid — GPT-3
+    MLP and attention graphs — bit-identically with zero simulations."""
 
     SCRIPT = textwrap.dedent(
         """
         import json, sys
+        from repro.models.attention import Attention
         from repro.models.config import TransformerConfig
         from repro.models.mlp import GptMlp
         from repro.pipeline import Session, sweep_archs
@@ -248,8 +249,15 @@ class TestFreshProcessReplay:
 
         root, expect_replay = sys.argv[1], sys.argv[2] == "replay"
         config = TransformerConfig(name="tiny-store", hidden=256, layers=2, tensor_parallel=8)
-        graph = GptMlp(config=config, batch_seq=96).to_graph()
-        work = sweep_archs(graph, ("V100", "A100"), policies=("TileSync", "RowSync"))
+        work = sweep_archs(
+            GptMlp(config=config, batch_seq=96).to_graph(),
+            ("V100", "A100"),
+            policies=("TileSync", "RowSync"),
+        ) + sweep_archs(
+            Attention(config=config, batch=1, seq=64).to_graph(),
+            ("V100", "A100"),
+            policies=("TileSync", "StridedTileSync"),
+        )
         store = SweepResultStore(root)
         session = Session(result_store=store)
         results = session.sweep(work, mode="serial")
@@ -262,6 +270,7 @@ class TestFreshProcessReplay:
             assert store.writes == len(work)
         print(json.dumps([
             {
+                "graph": r.graph_label,
                 "scheme": r.scheme,
                 "arch": r.arch_name,
                 "total": r.total_time_us,
