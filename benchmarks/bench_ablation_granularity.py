@@ -22,16 +22,13 @@ POLICIES = ("TileSync", "RowSync", "BatchSync")
 
 
 def _sweep(batch_seq, cost_model=None):
-    from repro.cusync.policies import BatchSync, RowSync, TileSync
-
     workload = GptMlp(batch_seq=batch_seq, cost_model=cost_model)
     baseline = run(
         workload.to_graph(), scheme="streamsync", arch=workload.arch, cost_model=workload.cost_model
     ).total_time_us
-    instances = {"TileSync": TileSync(), "RowSync": RowSync(), "BatchSync": BatchSync()}
     results = {"streamsync_us": baseline}
-    for name, policy in instances.items():
-        results[name] = workload.improvement_over_streamsync(policy=[policy, policy])
+    for name in POLICIES:
+        results[name] = workload.improvement_over_streamsync(policy=name)
     return results
 
 

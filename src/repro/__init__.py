@@ -15,15 +15,15 @@ simulator (no GPU required):
 * :mod:`repro.kernels` — tiled GeMM / Conv2D / Softmax-Dropout / copy
   kernels (the CUTLASS analogue);
 * :mod:`repro.cusync` — the cuSync framework itself (stages, policies, tile
-  orders, optimizations, pipelines);
+  orders, optimizations, semaphores);
 * :mod:`repro.pipeline` — the declarative API: one immutable
-  :class:`~repro.pipeline.PipelineGraph` per computation, pluggable
-  execution backends (``streamsync`` / ``streamk`` / ``cusync``) and a
-  :class:`~repro.pipeline.Session` for repeated runs and parallel sweeps;
+  :class:`~repro.pipeline.PipelineGraph` per computation, the execution
+  backends (``streamsync`` and ``streamk``, the paper's baselines, and
+  ``cusync``) and a :class:`~repro.pipeline.Session` for repeated runs and
+  parallel sweeps;
 * :mod:`repro.dsl` — the cuSyncGen DSL and policy/tile-order compiler;
 * :mod:`repro.models` — the ML-model workloads of the evaluation (GPT-3,
   LLaMA, ResNet-38, VGG-19);
-* :mod:`repro.baselines` — StreamSync and Stream-K;
 * :mod:`repro.bench` — the experiment harness reproducing every table and
   figure of the paper's evaluation;
 * :mod:`repro.service` — the sweep service: content-addressed result

@@ -11,9 +11,12 @@ provides:
 * tile processing orders (:mod:`repro.cusync.tile_orders`);
 * the W/R/T optimizations of Section IV-C
   (:mod:`repro.cusync.optimizations`);
-* :class:`~repro.cusync.handle.CuSyncPipeline` — the host-side API that
-  wires stages, dependencies, streams and wait-kernels together and runs
-  the result on the GPU simulator.
+* semaphore allocation (:mod:`repro.cusync.semaphores`).
+
+The host side — one stage per kernel, dependencies, one stream per stage
+and the wait-kernels — is the ``cusync`` backend of
+:mod:`repro.pipeline.executors`, which runs a
+:class:`~repro.pipeline.PipelineGraph` on the GPU simulator.
 """
 
 from repro.cusync.policies import (
@@ -43,7 +46,6 @@ from repro.cusync.tile_orders import (
 from repro.cusync.optimizations import OptimizationFlags, auto_optimizations, decorate_policy_name
 from repro.cusync.custage import CuStage, Dependency, RangeMap
 from repro.cusync.semaphores import SemaphoreAllocator, STAGE_START_ARRAY, stage_semaphore_array
-from repro.cusync.handle import CuSyncPipeline, PipelineResult
 
 __all__ = [
     "SyncPolicy",
@@ -75,6 +77,4 @@ __all__ = [
     "SemaphoreAllocator",
     "STAGE_START_ARRAY",
     "stage_semaphore_array",
-    "CuSyncPipeline",
-    "PipelineResult",
 ]

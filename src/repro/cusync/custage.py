@@ -78,7 +78,8 @@ class CuStage(SyncInterface):
         self.policy = policy if policy is not None else TileSync()
         self.order = order if order is not None else RowMajorOrder()
         self.optimizations = optimizations if optimizations is not None else OptimizationFlags()
-        #: Index of the stage within its pipeline; set by the pipeline.
+        #: Launch index of the stage: its stream priority and its slot in
+        #: the stage-start array.  Set by the cusync backend.
         self.stage_index: int = 0
         #: Dependencies of this stage, keyed by the tensor it reads.
         self.dependencies: Dict[str, Dependency] = {}

@@ -20,7 +20,7 @@ the benchmark tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.gpu.arch import GpuArchitecture
 
@@ -67,10 +67,6 @@ class OptimizationFlags:
         if self.avoid_custom_tile_order:
             letters += "T"
         return f"+{letters}" if letters else ""
-
-    def with_(self, **kwargs) -> "OptimizationFlags":
-        """Return a copy with some flags replaced."""
-        return replace(self, **kwargs)
 
 
 def auto_optimizations(

@@ -382,9 +382,6 @@ class PolicySpec:
             f"(pass SyncPolicy instances via StageSpec.policy / Edge.policy)"
         )
 
-    def param(self, name: str, default: Any = None) -> Any:
-        return dict(self.params).get(name, default)
-
     def label(self) -> str:
         if not self.params:
             return self.family

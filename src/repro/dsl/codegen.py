@@ -6,8 +6,9 @@ in each dimension: map each referenced producer tile to its own semaphore
 StridedSync-like), plus the tile processing order that schedules the
 producer tiles one consumer tile needs consecutively (Section IV-A).  The
 generated artifacts here are executable objects from :mod:`repro.cusync`
-that can be plugged straight into a :class:`~repro.cusync.handle.CuSyncPipeline`;
-their CUDA-source counterparts are produced by :mod:`repro.dsl.cuda_codegen`.
+that plug straight into :attr:`~repro.pipeline.graph.StageSpec.policy` /
+:attr:`~repro.pipeline.graph.Edge.policy`; their CUDA-source counterparts are
+produced by :mod:`repro.dsl.cuda_codegen`.
 """
 
 from __future__ import annotations

@@ -29,11 +29,6 @@ class DependencyProgram:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def add_grid(self, grid: Grid) -> Grid:
-        if grid not in self.grids:
-            self.grids.append(grid)
-        return grid
-
     def add_dep(self, dep: Dep) -> Dep:
         for side in (dep.consumer, *dep.producers):
             if side.grid not in self.grids:

@@ -41,7 +41,7 @@ from repro.gpu.arch import (
 )
 from repro.gpu.occupancy import OccupancyCalculator, KernelResources
 from repro.gpu.memory import GlobalMemory, SemaphoreArray
-from repro.gpu.stream import Stream, StreamManager
+from repro.gpu.stream import Stream
 from repro.gpu.kernel import (
     SemWait,
     SemPost,
@@ -72,7 +72,6 @@ __all__ = [
     "GlobalMemory",
     "SemaphoreArray",
     "Stream",
-    "StreamManager",
     "SemWait",
     "SemPost",
     "TensorAccess",

@@ -125,16 +125,6 @@ class GpuArchitecture:
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
-    @property
-    def device_fp16_flops_us(self) -> float:
-        """Aggregate half-precision throughput of the device in FLOP/µs."""
-        return self.fp16_flops_per_sm_us * self.num_sms
-
-    @property
-    def device_bandwidth_bytes_us(self) -> float:
-        """Aggregate global-memory bandwidth of the device in bytes/µs."""
-        return self.bytes_per_sm_us * self.num_sms
-
     def blocks_per_wave(self, occupancy: int) -> int:
         """Thread blocks executed per wave for a kernel with ``occupancy``."""
         check_positive("occupancy", occupancy)

@@ -15,7 +15,7 @@ plus two facilities the reproduction needs on top:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -191,9 +191,6 @@ class GlobalMemory:
 
     def has_tensor(self, name: str) -> bool:
         return name in self._tensors
-
-    def tensor_names(self) -> Iterable[str]:
-        return self._tensors.keys()
 
     # ------------------------------------------------------------------
     # Data-race tracking

@@ -163,10 +163,6 @@ class _LaunchState:
     work_sum_us: float = 0.0
 
     @property
-    def pending_blocks(self) -> int:
-        return self.num_blocks - self.dispatch_counter
-
-    @property
     def finished(self) -> bool:
         return self.completed_blocks >= self.num_blocks
 
@@ -184,12 +180,6 @@ class SimulationResult:
     def kernel_duration_us(self, name: str) -> float:
         """Wall-clock duration of one kernel (first block start → last end)."""
         return self.trace.kernels[name].duration_us
-
-    def kernel_names(self) -> List[str]:
-        return [
-            stats.name
-            for stats in sorted(self.trace.kernels.values(), key=lambda s: s.launch_index)
-        ]
 
 
 class GpuSimulator:

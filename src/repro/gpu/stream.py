@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Dict, Iterator, List, Optional
+from typing import Optional
 
 _stream_ids = count()
 
@@ -42,37 +42,3 @@ class Stream:
 #: The default stream used when the caller does not create explicit streams,
 #: mirroring CUDA's stream 0.
 DEFAULT_STREAM = Stream(priority=0, name="default")
-
-
-class StreamManager:
-    """Creates streams and remembers the per-stream kernel order.
-
-    The executor components use this to assign streams to kernels: the
-    StreamSync baseline puts every kernel on one stream, cuSync creates one
-    stream per stage.
-    """
-
-    def __init__(self) -> None:
-        self._streams: List[Stream] = []
-        self._kernel_order: Dict[int, List[str]] = {}
-
-    def create(self, priority: int = 0, name: Optional[str] = None) -> Stream:
-        """Create a new stream with the given priority."""
-        stream = Stream(priority=priority, name=name)
-        self._streams.append(stream)
-        self._kernel_order[stream.stream_id] = []
-        return stream
-
-    def record_launch(self, stream: Stream, kernel_name: str) -> None:
-        """Remember that ``kernel_name`` was launched on ``stream``."""
-        self._kernel_order.setdefault(stream.stream_id, []).append(kernel_name)
-
-    def kernels_on(self, stream: Stream) -> List[str]:
-        """Names of the kernels launched on ``stream`` in launch order."""
-        return list(self._kernel_order.get(stream.stream_id, []))
-
-    def __iter__(self) -> Iterator[Stream]:
-        return iter(self._streams)
-
-    def __len__(self) -> int:
-        return len(self._streams)

@@ -165,25 +165,6 @@ class ExecutionTrace:
         """Sum of busy-wait time over all blocks."""
         return sum(record.wait_time_us for record in self.blocks)
 
-    def observed_waves(self, kernel: str) -> int:
-        """Number of distinct dispatch rounds observed for ``kernel``.
-
-        Counts groups of blocks whose dispatch times are separated by real
-        gaps; mainly useful on synthetic workloads where blocks of a wave
-        start simultaneously.
-        """
-        records = self.blocks_of(kernel)
-        if not records:
-            return 0
-        waves = 1
-        epsilon = 1e-9
-        previous = records[0].dispatch_time_us
-        for record in records[1:]:
-            if record.dispatch_time_us > previous + epsilon:
-                waves += 1
-                previous = record.dispatch_time_us
-        return waves
-
     def summary(self) -> str:
         """Human-readable multi-line summary of the run."""
         lines = [f"total time: {self.total_time_us:.2f} us"]

@@ -48,10 +48,6 @@ class SoftmaxDropoutProblem:
         check_positive("row_length", self.row_length)
         check_in_range("dropout_probability", self.dropout_probability, 0.0, 1.0)
 
-    @property
-    def total_rows(self) -> int:
-        return self.rows * self.batch
-
 
 class SoftmaxDropoutKernel(TiledKernel):
     """Fused Softmax-Dropout kernel; one thread block per band of rows."""

@@ -39,13 +39,13 @@ shapes reuse the same object *and* the same fingerprint.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.common.validation import check_positive
 from repro.gpu.arch import ArchLike, TESLA_V100
 from repro.gpu.costmodel import CostModel
 from repro.kernels.epilogue import GeLU
-from repro.kernels.gemm import GemmConfig, GemmKernel, GemmProblem, choose_gemm_config
+from repro.kernels.gemm import GemmKernel, GemmProblem, choose_gemm_config
 from repro.kernels.softmax_dropout import SoftmaxDropoutKernel, SoftmaxDropoutProblem
 from repro.models.attention import KeySliceMap, QuerySliceMap, ValueSliceMap
 from repro.models.config import GPT3_145B, TransformerConfig
@@ -84,8 +84,6 @@ class ServingLayer(Workload):
         arch: ArchLike = TESLA_V100,
         cost_model: Optional[CostModel] = None,
         seed: int = 0,
-        gemm_configs: Optional[Mapping[str, GemmConfig]] = None,
-        tuned: bool = False,
     ) -> None:
         super().__init__(arch=arch, cost_model=cost_model, functional=False)
         check_positive("rows", rows)
@@ -94,25 +92,10 @@ class ServingLayer(Workload):
         self.rows = rows
         self.keys = keys
         self.seed = seed
-        self.tuned = tuned
-        if gemm_configs is None and tuned:
-            from repro.tune.table import tuned_gemm_configs
-
-            # Serving shapes vary per bucket, so the table keys per model
-            # config (not per shape): one stage→config map applies to
-            # every bucketed graph of this layer.
-            gemm_configs = tuned_gemm_configs(self.workload_key, self.arch)
-        self.gemm_configs = dict(gemm_configs) if gemm_configs else None
 
     @property
     def name(self) -> str:
         return f"{self.config.name} serving layer (rows={self.rows}, keys={self.keys})"
-
-    @property
-    def workload_key(self) -> str:
-        """The tuned-config table key (shape-independent, unlike the
-        graph name — tuned serving tiles apply to every bucket)."""
-        return f"serving_{self.config.name}"
 
     @property
     def width(self) -> int:
@@ -127,13 +110,10 @@ class ServingLayer(Workload):
         rows, keys = self.rows, self.keys
 
         def gemm(name: str, problem: GemmProblem, **kwargs) -> GemmKernel:
-            tuned_config = (self.gemm_configs or {}).get(name)
             return GemmKernel(
                 name,
                 problem,
-                config=tuned_config
-                if tuned_config is not None
-                else choose_gemm_config(problem, self.arch),
+                config=choose_gemm_config(problem, self.arch),
                 cost_model=self.cost_model,
                 **kwargs,
             )
@@ -224,7 +204,6 @@ class ServingGraphCache:
         arch: ArchLike = TESLA_V100,
         row_bucket: int = 8,
         kv_bucket: int = 64,
-        tuned: bool = False,
     ) -> None:
         check_positive("row_bucket", row_bucket)
         check_positive("kv_bucket", kv_bucket)
@@ -232,7 +211,6 @@ class ServingGraphCache:
         self.arch = arch
         self.row_bucket = row_bucket
         self.kv_bucket = kv_bucket
-        self.tuned = tuned
         self._graphs: Dict[Tuple[int, int], PipelineGraph] = {}
         #: How many ``graph_for`` calls built a fresh graph vs reused one.
         self.builds = 0
@@ -249,8 +227,7 @@ class ServingGraphCache:
         if graph is None:
             self.builds += 1
             graph = ServingLayer(
-                config=self.config, rows=key[0], keys=key[1], arch=self.arch,
-                tuned=self.tuned,
+                config=self.config, rows=key[0], keys=key[1], arch=self.arch
             ).to_graph()
             self._graphs[key] = graph
         else:

@@ -20,10 +20,9 @@ import numpy as np
 
 from repro.gpu.arch import ArchLike, TESLA_V100, resolve_arch
 from repro.gpu.costmodel import CostModel
-from repro.cusync.handle import PipelineResult
 from repro.cusync.optimizations import OptimizationFlags
 from repro.pipeline import graph as pipeline_graph
-from repro.pipeline.executors import PolicyLike
+from repro.pipeline.executors import PipelineResult, PolicyLike
 from repro.pipeline.session import run as run_graph
 
 

@@ -43,6 +43,7 @@ from repro.pipeline.executors import (
     CuSyncBackend,
     ExecutionContext,
     Executor,
+    PipelineResult,
     PolicyLike,
     StageSummary,
     StreamKBackend,
@@ -76,6 +77,7 @@ __all__ = [
     "StreamSyncBackend",
     "StreamKBackend",
     "CuSyncBackend",
+    "PipelineResult",
     "PolicyLike",
     "PolicySpec",
     "PolicyAssignment",

@@ -1,14 +1,18 @@
-"""Pluggable execution backends for :class:`~repro.pipeline.graph.PipelineGraph`.
+"""The execution layer: pluggable backends for :class:`~repro.pipeline.graph.PipelineGraph`.
 
 An :class:`Executor` turns the immutable graph description into one concrete
 run: it binds per-execution state (semaphores, CuStage objects, stream
-assignment, the cost model) to the graph's kernels, simulates, and unwinds.
-Three backends are registered —
+assignment, the cost model) to the graph's kernels, builds the launches and
+simulates them.  Three backends are registered —
 
 * ``streamsync`` — the paper's baseline: every kernel stripped of
   fine-grained synchronization, serialized on one stream;
 * ``streamk``    — Stream-K GeMM decomposition under stream sync;
 * ``cusync``     — the cuSync pipeline under a chosen policy family.
+
+Each backend builds its own launch list and hands it to one shared step that
+loads the run's tensors, allocates functional outputs and runs the
+:class:`~repro.gpu.simulator.GpuSimulator`.
 
 Backends never rebuild kernels: the graph's kernel objects are *re-bound*
 for each execution (their ``sync`` / ``cost_model`` / ``functional``
@@ -20,18 +24,23 @@ policy and architecture in any order with bit-identical results.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Type, Union
 
 import numpy as np
 
+from repro.common.dim3 import Dim3
 from repro.errors import GraphValidationError, SimulationError
 from repro.gpu.arch import GpuArchitecture, TESLA_V100
 from repro.gpu.costmodel import CostModel
+from repro.gpu.kernel import KernelLaunch, Segment, ThreadBlockProgram
 from repro.gpu.memory import GlobalMemory
-from repro.baselines.streamk import StreamKExecutor
-from repro.baselines.streamsync import StreamSyncExecutor
-from repro.cusync.handle import CuSyncPipeline, PipelineResult
+from repro.gpu.simulator import GpuSimulator, SimulationResult
+from repro.gpu.stream import Stream
+from repro.kernels.base import NoSync, TiledKernel
+from repro.kernels.gemm import GemmKernel
+from repro.kernels.streamk import StreamKGemmKernel
+from repro.cusync.custage import CuStage
 from repro.cusync.optimizations import OptimizationFlags, auto_optimizations
 from repro.cusync.policies import (
     PolicyAssignment,
@@ -40,19 +49,53 @@ from repro.cusync.policies import (
     SyncPolicy,
 )
 from repro.cusync import policies as policy_registry
+from repro.cusync.semaphores import SemaphoreAllocator
 from repro.cusync.tile_orders import RowMajorOrder, TileOrder
 from repro.pipeline.graph import Edge, PipelineGraph, StageSpec
 
 #: Policy selector accepted by the cusync backend: a policy family name
-#: (``"TileSync"``, ``"RowSync"``, ...), a :class:`PolicySpec`, a per-edge
-#: :class:`PolicyAssignment`, or (legacy) an explicit per-stage list of
-#: policy instances in the graph's launch order.
-PolicyLike = Union[str, PolicySpec, PolicyAssignment, Sequence[SyncPolicy]]
+#: (``"TileSync"``, ``"RowSync"``, ...), a :class:`PolicySpec` or a per-edge
+#: :class:`PolicyAssignment`.  Policy instances go on the graph instead
+#: (:attr:`StageSpec.policy`, :attr:`Edge.policy`).
+PolicyLike = Union[str, PolicySpec, PolicyAssignment]
+
+#: Occupancy of the single-block wait-kernel (it uses almost no resources).
+WAIT_KERNEL_OCCUPANCY = 32
+
+
+@dataclass
+class PipelineResult:
+    """Outcome of running a graph on the simulator."""
+
+    simulation: SimulationResult
+    wait_kernel_names: List[str] = field(default_factory=list)
+
+    @property
+    def total_time_us(self) -> float:
+        """End-to-end time of the pipeline (host launch to last block end)."""
+        return self.simulation.total_time_us
+
+    @property
+    def memory(self) -> GlobalMemory:
+        return self.simulation.memory
+
+    def kernel_duration_us(self, name: str) -> float:
+        return self.simulation.kernel_duration_us(name)
+
+    def total_wait_time_us(self) -> float:
+        """Total busy-wait time across all blocks (synchronization cost)."""
+        return self.simulation.trace.total_wait_time_us()
+
+    def tensor(self, name: str) -> np.ndarray:
+        """Fetch a tensor from simulated global memory (functional mode)."""
+        return self.memory.tensor(name)
+
+    def summary(self) -> str:
+        return self.simulation.trace.summary()
 
 
 # ----------------------------------------------------------------------
-# Per-stage policy resolution (shared by the cusync backend and the legacy
-# Workload helpers)
+# Per-stage policy resolution
 # ----------------------------------------------------------------------
 def policy_context(stage: StageSpec) -> PolicyContext:
     """The registry context describing ``stage`` as a producer."""
@@ -157,8 +200,8 @@ class ExecutionContext:
     arch: GpuArchitecture = TESLA_V100
     cost_model: Optional[CostModel] = None
     functional: bool = False
-    #: Policy selection for the cusync backend: family name, PolicySpec,
-    #: per-edge PolicyAssignment, or (legacy) per-stage policy list.
+    #: Policy selection for the cusync backend: family name, PolicySpec or
+    #: per-edge PolicyAssignment.
     policy: PolicyLike = "TileSync"
     #: Explicit optimization flags; ``None`` applies the automatic per-edge
     #: W/R/T choice of Section IV-C.
@@ -212,22 +255,85 @@ def available_schemes() -> List[str]:
 # ----------------------------------------------------------------------
 # The three paper backends
 # ----------------------------------------------------------------------
+def _simulate(
+    graph: PipelineGraph,
+    ctx: ExecutionContext,
+    cost_model: CostModel,
+    launches: List[KernelLaunch],
+    stages: Sequence[CuStage] = (),
+) -> PipelineResult:
+    """Set up the run's memory and simulate ``launches``.
+
+    Loads ``ctx.tensors`` into ``ctx.memory`` (a fresh memory when unset),
+    allocates the kernels' outputs in functional mode and the semaphore
+    arrays of the cuSync ``stages``.  With ``stages``, the producers'
+    outputs are the tensors race-checked in functional mode.
+    """
+    memory = ctx.memory if ctx.memory is not None else GlobalMemory()
+    if ctx.tensors:
+        for name, array in ctx.tensors.items():
+            memory.store_tensor(name, array)
+    if ctx.functional:
+        for kernel in graph.kernels:
+            kernel.allocate_functional_tensors(memory)
+    tracked = None
+    if stages:
+        SemaphoreAllocator(memory).allocate(stages)
+        tracked = {stage.geometry.output for stage in stages if stage.is_producer}
+    simulator = GpuSimulator(
+        arch=ctx.arch,
+        memory=memory,
+        cost_model=cost_model,
+        functional=ctx.functional,
+        tracked_tensors=tracked,
+    )
+    return PipelineResult(
+        simulation=simulator.run(launches),
+        wait_kernel_names=[f"waitkernel_{stage.name}" for stage in stages if stage.needs_wait_kernel()],
+    )
+
+
+def _serialized_launch(
+    kernel: TiledKernel, cost_model: CostModel, functional: bool, stream: Stream
+) -> KernelLaunch:
+    """``kernel`` stripped of fine-grained synchronization, on ``stream``."""
+    kernel.sync = NoSync()
+    kernel.cost_model = cost_model
+    kernel.functional = functional
+    return kernel.build_launch(stream=stream)
+
+
 @register_executor
 class StreamSyncBackend(Executor):
-    """CUDA stream synchronization: the paper's baseline."""
+    """CUDA stream synchronization: the paper's baseline.
+
+    Every kernel is stripped of fine-grained synchronization and all of
+    them launch back to back on one stream, so a consumer starts only after
+    every thread block of its producer finished.
+    """
 
     scheme = "streamsync"
 
     def run(self, graph: PipelineGraph, ctx: ExecutionContext) -> PipelineResult:
-        executor = StreamSyncExecutor(
-            arch=ctx.arch, cost_model=ctx.resolved_cost_model(), functional=ctx.functional
-        )
-        return executor.run(list(graph.kernels), memory=ctx.memory, tensors=ctx.tensors)
+        cost_model = ctx.resolved_cost_model()
+        stream = Stream(priority=0, name="stream_sync")
+        launches = [
+            _serialized_launch(kernel, cost_model, ctx.functional, stream) for kernel in graph.kernels
+        ]
+        return _simulate(graph, ctx, cost_model, launches)
 
 
 @register_executor
 class StreamKBackend(Executor):
-    """Stream-K GeMM decomposition under stream synchronization."""
+    """Stream-K GeMM decomposition under stream synchronization.
+
+    Each GeMM is split into data-parallel full waves plus one work-centric
+    wave for the remainder; other kernels run as under StreamSync, all on
+    one stream.  Stream-K improves each GeMM individually but cannot overlap
+    dependent kernels, the distinction Section V-H draws against cuSync.
+    Only GeMMs convert, which is why Stream-K does not apply to the Conv2D
+    workloads.
+    """
 
     scheme = "streamk"
 
@@ -239,24 +345,37 @@ class StreamKBackend(Executor):
                 "simulation is not supported under scheme='streamk'"
             )
         cost_model = ctx.resolved_cost_model()
-        executor = StreamKExecutor(arch=ctx.arch, cost_model=cost_model)
-        # Stream-K variants are per-execution derivations (they re-partition
-        # the K dimension for the target arch); the graph's own kernels are
-        # left untouched.
-        items = [StreamKExecutor.convert(kernel, cost_model) for kernel in graph.kernels]
-        return executor.run(items, memory=ctx.memory, tensors=ctx.tensors)
+        stream = Stream(priority=0, name="stream_k")
+        launches: List[KernelLaunch] = []
+        for kernel in graph.kernels:
+            if isinstance(kernel, GemmKernel):
+                # Stream-K variants are per-execution derivations (they
+                # re-partition the K dimension for the target arch); the
+                # graph's own kernels are left untouched.
+                streamk = StreamKGemmKernel(
+                    name=kernel.name,
+                    problem=kernel.problem,
+                    config=kernel.config,
+                    epilogue=kernel.epilogue,
+                    cost_model=cost_model,
+                )
+                launches.extend(streamk.build_launches(stream=stream))
+            else:
+                launches.append(_serialized_launch(kernel, cost_model, False, stream))
+        return _simulate(graph, ctx, cost_model, launches)
 
 
 @register_executor
 class CuSyncBackend(Executor):
     """Fine-grained tile synchronization: the paper's cuSync pipelines.
 
-    Per execution this backend materializes the binding layer — a
-    :class:`~repro.cusync.handle.CuSyncPipeline` holding fresh
-    :class:`~repro.cusync.custage.CuStage` objects, stream assignments and
-    semaphore allocations — wires it from the graph's edges, and runs it.
-    The binding is discarded afterwards; the graph and its kernels survive
-    unchanged for the next run.
+    Per execution this backend binds a fresh
+    :class:`~repro.cusync.custage.CuStage` to each stage's kernel, wires
+    the stages from the graph's edges and launches each stage on its own
+    stream (priority = launch index), with a wait-kernel in front of every
+    consumer unless the W optimization elides it (the host code of the
+    paper's Figure 4a).  The binding is discarded afterwards; the graph and
+    its kernels survive unchanged for the next run.
     """
 
     scheme = "cusync"
@@ -267,72 +386,60 @@ class CuSyncBackend(Executor):
         # automatic flag selection below reads kernel.occupancy(), which
         # must reflect ctx.arch, not whatever architecture the kernel was
         # constructed (or last run) with.
-        for stage in graph.topological_order:
-            stage.kernel.cost_model = cost_model
-        pipeline = CuSyncPipeline(
-            arch=ctx.arch, cost_model=cost_model, functional=ctx.functional
-        )
+        for spec in graph.topological_order:
+            spec.kernel.cost_model = cost_model
 
-        shared_flags: Optional[OptimizationFlags] = ctx.optimizations
         per_stage_flags: Optional[Dict[str, OptimizationFlags]] = None
-        if shared_flags is None:
+        if ctx.optimizations is None:
             per_stage_flags = auto_flags(graph, ctx.arch, ctx.stage_summaries)
+        assignment = PolicyAssignment.coerce(ctx.policy)
+        _check_assignment(assignment, graph)
 
-        policy = ctx.policy
-        assignment: Optional[PolicyAssignment] = None
-        per_stage_list: Optional[Sequence[SyncPolicy]] = None
-        if isinstance(policy, (str, PolicySpec, PolicyAssignment)):
-            assignment = PolicyAssignment.coerce(policy)
-            _check_assignment(assignment, graph)
-        else:
-            per_stage_list = list(policy)
-            if len(per_stage_list) != len(graph):
-                raise GraphValidationError(
-                    f"per-stage policy list has {len(per_stage_list)} entries but the graph "
-                    f"has {len(graph)} stages (launch order: {', '.join(graph.stage_names)})"
-                )
-
-        stages: Dict[str, object] = {}
-        stage_policies: Dict[str, SyncPolicy] = {}
-        for index, stage in enumerate(graph.topological_order):
-            if assignment is not None:
-                spec = assignment.spec_for_stage(stage.name)
-                stage_policy = stage.policy if stage.policy is not None else resolve_policy(spec, stage)
-                stage_order = stage.order if stage.order is not None else resolve_order(spec, stage)
+        stages: Dict[str, CuStage] = {}
+        for index, spec in enumerate(graph.topological_order):
+            family = assignment.spec_for_stage(spec.name)
+            if spec.optimizations is not None:
+                flags = spec.optimizations
+            elif ctx.optimizations is not None:
+                flags = ctx.optimizations
             else:
-                stage_policy = per_stage_list[index]
-                stage_order = stage.order if stage.order is not None else RowMajorOrder()
-            if stage.optimizations is not None:
-                flags = stage.optimizations
-            elif shared_flags is not None:
-                flags = shared_flags
-            else:
-                flags = per_stage_flags[stage.name]
-            stage_policies[stage.name] = stage_policy
-            stages[stage.name] = pipeline.add_stage(
-                stage.kernel,
-                policy=stage_policy,
-                order=stage_order,
+                flags = per_stage_flags[spec.name]
+            stage = CuStage(
+                name=spec.name,
+                geometry=spec.kernel.stage_geometry(),
+                policy=spec.policy if spec.policy is not None else resolve_policy(family, spec),
+                order=spec.order if spec.order is not None else resolve_order(family, spec),
                 optimizations=flags,
-                name=stage.name,
             )
-        for stage in graph.topological_order:
-            for edge in graph.in_edges(stage.name):
-                pipeline.add_dependency(
-                    stages[edge.producer],
-                    stages[edge.consumer],
+            stage.stage_index = index
+            spec.kernel.sync = stage
+            spec.kernel.functional = ctx.functional
+            stages[spec.name] = stage
+        for spec in graph.topological_order:
+            for edge in graph.in_edges(spec.name):
+                producer = stages[edge.producer]
+                stages[edge.consumer].depends_on(
+                    producer,
                     edge.tensor,
                     range_map=edge.range_map,
-                    policy=self._edge_policy(edge, graph, assignment, stage_policies),
+                    policy=self._edge_policy(edge, graph, assignment, producer.policy),
                 )
-        return pipeline.run(memory=ctx.memory, tensors=ctx.tensors)
+
+        launches: List[KernelLaunch] = []
+        for spec in graph.topological_order:
+            stage = stages[spec.name]
+            stream = Stream(priority=stage.stage_index, name=f"stream_{stage.name}")
+            if stage.needs_wait_kernel():
+                launches.append(_wait_kernel_launch(stage, stream, cost_model))
+            launches.append(spec.kernel.build_launch(stream=stream))
+        return _simulate(graph, ctx, cost_model, launches, list(stages.values()))
 
     @staticmethod
     def _edge_policy(
         edge: Edge,
         graph: PipelineGraph,
-        assignment: Optional[PolicyAssignment],
-        stage_policies: Dict[str, SyncPolicy],
+        assignment: PolicyAssignment,
+        producer_policy: SyncPolicy,
     ) -> Optional[SyncPolicy]:
         """The policy instance guarding one edge, or ``None`` to inherit.
 
@@ -343,19 +450,47 @@ class CuSyncBackend(Executor):
         to ``None`` as well — the stage deduplicates by value anyway, this
         just keeps the intent visible at the call site.
         """
-        producer_stage = graph.stage(edge.producer)
         selected: Optional[Union[str, PolicySpec, SyncPolicy]] = edge.policy
-        if selected is None and assignment is not None:
+        if selected is None:
             selected = assignment.spec_for_edge(edge.producer, edge.consumer, edge.tensor)
         if selected is None:
             return None
         if isinstance(selected, SyncPolicy):
             resolved = selected
         else:
-            resolved = resolve_policy(selected, producer_stage)
-        if resolved.key() == stage_policies[edge.producer].key():
+            resolved = resolve_policy(selected, graph.stage(edge.producer))
+        if resolved.key() == producer_policy.key():
             return None
         return resolved
+
+
+def _wait_kernel_launch(stage: CuStage, stream: Stream, cost_model: CostModel) -> KernelLaunch:
+    """Single-block kernel that blocks the consumer's stream until every
+    producer has started (Section III-B)."""
+    waits = stage.wait_kernel_waits()
+    poll_duration = cost_model.wait_kernel_poll_us()
+
+    def build(tile: Dim3) -> ThreadBlockProgram:
+        segment = Segment(
+            label="wait-kernel",
+            waits=list(waits),
+            duration_us=poll_duration,
+            # The real wait kernel busy-waits at poll granularity; the
+            # simulated block parks in the wake index instead (woken once,
+            # no re-dispatch) and back-charges the polls it would have
+            # issued while parked.
+            poll_interval_us=poll_duration,
+        )
+        return ThreadBlockProgram(tile=tile, segments=[segment])
+
+    return KernelLaunch(
+        name=f"waitkernel_{stage.name}",
+        grid=Dim3(1, 1, 1),
+        program_builder=build,
+        occupancy=WAIT_KERNEL_OCCUPANCY,
+        stream=stream,
+        tags={"kernel_class": "WaitKernel"},
+    )
 
 
 def _check_assignment(assignment: PolicyAssignment, graph: PipelineGraph) -> None:

@@ -69,7 +69,6 @@ from repro.gpu.arch import (
 )
 from repro.gpu.costmodel import CostModel
 from repro.gpu.memory import GlobalMemory
-from repro.cusync.handle import PipelineResult
 from repro.cusync.optimizations import OptimizationFlags
 from repro.cusync.policies import (
     PolicyAssignment,
@@ -78,6 +77,7 @@ from repro.cusync.policies import (
 )
 from repro.pipeline.executors import (
     ExecutionContext,
+    PipelineResult,
     PolicyLike,
     StageSummary,
     get_executor,
@@ -197,9 +197,6 @@ class SweepResult:
     @property
     def policy_label(self) -> str:
         return _policy_label(self.policy)
-
-    def duration_of(self, kernel_name: str) -> float:
-        return dict(self.kernel_durations_us)[kernel_name]
 
 
 @dataclass(frozen=True)

@@ -313,10 +313,6 @@ class SweepService:
         self.store_errors = 0
 
     # ------------------------------------------------------------------
-    @property
-    def inflight_count(self) -> int:
-        return len(self._inflight)
-
     def stats(self) -> Dict[str, int]:
         return {
             "points_submitted": self.points_submitted,

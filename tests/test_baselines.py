@@ -1,13 +1,12 @@
-"""Tests for the StreamSync and Stream-K baseline executors."""
+"""Tests for the StreamSync and Stream-K baseline schemes."""
 
 import numpy as np
-import pytest
 
-from repro.errors import SimulationError
+from repro.kernels.base import NoSync
 from repro.kernels.epilogue import GeLU
 from repro.kernels.gemm import GemmConfig, GemmKernel, GemmProblem
-from repro.kernels.streamk import StreamKGemmKernel
-from repro.baselines import StreamKExecutor, StreamSyncExecutor
+from repro.kernels.softmax_dropout import SoftmaxDropoutKernel, SoftmaxDropoutProblem
+from repro.pipeline import linear_graph, run
 
 
 def mlp_kernels(cost_model, m=96, n=128, k=128):
@@ -20,54 +19,66 @@ def mlp_kernels(cost_model, m=96, n=128, k=128):
     )
 
 
-class TestStreamSyncExecutor:
+def mlp_graph(cost_model, **shape):
+    return linear_graph(mlp_kernels(cost_model, **shape), ["XW1"])
+
+
+class TestStreamSyncScheme:
     def test_kernels_serialize(self, small_arch, small_cost_model):
-        k1, k2 = mlp_kernels(small_cost_model)
-        result = StreamSyncExecutor(arch=small_arch, cost_model=small_cost_model).run([k1, k2])
+        graph = mlp_graph(small_cost_model)
+        result = run(graph, scheme="streamsync", arch=small_arch, cost_model=small_cost_model)
         stats = result.simulation.trace.kernels
         assert stats["g2"].start_time_us >= stats["g1"].end_time_us
 
     def test_sync_stripped_from_kernels(self, small_arch, small_cost_model):
-        from repro.kernels.base import NoSync
-
-        k1, k2 = mlp_kernels(small_cost_model)
-        StreamSyncExecutor(arch=small_arch, cost_model=small_cost_model).run([k1, k2])
-        assert isinstance(k2.sync, NoSync)
+        graph = mlp_graph(small_cost_model)
+        run(graph, scheme="cusync", arch=small_arch, cost_model=small_cost_model)
+        run(graph, scheme="streamsync", arch=small_arch, cost_model=small_cost_model)
+        assert all(isinstance(kernel.sync, NoSync) for kernel in graph.kernels)
 
     def test_functional_result(self, small_arch, small_cost_model, rng):
-        k1, k2 = mlp_kernels(small_cost_model)
         X = rng.standard_normal((96, 128)).astype(np.float32)
         W1 = rng.standard_normal((128, 128)).astype(np.float32) * 0.1
         W2 = rng.standard_normal((128, 128)).astype(np.float32) * 0.1
-        executor = StreamSyncExecutor(arch=small_arch, cost_model=small_cost_model, functional=True)
-        result = executor.run([k1, k2], tensors={"X": X, "W1": W1, "W2": W2})
+        result = run(
+            mlp_graph(small_cost_model),
+            scheme="streamsync",
+            arch=small_arch,
+            cost_model=small_cost_model,
+            functional=True,
+            tensors={"X": X, "W1": W1, "W2": W2},
+        )
         np.testing.assert_allclose(
             result.tensor("XW12"), GeLU().apply(X @ W1) @ W2, rtol=1e-3, atol=1e-3
         )
 
-    def test_rejects_empty(self, small_arch, small_cost_model):
-        with pytest.raises(SimulationError):
-            StreamSyncExecutor(arch=small_arch, cost_model=small_cost_model).run([])
 
-
-class TestStreamKExecutor:
+class TestStreamKScheme:
     def test_convert_gemm(self, v100_cost_model):
         k1, _ = mlp_kernels(v100_cost_model, m=256, n=6144, k=4096)
-        converted = StreamKExecutor.convert(k1, v100_cost_model)
-        assert isinstance(converted, StreamKGemmKernel)
+        result = run(linear_graph([k1], []), scheme="streamk", cost_model=v100_cost_model)
+        # The GeMM runs as its data-parallel and Stream-K launches.
+        assert list(result.simulation.trace.kernels) == ["g1_dp", "g1_sk"]
 
     def test_convert_leaves_non_gemm(self, v100_cost_model):
-        from repro.kernels.softmax_dropout import SoftmaxDropoutKernel, SoftmaxDropoutProblem
-
         softmax = SoftmaxDropoutKernel("s", SoftmaxDropoutProblem(rows=8, row_length=8))
-        assert StreamKExecutor.convert(softmax, v100_cost_model) is softmax
+        result = run(linear_graph([softmax], []), scheme="streamk", cost_model=v100_cost_model)
+        assert list(result.simulation.trace.kernels) == ["s"]
+        assert isinstance(softmax.sync, NoSync)
 
     def test_run_mixed_pipeline(self, v100_cost_model):
-        problem = GemmProblem(m=256, n=6144, k=2048)
-        streamk = StreamKGemmKernel("gemm", problem, GemmConfig(256, 256, 32), cost_model=v100_cost_model)
-        result = StreamKExecutor(cost_model=v100_cost_model).run([streamk])
+        problem = GemmProblem(m=256, n=6144, k=2048, a="X", b="W", c="P")
+        gemm = GemmKernel("gemm", problem, GemmConfig(256, 256, 32), cost_model=v100_cost_model)
+        softmax = SoftmaxDropoutKernel(
+            "s",
+            SoftmaxDropoutProblem(rows=256, row_length=6144, input="P", output="R"),
+            sync_inputs=("P",),
+            cost_model=v100_cost_model,
+        )
+        result = run(
+            linear_graph([gemm, softmax], ["P"]), scheme="streamk", cost_model=v100_cost_model
+        )
+        stats = result.simulation.trace.kernels
         assert result.total_time_us > 0.0
-
-    def test_rejects_empty(self, v100_cost_model):
-        with pytest.raises(SimulationError):
-            StreamKExecutor(cost_model=v100_cost_model).run([])
+        # One stream: the softmax starts after the Stream-K GeMM finished.
+        assert stats["s"].start_time_us >= stats["gemm_sk"].end_time_us

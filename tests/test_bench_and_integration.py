@@ -1,5 +1,7 @@
 """Tests for the experiment harness plus end-to-end integration checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from repro.models import Attention, ConvChain, GptMlp, TransformerConfig
 from repro.models.config import RESNET38_LAYERS
 from repro.models.inference import TransformerLayer, VisionModel
 from repro.models.config import resnet38_config
-from repro.pipeline import Session
+from repro.pipeline import PipelineGraph, Session, run
 from repro.tune import SearchSpace, Tuner
 
 TINY = TransformerConfig(name="tiny", hidden=256, layers=2, tensor_parallel=8)
@@ -132,7 +134,7 @@ class TestCrossSchemeConsistency:
             outputs.append(run_functional(workload, policy=policy).tensor("XW12"))
         np.testing.assert_allclose(outputs[0], outputs[1], rtol=1e-5, atol=1e-5)
 
-    def test_under_synchronized_policy_detected_as_race(self, run_functional):
+    def test_under_synchronized_policy_detected_as_race(self):
         """A policy that waits for too few posts must surface as a data race.
 
         ``LeakyRowSync`` shares one semaphore per row (like RowSync) but only
@@ -152,8 +154,20 @@ class TestCrossSchemeConsistency:
         # Small tiles so each output row of the producer spans several tiles.
         configs = (GemmConfig(32, 32, 32), GemmConfig(32, 32, 32))
         workload = GptMlp(config=TINY, batch_seq=96, functional=True, gemm_configs=configs)
+        graph = workload.to_graph()
+        leaky = PipelineGraph(
+            stages=[replace(stage, policy=LeakyRowSync()) for stage in graph.stages],
+            edges=graph.edges,
+        )
         with pytest.raises(DataRaceError):
-            run_functional(workload, policy=[LeakyRowSync(), LeakyRowSync()])
+            run(
+                leaky,
+                scheme="cusync",
+                arch=workload.arch,
+                cost_model=workload.cost_model,
+                functional=True,
+                tensors=workload.input_tensors(),
+            )
 
     def test_improvements_deterministic_across_runs(self):
         first = ConvChain(RESNET38_LAYERS[0], batch=1).improvement_over_streamsync("RowSync")

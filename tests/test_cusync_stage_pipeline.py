@@ -7,12 +7,12 @@ from repro.common.dim3 import Dim3
 from repro.errors import SynchronizationError
 from repro.gpu.arch import TESLA_V100
 from repro.gpu.costmodel import CostModel
+from repro.gpu.simulator import GpuSimulator
 from repro.kernels.base import StageGeometry
 from repro.kernels.epilogue import GeLU
 from repro.kernels.gemm import GemmConfig, GemmKernel, GemmProblem
 from repro.cusync import (
     CuStage,
-    CuSyncPipeline,
     OptimizationFlags,
     RowSync,
     StridedSync,
@@ -21,6 +21,7 @@ from repro.cusync import (
     decorate_policy_name,
 )
 from repro.cusync.semaphores import STAGE_START_ARRAY
+from repro.pipeline import linear_graph, run
 
 
 def make_stage(policy=None, grid=Dim3(4, 2, 1), tile=(32, 64), split_k=1, batch=1, **kwargs):
@@ -136,79 +137,77 @@ class TestCuStagePlanning:
         assert not relaxed.needs_wait_kernel()
 
 
+@pytest.fixture
+def launches(monkeypatch):
+    """The launch list each ``GpuSimulator.run`` receives, one per run."""
+    captured = []
+    simulate = GpuSimulator.run
+
+    def spy(simulator, launch_list):
+        captured.append(list(launch_list))
+        return simulate(simulator, launch_list)
+
+    monkeypatch.setattr(GpuSimulator, "run", spy)
+    return captured
+
+
 class TestPipeline:
-    def _mlp_pipeline(self, arch, cost_model, policy, optimizations=None, functional=False):
+    def _run_mlp(self, arch, cost_model, policy, optimizations=None, functional=False, tensors=None):
         problem1 = GemmProblem(m=96, n=128, k=128, a="X", b="W1", c="XW1")
         problem2 = GemmProblem(m=96, n=128, k=128, a="XW1", b="W2", c="XW12")
         config = GemmConfig(tile_m=32, tile_n=32, tile_k=32)
         k1 = GemmKernel("g1", problem1, config, epilogue=GeLU(), cost_model=cost_model)
         k2 = GemmKernel("g2", problem2, config, cost_model=cost_model, sync_inputs=("XW1",))
-        pipeline = CuSyncPipeline(arch=arch, cost_model=cost_model, functional=functional)
-        s1 = pipeline.add_stage(k1, policy=policy, optimizations=optimizations)
-        s2 = pipeline.add_stage(k2, policy=policy, optimizations=optimizations)
-        pipeline.add_dependency(s1, s2, "XW1")
-        return pipeline
+        return run(
+            linear_graph([k1, k2], ["XW1"]),
+            scheme="cusync",
+            policy=policy,
+            optimizations=optimizations,
+            arch=arch,
+            cost_model=cost_model,
+            functional=functional,
+            tensors=tensors,
+        )
 
-    def test_wait_kernel_inserted(self, small_arch, small_cost_model):
-        pipeline = self._mlp_pipeline(small_arch, small_cost_model, TileSync(), OptimizationFlags.none())
-        from repro.gpu.memory import GlobalMemory
+    def test_wait_kernel_inserted(self, small_arch, small_cost_model, launches):
+        result = self._run_mlp(small_arch, small_cost_model, "TileSync", OptimizationFlags.none())
+        (launch_list,) = launches
+        assert [launch.name for launch in launch_list] == ["g1", "waitkernel_g2", "g2"]
+        # One stream per stage, prioritized by launch order; the wait-kernel
+        # blocks its consumer's stream.
+        assert [launch.stream.priority for launch in launch_list] == [0, 1, 1]
+        assert launch_list[1].stream is launch_list[2].stream
+        assert result.wait_kernel_names == ["waitkernel_g2"]
 
-        launches = pipeline.build_launches(GlobalMemory())
-        assert [launch.name for launch in launches] == ["g1", "waitkernel_g2", "g2"]
-
-    def test_wait_kernel_polls_at_cost_model_granularity(self, small_arch, small_cost_model):
+    def test_wait_kernel_polls_at_cost_model_granularity(self, small_arch, small_cost_model, launches):
         """The wait kernel's single busy-wait segment is duration-stepped:
         it parks in the wake index but charges one poll per elapsed
         ``wait_kernel_poll_us`` interval on resume."""
-        pipeline = self._mlp_pipeline(small_arch, small_cost_model, TileSync(), OptimizationFlags.none())
-        from repro.gpu.memory import GlobalMemory
-
-        launches = pipeline.build_launches(GlobalMemory())
-        wait_kernel = next(l for l in launches if l.name == "waitkernel_g2")
+        self._run_mlp(small_arch, small_cost_model, "TileSync", OptimizationFlags.none())
+        wait_kernel = next(l for l in launches[0] if l.name == "waitkernel_g2")
         program = wait_kernel.program_builder(Dim3(0, 0, 0))
         (segment,) = program.segments
         assert segment.waits
         assert segment.poll_interval_us == small_cost_model.wait_kernel_poll_us()
         assert segment.duration_us == small_cost_model.wait_kernel_poll_us()
 
-    def test_wait_kernel_elided_with_w(self, small_arch, small_cost_model):
-        pipeline = self._mlp_pipeline(small_arch, small_cost_model, TileSync(), OptimizationFlags.wrt())
-        from repro.gpu.memory import GlobalMemory
-
-        launches = pipeline.build_launches(GlobalMemory())
-        assert [launch.name for launch in launches] == ["g1", "g2"]
+    def test_wait_kernel_elided_with_w(self, small_arch, small_cost_model, launches):
+        result = self._run_mlp(small_arch, small_cost_model, "TileSync", OptimizationFlags.wrt())
+        assert [launch.name for launch in launches[0]] == ["g1", "g2"]
+        assert result.wait_kernel_names == []
 
     def test_functional_pipeline_matches_numpy(self, small_arch, small_cost_model, rng):
-        pipeline = self._mlp_pipeline(small_arch, small_cost_model, RowSync(), functional=True)
         X = rng.standard_normal((96, 128)).astype(np.float32)
         W1 = rng.standard_normal((128, 128)).astype(np.float32) * 0.1
         W2 = rng.standard_normal((128, 128)).astype(np.float32) * 0.1
-        result = pipeline.run(tensors={"X": X, "W1": W1, "W2": W2})
+        result = self._run_mlp(
+            small_arch, small_cost_model, "RowSync", functional=True, tensors={"X": X, "W1": W1, "W2": W2}
+        )
         reference = GeLU().apply(X @ W1) @ W2
         np.testing.assert_allclose(result.tensor("XW12"), reference, rtol=1e-3, atol=1e-3)
 
-    def test_wrong_stage_order_rejected(self, small_arch, small_cost_model):
-        problem1 = GemmProblem(m=32, n=32, k=32, a="X", b="W1", c="XW1")
-        problem2 = GemmProblem(m=32, n=32, k=32, a="XW1", b="W2", c="XW12")
-        config = GemmConfig(tile_m=32, tile_n=32, tile_k=32)
-        pipeline = CuSyncPipeline(arch=small_arch, cost_model=small_cost_model)
-        consumer_stage = pipeline.add_stage(GemmKernel("g2", problem2, config, sync_inputs=("XW1",)))
-        producer_stage = pipeline.add_stage(GemmKernel("g1", problem1, config))
-        pipeline.add_dependency(producer_stage, consumer_stage, "XW1")
-        from repro.gpu.memory import GlobalMemory
-
-        with pytest.raises(SynchronizationError):
-            pipeline.build_launches(GlobalMemory())
-
-    def test_empty_pipeline_rejected(self, small_arch, small_cost_model):
-        from repro.gpu.memory import GlobalMemory
-
-        with pytest.raises(SynchronizationError):
-            CuSyncPipeline(arch=small_arch, cost_model=small_cost_model).build_launches(GlobalMemory())
-
     def test_pipeline_result_accessors(self, small_arch, small_cost_model):
-        pipeline = self._mlp_pipeline(small_arch, small_cost_model, TileSync())
-        result = pipeline.run()
+        result = self._run_mlp(small_arch, small_cost_model, "TileSync")
         assert result.total_time_us > 0.0
         assert result.kernel_duration_us("g1") > 0.0
         assert "g1" in result.summary()

@@ -8,7 +8,7 @@ from repro.common.dim3 import Dim3
 from repro.gpu.arch import TESLA_V100
 from repro.gpu.kernel import KernelLaunch, Segment, SemPost, SemWait, ThreadBlockProgram, simple_kernel
 from repro.gpu.memory import GlobalMemory
-from repro.gpu.stream import Stream, StreamManager
+from repro.gpu.stream import Stream
 from repro.gpu.trace import BlockRecord, ExecutionTrace, KernelStats, analytic_utilization, wave_count
 
 
@@ -69,14 +69,6 @@ class TestKernelLaunch:
 class TestStreams:
     def test_streams_have_unique_ids(self):
         assert Stream().stream_id != Stream().stream_id
-
-    def test_manager_records_launch_order(self):
-        manager = StreamManager()
-        stream = manager.create(priority=1, name="s")
-        manager.record_launch(stream, "a")
-        manager.record_launch(stream, "b")
-        assert manager.kernels_on(stream) == ["a", "b"]
-        assert len(manager) == 1
 
 
 class TestTraceStatistics:

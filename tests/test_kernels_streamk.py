@@ -63,14 +63,11 @@ class TestStreamKExecution:
     def test_improves_partial_wave_utilization(self, cost_model):
         """Stream-K should beat the plain kernel when the final wave is small."""
         from repro.kernels.gemm import GemmKernel
-        from repro.baselines.streamsync import StreamSyncExecutor
-        from repro.baselines.streamk import StreamKExecutor
+        from repro.pipeline import linear_graph, run
 
         problem = GemmProblem(m=256, n=6144, k=8192)
-        config = GemmConfig(256, 256, 32)
-        plain = GemmKernel("gemm", problem, config, cost_model=cost_model)
-        baseline = StreamSyncExecutor(cost_model=cost_model).run([plain]).total_time_us
-
-        streamk = StreamKGemmKernel("gemm", problem, config, cost_model=cost_model)
-        result = StreamKExecutor(cost_model=cost_model).run([streamk]).total_time_us
+        plain = GemmKernel("gemm", problem, GemmConfig(256, 256, 32), cost_model=cost_model)
+        graph = linear_graph([plain], [])
+        baseline = run(graph, scheme="streamsync", cost_model=cost_model).total_time_us
+        result = run(graph, scheme="streamk", cost_model=cost_model).total_time_us
         assert result < baseline

@@ -15,6 +15,8 @@ import pickle
 import pytest
 
 from repro.common.dim3 import Dim3
+from repro.cusync.custage import CuStage
+from repro.cusync.semaphores import stage_semaphore_array
 from repro.errors import GraphValidationError, ModelConfigError
 from repro.cusync.policies import (
     BatchSync,
@@ -240,8 +242,6 @@ class TestPerEdgePolicies:
     def test_one_graph_mixes_policies_across_edges(self):
         """The acceptance criterion: a single graph, one execution,
         different policies on different edges of the same producer."""
-        from repro.cusync.handle import CuSyncPipeline
-
         problem1 = GemmProblem(m=256, n=512, k=1024, a="X", b="W1", c="XW1")
         problem2 = GemmProblem(m=256, n=512, k=512, a="XW1", b="W2", c="OUT1")
         problem3 = GemmProblem(m=256, n=512, k=512, a="XW1", b="W3", c="OUT2")
@@ -264,15 +264,18 @@ class TestPerEdgePolicies:
         assert mixed.total_time_us > 0.0
         assert mixed.total_time_us != uniform.total_time_us  # policies really differ
 
+        # The mixed run gave the producer a second semaphore slot.
+        assert mixed.memory.has_semaphores(stage_semaphore_array("fanout", 1))
+        assert not uniform.memory.has_semaphores(stage_semaphore_array("fanout", 1))
+
         # Inspect the binding the executor builds: the left edge waits on
         # the producer's default (TileSync) array, the right edge on a
         # dedicated RowSync slot, and the producer posts both.
-        pipeline = CuSyncPipeline()
-        p = pipeline.add_stage(producer, policy=TileSync(), name="fanout")
-        l = pipeline.add_stage(left, policy=TileSync(), name="left")
-        r = pipeline.add_stage(right, policy=TileSync(), name="right")
-        pipeline.add_dependency(p, l, "XW1")
-        pipeline.add_dependency(p, r, "XW1", policy=RowSync())
+        p = CuStage("fanout", producer.stage_geometry(), policy=TileSync())
+        l = CuStage("left", left.stage_geometry(), policy=TileSync())
+        r = CuStage("right", right.stage_geometry(), policy=TileSync())
+        l.depends_on(p, "XW1")
+        r.depends_on(p, "XW1", policy=RowSync())
         arrays = dict(p.semaphore_slots())
         assert len(arrays) == 2
         posts = p.posts_for(Dim3(0, 0, 0), producer.grid)

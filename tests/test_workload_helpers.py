@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.dim3 import Dim3
+from repro.errors import ModelConfigError
 from repro.gpu.kernel import SemWait
 from repro.kernels.base import ReadPlanStep
 from repro.kernels.gemm import _merge_k_plans
@@ -90,9 +91,11 @@ class TestWorkloadPolicyHelpers:
         assert isinstance(order, (GroupedColumnsOrder, RowMajorOrder))
 
     def test_explicit_policy_list(self):
+        """A per-stage list of policy instances is rejected; instances go on
+        the graph through ``StageSpec.policy`` / ``Edge.policy``."""
         graph = GptMlp(config=TINY, batch_seq=96).to_graph()
-        result = run(graph, scheme="cusync", policy=[TileSync(), RowSync()])
-        assert result.total_time_us > 0.0
+        with pytest.raises(ModelConfigError, match="StageSpec.policy"):
+            run(graph, scheme="cusync", policy=[TileSync(), RowSync()])
 
     def test_explicit_optimizations_respected(self):
         graph = GptMlp(config=TINY, batch_seq=96).to_graph()
