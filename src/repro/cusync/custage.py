@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.common.dim3 import Dim3, ceil_div
 from repro.errors import SynchronizationError
 from repro.gpu.kernel import SemPost, SemWait, TensorAccess, TileOrderFn
@@ -45,14 +43,16 @@ RangeMap = Callable[[IndexRange, IndexRange, int], Tuple[IndexRange, IndexRange,
 class Dependency:
     """One producer → consumer edge for a specific tensor.
 
-    ``policy`` overrides the producer's default policy for this edge only
-    (per-edge policy assignment); ``None`` inherits the producer's policy.
+    ``policy`` and ``array`` are the producer's semaphore slot the edge
+    synchronizes through, resolved once by :meth:`CuStage.depends_on`: the
+    producer's default policy and array, or the slot of a per-edge override.
     """
 
     producer: "CuStage"
     tensor: str
+    policy: SyncPolicy
+    array: str
     range_map: Optional[RangeMap] = None
-    policy: Optional[SyncPolicy] = None
 
 
 class CuStage(SyncInterface):
@@ -86,22 +86,14 @@ class CuStage(SyncInterface):
         #: Stages that consume this stage's output.
         self.consumers: List["CuStage"] = []
         #: Memoized consumer-read plans keyed by
-        #: (tensor, rows, cols, batch, policy slot).  Consumer blocks in the
+        #: (tensor, rows, cols, batch, semaphore array).  Consumer blocks in the
         #: same tile row/column ask for identical ranges, so the per-range
         #: planning loop runs once per distinct range instead of once per
         #: dispatched block.  Cached plans are shared (ReadPlanStep is
         #: frozen): callers must not mutate them.
         self._consumer_read_cache: Dict[
-            Tuple[str, IndexRange, IndexRange, int, int], List[ReadPlanStep]
+            Tuple[str, IndexRange, IndexRange, int, str], List[ReadPlanStep]
         ] = {}
-        #: Memoized ``_slot_of`` resolutions keyed by the policy object's
-        #: identity.  ``plan_consumer_reads`` runs once per consumer block
-        #: binding and the edge's policy object is stable for the life of
-        #: the stage (``None`` or the canonical registered instance), so
-        #: the per-call ``policy.key()`` comparisons collapse to one dict
-        #: hit.  Values hold the key object, keeping its id() from being
-        #: recycled while the entry exists.
-        self._slot_memo: Dict[int, Tuple[int, SyncPolicy, str, Optional[SyncPolicy]]] = {}
         #: Additional producer-side policies demanded by consumer edges that
         #: override this stage's default (slot 0 is ``self.policy``); each
         #: gets its own semaphore array and one extra post per output tile.
@@ -168,36 +160,33 @@ class CuStage(SyncInterface):
             raise SynchronizationError(
                 f"stage '{self.name}' already has a dependency for tensor '{tensor}'"
             )
-        if policy is not None:
-            policy = producer.register_edge_policy(policy)
-        if policy is None:
-            # The edge synchronizes through the producer's default policy
-            # (slot 0), which therefore must keep posting.
-            producer._slot0_edges += 1
+        slot_policy, array = producer.register_edge_policy(policy)
         self.dependencies[tensor] = Dependency(
-            producer=producer, tensor=tensor, range_map=range_map, policy=policy
+            producer=producer, tensor=tensor, policy=slot_policy, array=array, range_map=range_map
         )
         producer.consumers.append(self)
 
     # ------------------------------------------------------------------
     # Per-edge policy slots (producer side)
     # ------------------------------------------------------------------
-    def register_edge_policy(self, policy: SyncPolicy) -> Optional[SyncPolicy]:
-        """Register a consumer edge's policy override with this producer.
+    def register_edge_policy(self, policy: Optional[SyncPolicy]) -> Tuple[SyncPolicy, str]:
+        """Register one consumer edge with this producer and return its slot.
 
-        Returns the canonical policy object for the edge: ``None`` when the
-        override is value-identical to the stage default (the edge simply
-        uses slot 0), otherwise the deduplicated instance whose slot the
-        edge's waits and the producer's extra posts will share.
+        The slot is the (policy, semaphore array) pair the edge's waits and
+        the producer's posts share.  ``None``, or an override
+        value-identical to the stage default, is slot 0: the default policy
+        and array.  Any other override gets its own deduplicated slot.
         """
-        if policy.key() == self.policy.key():
-            return None
-        for existing in self._edge_policies:
+        if policy is None or policy.key() == self.policy.key():
+            # Slot 0 has a consumer, so the producer must keep posting it.
+            self._slot0_edges += 1
+            return self.policy, self.semaphore_array
+        for index, existing in enumerate(self._edge_policies, start=1):
             if existing.key() == policy.key():
-                return existing
+                return existing, stage_semaphore_array(self.name, index)
         policy.validate(self.logical_grid)
         self._edge_policies.append(policy)
-        return policy
+        return policy, stage_semaphore_array(self.name, len(self._edge_policies))
 
     def semaphore_slots(self) -> List[Tuple[str, SyncPolicy]]:
         """Every (array name, policy) pair this producer posts to."""
@@ -207,26 +196,6 @@ class CuStage(SyncInterface):
             for index, edge_policy in enumerate(self._edge_policies, start=1)
         )
         return slots
-
-    def _slot_of(self, policy: Optional[SyncPolicy]) -> Tuple[int, SyncPolicy, str]:
-        """Resolve an edge policy to its (slot, policy, array) triple."""
-        memo = self._slot_memo.get(id(policy))
-        if memo is not None:
-            return memo[0], memo[1], memo[2]
-        resolved = self._slot_of_uncached(policy)
-        self._slot_memo[id(policy)] = (*resolved, policy)
-        return resolved
-
-    def _slot_of_uncached(self, policy: Optional[SyncPolicy]) -> Tuple[int, SyncPolicy, str]:
-        if policy is None or policy.key() == self.policy.key():
-            return 0, self.policy, self.semaphore_array
-        for index, existing in enumerate(self._edge_policies, start=1):
-            if existing.key() == policy.key():
-                return index, existing, stage_semaphore_array(self.name, index)
-        raise SynchronizationError(
-            f"stage '{self.name}': edge policy {policy!r} was never registered "
-            "(declare the dependency with depends_on(..., policy=...))"
-        )
 
     @property
     def is_consumer(self) -> bool:
@@ -252,7 +221,7 @@ class CuStage(SyncInterface):
         if dependency.range_map is not None:
             rows, cols, batch = dependency.range_map(rows, cols, batch)
         return dependency.producer.plan_consumer_reads(
-            tensor, rows, cols, batch, policy=dependency.policy
+            tensor, rows, cols, batch, dependency.policy, dependency.array
         )
 
     def plan_consumer_reads(
@@ -261,7 +230,8 @@ class CuStage(SyncInterface):
         rows: IndexRange,
         cols: IndexRange,
         batch: int,
-        policy: Optional[SyncPolicy] = None,
+        policy: SyncPolicy,
+        array: str,
     ) -> List[ReadPlanStep]:
         """Producer-side mapping: element ranges of *my output* → guarded chunks.
 
@@ -270,23 +240,20 @@ class CuStage(SyncInterface):
         identical are merged, which collapses RowSync dependences into a
         single wait covering the whole range.
 
-        ``policy`` selects the edge's policy slot: ``None`` (or a policy
-        value-identical to the stage default) plans against slot 0, an
-        override registered via :meth:`depends_on` plans against its own
-        semaphore array.
+        ``policy`` and ``array`` are the edge's slot, as returned by
+        :meth:`register_edge_policy`.
 
-        Results are memoized per (tensor, rows, cols, batch, slot): the
+        Results are memoized per (tensor, rows, cols, batch, array): the
         policies, geometry and order of a stage are fixed once the pipeline
         is built, so identical ranges always plan identically.  The
         returned list is shared between callers and must be treated as
         immutable.
         """
-        slot, slot_policy, array = self._slot_of(policy)
-        key = (tensor, rows, cols, batch, slot)
+        key = (tensor, rows, cols, batch, array)
         cached = self._consumer_read_cache.get(key)
         if cached is not None:
             return cached
-        steps = self._plan_consumer_reads_uncached(tensor, rows, cols, batch, slot_policy, array)
+        steps = self._plan_consumer_reads_uncached(tensor, rows, cols, batch, policy, array)
         self._consumer_read_cache[key] = steps
         return steps
 
@@ -314,29 +281,17 @@ class CuStage(SyncInterface):
         row_hi = max(row_hi, row_lo + 1)
         col_hi = max(col_hi, col_lo + 1)
 
-        # Batched requirement derivation: one vectorized policy evaluation
-        # for the whole (column, row) window instead of two Python calls per
-        # covered tile.  ``.tolist()`` yields plain ints, so the emitted
-        # waits are value-identical to the scalar path.
-        col_indices = np.arange(col_lo, col_hi, dtype=np.int64)[:, None]
-        row_indices = np.arange(row_lo, row_hi, dtype=np.int64)[None, :]
-        semaphores = policy.semaphore_indices(col_indices, row_indices, batch, grid).tolist()
-        required_values = (
-            policy.expected_values(col_indices, row_indices, batch, grid) * self.posts_per_tile
-        ).tolist()
-
+        posts_per_tile = self.posts_per_tile
         steps: List[ReadPlanStep] = []
         previous_requirements: Optional[Tuple[Tuple[int, int], ...]] = None
-        for column_offset, tile_col in enumerate(range(col_lo, col_hi)):
+        for tile_col in range(col_lo, col_hi):
             requirements: Dict[int, int] = {}
             reads: List[TensorAccess] = []
-            column_semaphores = semaphores[column_offset]
-            column_required = required_values[column_offset]
-            for row_offset, tile_row in enumerate(range(row_lo, row_hi)):
-                semaphore = column_semaphores[row_offset]
-                required = column_required[row_offset]
-                existing = requirements.get(semaphore, 0)
-                if required > existing:
+            for tile_row in range(row_lo, row_hi):
+                tile = Dim3(tile_col, tile_row, batch)
+                semaphore = policy.semaphore_index(tile, grid)
+                required = policy.expected_value(tile, grid) * posts_per_tile
+                if required > requirements.get(semaphore, 0):
                     requirements[semaphore] = required
                 reads.append(TensorAccess(tensor, (tile_col, tile_row, batch)))
 

@@ -49,11 +49,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.common.dim3 import Dim3
 from repro.common.validation import check_positive
 from repro.errors import ModelConfigError, SynchronizationError
+from repro.gpu.kernel import row_major_tiles
 
 
 class SyncPolicy(ABC):
@@ -86,124 +85,29 @@ class SyncPolicy(ABC):
         """
         return (type(self).__name__,)
 
-    # ------------------------------------------------------------------
-    # Vectorized evaluation
-    #
-    # ``semaphore_index_batch`` / ``expected_value_batch`` are the numpy
-    # counterparts of the scalar methods: they receive equal-shaped integer
-    # arrays of tile coordinates and return an array of the same shape.
-    # Built-in policies override them with closed-form arithmetic; the
-    # safe entry points below fall back to the scalar methods whenever a
-    # subclass overrides the scalar mapping without updating the batch one.
-    # ------------------------------------------------------------------
-    def semaphore_index_batch(
-        self, xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, grid: Dim3
-    ) -> np.ndarray:
-        """Vectorized ``semaphore_index`` (default: scalar loop)."""
-        flat = [
-            self.semaphore_index(Dim3(int(x), int(y), int(z)), grid)
-            for x, y, z in zip(xs.ravel(), ys.ravel(), zs.ravel())
-        ]
-        return np.array(flat, dtype=np.int64).reshape(xs.shape)
-
-    def expected_value_batch(
-        self, xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, grid: Dim3
-    ) -> np.ndarray:
-        """Vectorized ``expected_value`` (default: scalar loop)."""
-        flat = [
-            self.expected_value(Dim3(int(x), int(y), int(z)), grid)
-            for x, y, z in zip(xs.ravel(), ys.ravel(), zs.ravel())
-        ]
-        return np.array(flat, dtype=np.int64).reshape(xs.shape)
-
-    def semaphore_indices(self, xs, ys, zs, grid: Dim3) -> np.ndarray:
-        """Safe batched ``semaphore_index`` over broadcastable coordinates."""
-        xs, ys, zs = np.broadcast_arrays(np.asarray(xs), np.asarray(ys), np.asarray(zs))
-        if _has_native_batch(type(self)):
-            return np.asarray(self.semaphore_index_batch(xs, ys, zs, grid))
-        return SyncPolicy.semaphore_index_batch(self, xs, ys, zs, grid)
-
-    def expected_values(self, xs, ys, zs, grid: Dim3) -> np.ndarray:
-        """Safe batched ``expected_value`` over broadcastable coordinates."""
-        xs, ys, zs = np.broadcast_arrays(np.asarray(xs), np.asarray(ys), np.asarray(zs))
-        if _has_native_batch(type(self)):
-            return np.asarray(self.expected_value_batch(xs, ys, zs, grid))
-        return SyncPolicy.expected_value_batch(self, xs, ys, zs, grid)
-
-    # ------------------------------------------------------------------
     def validate(self, grid: Dim3) -> None:
-        """Check that every tile maps to a valid semaphore index.
+        """Check that every tile maps to a valid semaphore and expected value.
 
         Policies generated by cuSyncGen are validated against the declared
-        grid bounds before use (step 2 of the Section IV-A workflow).  For
-        policies with native batch implementations the whole grid is checked
-        with a handful of numpy reductions instead of one Python call pair
-        per tile, so validation no longer dominates graph construction on
-        large sweeps; the first offending tile is still reported exactly.
+        grid bounds before use (step 2 of the Section IV-A workflow).  The
+        error names the first offending tile in row-major order.
         """
         count = self.num_semaphores(grid)
-        zs, ys, xs = np.indices((grid.z, grid.y, grid.x), dtype=np.int64)
-        indices = self.semaphore_indices(xs, ys, zs, grid)
-        bad = (indices < 0) | (indices >= count)
-        if bad.any():
-            z, y, x = np.unravel_index(int(np.flatnonzero(bad.ravel())[0]), bad.shape)
-            tile = Dim3(int(x), int(y), int(z))
-            raise SynchronizationError(
-                f"{self.name}: tile {tile} maps to semaphore "
-                f"{self.semaphore_index(tile, grid)}, "
-                f"outside the allocated range [0, {count})"
-            )
-        values = self.expected_values(xs, ys, zs, grid)
-        non_positive = values <= 0
-        if non_positive.any():
-            z, y, x = np.unravel_index(
-                int(np.flatnonzero(non_positive.ravel())[0]), non_positive.shape
-            )
-            tile = Dim3(int(x), int(y), int(z))
-            raise SynchronizationError(
-                f"{self.name}: tile {tile} has non-positive expected value "
-                f"{self.expected_value(tile, grid)}"
-            )
+        for tile in row_major_tiles(grid):
+            index = self.semaphore_index(tile, grid)
+            if not 0 <= index < count:
+                raise SynchronizationError(
+                    f"{self.name}: tile {tile} maps to semaphore {index}, "
+                    f"outside the allocated range [0, {count})"
+                )
+            value = self.expected_value(tile, grid)
+            if value <= 0:
+                raise SynchronizationError(
+                    f"{self.name}: tile {tile} has non-positive expected value {value}"
+                )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
-
-
-def _defining_class(cls: type, attribute: str) -> Optional[type]:
-    for klass in cls.__mro__:
-        if attribute in vars(klass):
-            return klass
-    return None
-
-
-#: Per-class memo of whether the batch methods can be trusted (see below).
-_BATCH_NATIVE: Dict[type, bool] = {}
-
-
-def _has_native_batch(cls: type) -> bool:
-    """Whether ``cls`` provides batch methods consistent with its scalars.
-
-    A batch method is trusted only when it is defined at (or below) the
-    class that defines the scalar method it mirrors: a subclass that
-    overrides ``semaphore_index`` but inherits ``semaphore_index_batch``
-    from its parent would silently diverge, so such classes fall back to
-    the scalar loop.
-    """
-    cached = _BATCH_NATIVE.get(cls)
-    if cached is None:
-        cached = True
-        for scalar, batch in (
-            ("semaphore_index", "semaphore_index_batch"),
-            ("expected_value", "expected_value_batch"),
-        ):
-            batch_def = _defining_class(cls, batch)
-            scalar_def = _defining_class(cls, scalar)
-            if batch_def is None or batch_def is SyncPolicy:
-                cached = False
-            elif scalar_def is not None and not issubclass(batch_def, scalar_def):
-                cached = False
-        _BATCH_NATIVE[cls] = cached
-    return cached
 
 
 class TileSync(SyncPolicy):
@@ -219,12 +123,6 @@ class TileSync(SyncPolicy):
 
     def expected_value(self, tile: Dim3, grid: Dim3) -> int:
         return 1
-
-    def semaphore_index_batch(self, xs, ys, zs, grid: Dim3) -> np.ndarray:
-        return (zs * grid.y + ys) * grid.x + xs
-
-    def expected_value_batch(self, xs, ys, zs, grid: Dim3) -> np.ndarray:
-        return np.ones(xs.shape, dtype=np.int64)
 
 
 class RowSync(SyncPolicy):
@@ -246,12 +144,6 @@ class RowSync(SyncPolicy):
 
     def expected_value(self, tile: Dim3, grid: Dim3) -> int:
         return grid.x
-
-    def semaphore_index_batch(self, xs, ys, zs, grid: Dim3) -> np.ndarray:
-        return zs * grid.y + ys
-
-    def expected_value_batch(self, xs, ys, zs, grid: Dim3) -> np.ndarray:
-        return np.full(xs.shape, grid.x, dtype=np.int64)
 
 
 @dataclass
@@ -290,12 +182,6 @@ class StridedSync(SyncPolicy):
     def expected_value(self, tile: Dim3, grid: Dim3) -> int:
         return self.groups(grid)
 
-    def semaphore_index_batch(self, xs, ys, zs, grid: Dim3) -> np.ndarray:
-        return (zs * grid.y + ys) * self.stride + xs % self.stride
-
-    def expected_value_batch(self, xs, ys, zs, grid: Dim3) -> np.ndarray:
-        return np.full(xs.shape, self.groups(grid), dtype=np.int64)
-
 
 class Conv2DTileSync(TileSync):
     """Per-tile synchronization for implicit-GeMM Conv2D kernels.
@@ -327,12 +213,6 @@ class BatchSync(SyncPolicy):
 
     def expected_value(self, tile: Dim3, grid: Dim3) -> int:
         return grid.x * grid.y
-
-    def semaphore_index_batch(self, xs, ys, zs, grid: Dim3) -> np.ndarray:
-        return np.broadcast_to(zs, xs.shape).copy()
-
-    def expected_value_batch(self, xs, ys, zs, grid: Dim3) -> np.ndarray:
-        return np.full(xs.shape, grid.x * grid.y, dtype=np.int64)
 
 
 # ======================================================================

@@ -41,6 +41,9 @@ class TileOrder(ABC):
                 f"{self.name}: permutation has {len(order)} entries for grid {grid} "
                 f"with {grid.volume} tiles"
             )
+        for tile in order:
+            if not grid.contains(tile):
+                raise SynchronizationError(f"{self.name}: tile {tile} lies outside grid {grid}")
         if len(set(order)) != len(order):
             raise SynchronizationError(f"{self.name}: permutation repeats tiles for grid {grid}")
 

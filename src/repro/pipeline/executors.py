@@ -417,12 +417,11 @@ class CuSyncBackend(Executor):
             stages[spec.name] = stage
         for spec in graph.topological_order:
             for edge in graph.in_edges(spec.name):
-                producer = stages[edge.producer]
                 stages[edge.consumer].depends_on(
-                    producer,
+                    stages[edge.producer],
                     edge.tensor,
                     range_map=edge.range_map,
-                    policy=self._edge_policy(edge, graph, assignment, producer.policy),
+                    policy=self._edge_policy(edge, graph, assignment),
                 )
 
         launches: List[KernelLaunch] = []
@@ -436,32 +435,21 @@ class CuSyncBackend(Executor):
 
     @staticmethod
     def _edge_policy(
-        edge: Edge,
-        graph: PipelineGraph,
-        assignment: PolicyAssignment,
-        producer_policy: SyncPolicy,
+        edge: Edge, graph: PipelineGraph, assignment: PolicyAssignment
     ) -> Optional[SyncPolicy]:
         """The policy instance guarding one edge, or ``None`` to inherit.
 
         Precedence: the edge's own ``policy`` field, then the run
         assignment's per-edge entry, then the producer stage's policy
-        (returned as ``None`` so the stage's slot 0 is used directly).
-        Overrides that resolve to the producer's own policy are collapsed
-        to ``None`` as well — the stage deduplicates by value anyway, this
-        just keeps the intent visible at the call site.
+        (returned as ``None``).  :meth:`CuStage.register_edge_policy` maps
+        ``None`` and overrides equal to the producer's policy to slot 0.
         """
         selected: Optional[Union[str, PolicySpec, SyncPolicy]] = edge.policy
         if selected is None:
             selected = assignment.spec_for_edge(edge.producer, edge.consumer, edge.tensor)
-        if selected is None:
-            return None
-        if isinstance(selected, SyncPolicy):
-            resolved = selected
-        else:
-            resolved = resolve_policy(selected, graph.stage(edge.producer))
-        if resolved.key() == producer_policy.key():
-            return None
-        return resolved
+        if selected is None or isinstance(selected, SyncPolicy):
+            return selected
+        return resolve_policy(selected, graph.stage(edge.producer))
 
 
 def _wait_kernel_launch(stage: CuStage, stream: Stream, cost_model: CostModel) -> KernelLaunch:

@@ -83,6 +83,15 @@ class TestOtherPolicies:
         with pytest.raises(SynchronizationError):
             Broken().validate(GRID)
 
+    def test_validate_names_tile_with_zero_expected_value(self):
+        class ZeroAtOneTile(TileSync):
+            def expected_value(self, tile, grid):
+                return 0 if tile == Dim3(3, 2, 1) else 1
+
+        message = r"tile \[3, 2, 1\] has non-positive expected value 0"
+        with pytest.raises(SynchronizationError, match=message):
+            ZeroAtOneTile().validate(GRID)
+
 
 class TestTileOrders:
     @pytest.mark.parametrize(
@@ -124,3 +133,9 @@ class TestTileOrders:
         partial = ExplicitOrder(tiles=[Dim3(0, 0, 0)])
         with pytest.raises(SynchronizationError):
             partial.order_fn(Dim3(2, 1, 1))
+
+    def test_explicit_order_must_stay_inside_grid(self):
+        stray = ExplicitOrder(tiles=[Dim3(0, 0, 0), Dim3(1, 0, 0), Dim3(0, 1, 0), Dim3(7, 3, 0)])
+        message = r"ExplicitOrder: tile \[7, 3, 0\] lies outside grid \[2, 2, 1\]"
+        with pytest.raises(SynchronizationError, match=message):
+            stray.order_fn(Dim3(2, 2, 1))

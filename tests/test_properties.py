@@ -1,12 +1,12 @@
 """Property-based tests (hypothesis) for core invariants."""
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.common.dim3 import Dim3, ceil_div
 from repro.common.tiles import delinearize, iter_tiles, linearize
 from repro.gpu.arch import TESLA_V100
 from repro.gpu.costmodel import CostModel
+from repro.gpu.kernel import SemWait
 from repro.gpu.memory import GlobalMemory
 from repro.gpu.occupancy import KernelResources, OccupancyCalculator
 from repro.gpu.trace import analytic_utilization, wave_count
@@ -144,24 +144,10 @@ class TestPolicyProperties:
             policy.validate(grid)
 
     @given(grids)
-    @settings(max_examples=60, deadline=None)
-    def test_batched_evaluation_matches_scalar(self, grid):
-        """The vectorized semaphore_indices / expected_values wrappers agree
-        element-for-element with the scalar methods for every registered
-        family (the hot-path planner and validate() rely on this)."""
-        zs, ys, xs = np.indices((grid.z, grid.y, grid.x))
-        for policy in _registered_policy_instances(grid):
-            batched_indices = policy.semaphore_indices(xs, ys, zs, grid)
-            batched_values = policy.expected_values(xs, ys, zs, grid)
-            for tile in iter_tiles(grid):
-                assert batched_indices[tile.z, tile.y, tile.x] == policy.semaphore_index(tile, grid)
-                assert batched_values[tile.z, tile.y, tile.x] == policy.expected_value(tile, grid)
-
-    @given(grids)
     @settings(max_examples=30, deadline=None)
-    def test_scalar_override_disables_inherited_batch_path(self, grid):
-        """A subclass overriding only the scalar mapping must not silently
-        reuse the parent's vectorized batch method."""
+    def test_scalar_override_drives_planning(self, grid):
+        """A subclass overriding only ``semaphore_index`` is validated and
+        planned through its override, not through its parent's mapping."""
 
         class ShiftedTileSync(TileSync):
             def semaphore_index(self, tile, grid):
@@ -169,11 +155,21 @@ class TestPolicyProperties:
                 return (flat + 1) % grid.volume
 
         policy = ShiftedTileSync()
-        zs, ys, xs = np.indices((grid.z, grid.y, grid.x))
-        batched = policy.semaphore_indices(xs, ys, zs, grid)
-        for tile in iter_tiles(grid):
-            assert batched[tile.z, tile.y, tile.x] == policy.semaphore_index(tile, grid)
         policy.validate(grid)  # the shifted mapping is still a bijection
+        geometry = StageGeometry(
+            grid=grid, tile_rows=16, tile_cols=32, batch=grid.z, output="OUT"
+        )
+        producer = CuStage("producer", geometry, policy=policy)
+        consumer = CuStage("consumer", geometry)
+        consumer.depends_on(producer, "OUT")
+        for batch in range(grid.z):
+            steps = consumer.plan_reads("OUT", (0, 16 * grid.y), (0, 32 * grid.x), batch)
+            for step in steps:
+                read_tiles = [Dim3(*read.tile_key) for read in step.reads]
+                assert set(step.waits) == {
+                    SemWait(producer.semaphore_array, policy.semaphore_index(tile, grid), 1)
+                    for tile in read_tiles
+                }
 
 
 class TestTileOrderProperties:
