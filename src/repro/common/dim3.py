@@ -48,6 +48,11 @@ class Dim3:
     z: int = 1
 
     def __post_init__(self) -> None:
+        x, y, z = self.x, self.y, self.z
+        # One test for the common case (exact non-negative ints); anything
+        # else takes the per-component checks and their error messages.
+        if type(x) is int and type(y) is int and type(z) is int and x >= 0 and y >= 0 and z >= 0:
+            return
         for name in ("x", "y", "z"):
             value = getattr(self, name)
             if not isinstance(value, int):

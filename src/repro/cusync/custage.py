@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.dim3 import Dim3, ceil_div
 from repro.errors import SynchronizationError
-from repro.gpu.kernel import SemPost, SemWait, TensorAccess, TileOrderFn
+from repro.gpu.kernel import SemPost, SemWait, TensorAccess, TileOrderFn, row_major_tiles
 from repro.kernels.base import IndexRange, ReadPlanStep, StageGeometry, SyncInterface
 from repro.cusync.optimizations import OptimizationFlags
 from repro.cusync.policies import SyncPolicy, TileSync
@@ -81,6 +81,11 @@ class CuStage(SyncInterface):
         #: Launch index of the stage: its stream priority and its slot in
         #: the stage-start array.  Set by the cusync backend.
         self.stage_index: int = 0
+        #: Whether the stage is bound for a functional run.  Set by the
+        #: cusync backend; only functional runs race-check reads, so only
+        #: they get ``reads`` in planned steps.
+        self.functional: bool = True
+        self._logical_grid = geometry.logical_grid
         #: Dependencies of this stage, keyed by the tensor it reads.
         self.dependencies: Dict[str, Dependency] = {}
         #: Stages that consume this stage's output.
@@ -102,6 +107,12 @@ class CuStage(SyncInterface):
         #: default policy).  When every edge overrides the default, nobody
         #: ever waits on the slot-0 array and its posts are elided.
         self._slot0_edges: int = 0
+        #: (array, policy) pairs each output tile posts, resolved by the
+        #: first post once the edges are wired (see :meth:`posts_for`).
+        self._post_slots: Optional[List[Tuple[str, SyncPolicy]]] = None
+        #: Per semaphore array: the wait guarding each logical tile, in
+        #: row-major order, built by the first read planned through it.
+        self._wait_tables: Dict[str, List[SemWait]] = {}
         # Validate the policy against the logical grid up front (the bounds
         # check cuSyncGen performs in step 2 of its workflow).
         self.policy.validate(self.logical_grid)
@@ -117,7 +128,7 @@ class CuStage(SyncInterface):
     @property
     def logical_grid(self) -> Dim3:
         """The grid of logical output tiles (split-K folded away)."""
-        return self.geometry.logical_grid
+        return self._logical_grid
 
     @property
     def semaphore_array(self) -> str:
@@ -177,6 +188,7 @@ class CuStage(SyncInterface):
         value-identical to the stage default, is slot 0: the default policy
         and array.  Any other override gets its own deduplicated slot.
         """
+        self._post_slots = None
         if policy is None or policy.key() == self.policy.key():
             # Slot 0 has a consumer, so the producer must keep posting it.
             self._slot0_edges += 1
@@ -238,7 +250,9 @@ class CuStage(SyncInterface):
         One chunk is emitted per column tile (the consumer's main-loop
         direction); consecutive chunks whose semaphore requirements are
         identical are merged, which collapses RowSync dependences into a
-        single wait covering the whole range.
+        single wait covering the whole range.  Each chunk's ``reads`` (the
+        producer tiles it covers, for race detection) are populated only
+        when the stage is bound for a functional run.
 
         ``policy`` and ``array`` are the edge's slot, as returned by
         :meth:`register_edge_policy`.
@@ -257,6 +271,22 @@ class CuStage(SyncInterface):
         self._consumer_read_cache[key] = steps
         return steps
 
+    def _tile_waits(self, policy: SyncPolicy, array: str) -> List[SemWait]:
+        """The wait guarding each logical tile under one slot, row-major."""
+        waits = self._wait_tables.get(array)
+        if waits is None:
+            grid = self._logical_grid
+            posts_per_tile = self.posts_per_tile
+            waits = self._wait_tables[array] = [
+                SemWait(
+                    array,
+                    policy.semaphore_index(tile, grid),
+                    policy.expected_value(tile, grid) * posts_per_tile,
+                )
+                for tile in row_major_tiles(grid)
+            ]
+        return waits
+
     def _plan_consumer_reads_uncached(
         self,
         tensor: str,
@@ -267,7 +297,7 @@ class CuStage(SyncInterface):
         array: str,
     ) -> List[ReadPlanStep]:
         geometry = self.geometry
-        grid = self.logical_grid
+        grid = self._logical_grid
         if not (0 <= batch < grid.z):
             raise SynchronizationError(
                 f"stage '{self.name}': consumer read references batch {batch} "
@@ -281,44 +311,45 @@ class CuStage(SyncInterface):
         row_hi = max(row_hi, row_lo + 1)
         col_hi = max(col_hi, col_lo + 1)
 
-        posts_per_tile = self.posts_per_tile
+        tile_waits = self._tile_waits(policy, array)
+        functional = self.functional
+        # Row-major offsets of this read's tile rows in the wait table.
+        row_offsets = [(batch * grid.y + row) * grid.x for row in range(row_lo, row_hi)]
+        tile_cols = geometry.tile_cols
         steps: List[ReadPlanStep] = []
-        previous_requirements: Optional[Tuple[Tuple[int, int], ...]] = None
+        run_waits: Optional[Tuple[SemWait, ...]] = None
         for tile_col in range(col_lo, col_hi):
-            requirements: Dict[int, int] = {}
             reads: List[TensorAccess] = []
-            for tile_row in range(row_lo, row_hi):
-                tile = Dim3(tile_col, tile_row, batch)
-                semaphore = policy.semaphore_index(tile, grid)
-                required = policy.expected_value(tile, grid) * posts_per_tile
-                if required > requirements.get(semaphore, 0):
-                    requirements[semaphore] = required
-                reads.append(TensorAccess(tensor, (tile_col, tile_row, batch)))
-
-            chunk_cols = (
-                max(cols[0], tile_col * geometry.tile_cols),
-                min(cols[1], (tile_col + 1) * geometry.tile_cols),
-            )
-            normalized = tuple(sorted(requirements.items()))
-            if steps and normalized == previous_requirements:
+            if functional:
+                reads = [
+                    TensorAccess(tensor, (tile_col, tile_row, batch))
+                    for tile_row in range(row_lo, row_hi)
+                ]
+            if len(row_offsets) == 1:
+                waits = (tile_waits[row_offsets[0] + tile_col],)
+            else:
+                # Per semaphore, the wait with the highest required value.
+                requirements: Dict[int, SemWait] = {}
+                for offset in row_offsets:
+                    wait = tile_waits[offset + tile_col]
+                    held = requirements.get(wait.index)
+                    if held is None or wait.required > held.required:
+                        requirements[wait.index] = wait
+                waits = tuple(sorted(requirements.values()))
+            chunk_hi = min(cols[1], (tile_col + 1) * tile_cols)
+            if waits == run_waits:
                 # Same semaphores as the previous chunk: extend it instead of
                 # waiting again (this is what makes RowSync one wait total).
-                last = steps[-1]
-                steps[-1] = ReadPlanStep(
-                    rows=last.rows,
-                    cols=(last.cols[0], chunk_cols[1]),
-                    waits=last.waits,
-                    reads=tuple(list(last.reads) + reads),
-                    batch=batch,
-                )
+                run_hi = chunk_hi
+                run_reads.extend(reads)
                 continue
-            waits = tuple(
-                SemWait(array, semaphore, required) for semaphore, required in normalized
-            )
-            steps.append(
-                ReadPlanStep(rows=rows, cols=chunk_cols, waits=waits, reads=tuple(reads), batch=batch)
-            )
-            previous_requirements = normalized
+            if run_waits is not None:
+                steps.append(
+                    ReadPlanStep(rows, (run_lo, run_hi), run_waits, tuple(run_reads), batch)
+                )
+            run_lo, run_hi = max(cols[0], tile_col * tile_cols), chunk_hi
+            run_waits, run_reads = waits, reads
+        steps.append(ReadPlanStep(rows, (run_lo, run_hi), run_waits, tuple(run_reads), batch))
         return steps
 
     # ------------------------------------------------------------------
@@ -340,32 +371,26 @@ class CuStage(SyncInterface):
         )
 
     def posts_for(self, tile: Dim3, grid: Dim3) -> List[SemPost]:
-        if not self.is_producer:
+        # One post per slot a consumer synchronizes through: slot 0 (unless
+        # elided) plus each edge override's own array, so mixing policies
+        # costs extra posts only on stages that actually mix.
+        slots = self._post_slots
+        if slots is None:
+            slots = self._post_slots = self._resolve_post_slots()
+        if not slots:
             return []
         logical = self.logical_tile(tile)
-        posts = []
-        if not self.slot0_posts_elided:
-            posts.append(
-                SemPost(
-                    self.semaphore_array,
-                    self.policy.semaphore_index(logical, self.logical_grid),
-                    1,
-                )
-            )
-        # Consumer edges that override this stage's policy synchronize
-        # through their own slot: the block posts once per distinct policy
-        # (the CUDA analogue would increment one semaphore array per
-        # registered scheme), so mixing policies costs extra posts only on
-        # stages that actually mix.
-        for index, edge_policy in enumerate(self._edge_policies, start=1):
-            posts.append(
-                SemPost(
-                    stage_semaphore_array(self.name, index),
-                    edge_policy.semaphore_index(logical, self.logical_grid),
-                    1,
-                )
-            )
-        return posts
+        logical_grid = self._logical_grid
+        return [
+            SemPost(array, policy.semaphore_index(logical, logical_grid), 1)
+            for array, policy in slots
+        ]
+
+    def _resolve_post_slots(self) -> List[Tuple[str, SyncPolicy]]:
+        if not self.is_producer:
+            return []
+        slots = self.semaphore_slots()
+        return slots[1:] if self.slot0_posts_elided else slots
 
     def output_tile_key(self, tile: Dim3, grid: Dim3):
         logical = self.logical_tile(tile)

@@ -22,6 +22,7 @@ from repro.common.dim3 import Dim3
 from repro.common.tiles import delinearize, iter_tiles
 from repro.common.validation import check_positive
 from repro.errors import SynchronizationError
+from repro.gpu.kernel import row_major_tiles
 
 
 class TileOrder(ABC):
@@ -62,7 +63,11 @@ class RowMajorOrder(TileOrder):
     name = "RowMajor"
 
     def permutation(self, grid: Dim3) -> List[Dim3]:
-        return list(iter_tiles(grid))
+        return list(row_major_tiles(grid))
+
+    def order_fn(self, grid: Dim3) -> Callable[[int], Dim3]:
+        # The memoized row-major enumeration is a permutation by construction.
+        return row_major_tiles(grid).__getitem__
 
 
 class ColumnMajorOrder(TileOrder):

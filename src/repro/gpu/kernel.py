@@ -73,7 +73,9 @@ class Segment:
     """One phase of a thread block's execution.
 
     Segments may be shared between the cached block programs of several
-    thread blocks, so the simulator treats them as immutable.
+    thread blocks, so the simulator treats them as immutable.  ``reads``
+    and ``writes`` are race-detection payload: kernels populate them only
+    for functional runs, the only runs that check them.
     """
 
     #: Human-readable label, e.g. ``"k-chunk 3"`` — only used in traces.

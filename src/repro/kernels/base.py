@@ -28,12 +28,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.common.dim3 import Dim3
+from repro.common.dim3 import Dim3, ceil_div
 from repro.gpu.costmodel import CostModel
 from repro.gpu.kernel import (
     KernelLaunch,
+    Segment,
     SemPost,
     SemWait,
     TensorAccess,
@@ -48,15 +49,16 @@ from repro.gpu.stream import Stream, DEFAULT_STREAM
 IndexRange = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ReadPlanStep:
+class ReadPlanStep(NamedTuple):
     """One chunk of a kernel's main loop over an input tensor.
 
     ``rows`` and ``cols`` are the element ranges of the input tensor the
     chunk reads; ``waits`` are the semaphore conditions that must hold
     before the chunk's tiles may be loaded; ``reads`` are the producer tile
-    keys covered by the chunk, used for data-race detection in functional
-    simulation.
+    keys covered by the chunk, used for data-race detection.  Only
+    functional runs race-check, so a stage bound for a timing run leaves
+    ``reads`` empty.  (A NamedTuple, like :class:`SemWait`: steps are
+    built per planned chunk, on the block-program build path.)
     """
 
     rows: IndexRange
@@ -148,6 +150,9 @@ class TiledKernel(ABC):
     resource usage; this base class handles occupancy and launch assembly.
     """
 
+    #: Input tensors whose reads the bound stage guards.
+    sync_inputs: Tuple[str, ...] = ()
+
     def __init__(
         self,
         name: str,
@@ -197,7 +202,12 @@ class TiledKernel(ABC):
         self._invalidate_plan_caches()
 
     def _invalidate_plan_caches(self) -> None:
-        """Drop memoized plans/durations; overridden by caching kernels."""
+        """Drop memoized plans/durations; caching kernels extend this."""
+        self._occupancy_cache: Optional[int] = None
+        #: Per-launch geometry tables (see :meth:`_block_tables`).
+        self._tables: Optional[tuple] = None
+        #: Epilogue segment per tile shape (see :meth:`_epilogue_segment`).
+        self._epilogue_cache: dict = {}
 
     # ------------------------------------------------------------------
     # Structural identity
@@ -259,7 +269,10 @@ class TiledKernel(ABC):
     # ------------------------------------------------------------------
     def occupancy(self) -> int:
         """Thread blocks resident per SM on the cost model's architecture."""
-        return OccupancyCalculator(self.cost_model.arch).blocks_per_sm(self.resources)
+        if self._occupancy_cache is None:
+            calculator = OccupancyCalculator(self.cost_model.arch)
+            self._occupancy_cache = calculator.blocks_per_sm(self.resources)
+        return self._occupancy_cache
 
     def build_launch(self, stream: Stream = DEFAULT_STREAM, issue_delay_us: float = 0.0) -> KernelLaunch:
         """Assemble the :class:`KernelLaunch` the simulator executes."""
@@ -284,6 +297,106 @@ class TiledKernel(ABC):
         lo, hi = r
         return (max(0, lo), min(hi, limit))
 
+    @staticmethod
+    def _spans(count: int, size: int, limit: int) -> List[Tuple[IndexRange, int]]:
+        """``(range, extent)`` of tiles ``0 .. count-1`` of ``size`` elements,
+        clamped to ``limit``: a per-launch table indexed by tile coordinate."""
+        spans = []
+        for index in range(count):
+            lo, hi = index * size, min((index + 1) * size, limit)
+            spans.append(((lo, hi), hi - lo))
+        return spans
+
+    def _block_tables(self, m: int, n: int, k: int) -> tuple:
+        """Per-launch geometry of an ``m x n`` output over a K dimension of
+        ``k``, indexed by tile coordinate: ``(rows, tile_m)`` per tile row,
+        ``(cols, tile_n)`` per tile column and ``(batch, k_range)`` per z."""
+        geometry = self.stage_geometry()
+        grid, split_k = geometry.grid, geometry.split_k
+        splits = self._spans(split_k, ceil_div(k, split_k), k)
+        self._tables = (
+            self._spans(grid.y, geometry.tile_rows, m),
+            self._spans(grid.x, geometry.tile_cols, n),
+            [(z // split_k, splits[z % split_k][0]) for z in range(grid.z)],
+        )
+        return self._tables
+
+    def _plan_operand(
+        self, tensor: str, rows: IndexRange, cols: IndexRange, batch: int
+    ) -> List[ReadPlanStep]:
+        """Plan the reads of one input, consulting the stage if synchronized."""
+        if tensor in self.sync_inputs:
+            return self.sync.plan_reads(tensor, rows, cols, batch)
+        return [ReadPlanStep(rows=rows, cols=cols, batch=batch)]
+
+    def _plan_entry(
+        self,
+        entries: dict,
+        key: Tuple[int, int],
+        tensor: str,
+        rows: IndexRange,
+        cols: IndexRange,
+        batch: int,
+        k_axis: str,
+        extent: int,
+    ) -> tuple:
+        """``(body key, plan)`` of one input, planned by the first block of
+        the binding that reads it at ``key`` (its tile row or column, and z).
+
+        The body key is the plan's id, unique while ``entries`` holds the
+        plan, or the tile ``extent`` when the plan is one waitless step over
+        the whole K range (``k_axis`` names the range that holds it), so such
+        bodies are shared by tile shape.  An unsynchronized input keys by
+        ``extent`` too, with no plan: the body plans it when it is built.
+        """
+        if tensor not in self.sync_inputs:
+            return extent, None
+        entry = entries.get(key)
+        if entry is None:
+            plan = self._plan_operand(tensor, rows, cols, batch)
+            neutral = _neutral_plan(plan, cols if k_axis == "cols" else rows, k_axis)
+            entry = entries[key] = (extent if neutral else id(plan), plan)
+        return entry
+
+    def _epilogue_duration_us(self, tile_m: int, tile_n: int, occupancy: int) -> float:
+        """Epilogue time of one output tile; kernels with an epilogue define it."""
+        raise NotImplementedError(f"{type(self).__name__} has no epilogue")
+
+    def _epilogue_segment(
+        self,
+        tile: Dim3,
+        shape: Tuple[int, int],
+        output: str,
+        compute=None,
+        plan: Sequence[ReadPlanStep] = (),
+    ) -> Segment:
+        """The final segment: fused epilogue, output store and ``post``.
+
+        ``plan`` is the read plan of an input the epilogue itself reads; its
+        waits guard the segment.  Blocks that read, post and compute nothing
+        share one segment per tile ``shape``; in functional runs the segment
+        also marks the ``output`` tile written.
+        """
+        shared = self._epilogue_cache.get(shape)
+        if shared is None:
+            duration = self._epilogue_duration_us(shape[0], shape[1], self.occupancy())
+            shared = self._epilogue_cache[shape] = Segment(label="epilogue", duration_us=duration)
+        posts = self.sync.posts_for(tile, self.grid)
+        if not (posts or plan or self.functional):
+            return shared
+        writes = []
+        if self.functional:
+            writes = [TensorAccess(output, self.sync.output_tile_key(tile, self.grid))]
+        return Segment(
+            label="epilogue",
+            waits=[wait for step in plan for wait in step.waits],
+            duration_us=shared.duration_us,
+            posts=posts,
+            reads=[read for step in plan for read in step.reads],
+            writes=writes,
+            compute=compute,
+        )
+
     def allocate_functional_tensors(self, memory: GlobalMemory) -> None:
         """Allocate the numpy tensors the kernel writes (functional mode).
 
@@ -294,3 +407,19 @@ class TiledKernel(ABC):
     def reference_result(self, memory: GlobalMemory):
         """Reference (numpy) result of the kernel, for correctness tests."""
         raise NotImplementedError(f"{type(self).__name__} has no functional reference")
+
+
+def _neutral_plan(plan: List[ReadPlanStep], span: IndexRange, axis: str) -> bool:
+    """Whether ``plan`` is a single waitless step exactly covering ``span``.
+
+    Such plans (unsynchronized operands, ``NoSync`` bindings) contribute
+    nothing to the merge beyond the span itself, so bodies built from them
+    are shared by tile shape rather than plan identity.
+    """
+    if len(plan) != 1:
+        return False
+    step = plan[0]
+    if step.waits or step.reads:
+        return False
+    covered = step.cols if axis == "cols" else step.rows
+    return covered == span

@@ -27,7 +27,7 @@ import numpy as np
 from repro.common.dim3 import Dim3, ceil_div
 from repro.common.validation import check_non_negative, check_positive
 from repro.gpu.costmodel import CostModel
-from repro.gpu.kernel import Segment, TensorAccess, ThreadBlockProgram
+from repro.gpu.kernel import Segment, ThreadBlockProgram
 from repro.gpu.memory import GlobalMemory
 from repro.gpu.occupancy import KernelResources
 from repro.kernels.base import IndexRange, ReadPlanStep, StageGeometry, SyncInterface, TiledKernel
@@ -126,14 +126,15 @@ class Conv2dKernel(TiledKernel):
         self.config = config if config is not None else choose_conv2d_config(problem)
         self.epilogue = epilogue if epilogue is not None else Identity()
         self.sync_inputs = tuple(sync_inputs)
-        self._occupancy_cache: Optional[int] = None
-        self._invalidate_plan_caches()
 
     def _invalidate_plan_caches(self) -> None:
-        self._occupancy_cache = None
+        super()._invalidate_plan_caches()
         self._chunk_duration_cache: dict = {}
-        self._epilogue_duration_cache: dict = {}
+        self._overlap_cache: dict = {}
         self._body_segment_cache: dict = {}
+        #: The synchronized input's ``(body key, plan)`` per (tile row, z), see
+        #: :meth:`_plan_entry`: a ``NoSync`` binding shares bodies across rows.
+        self._input_entries: dict = {}
         self._grid_cache: Optional[Dim3] = None
 
     # ------------------------------------------------------------------
@@ -155,11 +156,6 @@ class Conv2dKernel(TiledKernel):
     def resources(self) -> KernelResources:
         return self.config.resources(self.problem.element_bytes)
 
-    def occupancy(self) -> int:
-        if self._occupancy_cache is None:
-            self._occupancy_cache = super().occupancy()
-        return self._occupancy_cache
-
     def stage_geometry(self) -> StageGeometry:
         return StageGeometry(
             grid=self.grid,
@@ -171,68 +167,46 @@ class Conv2dKernel(TiledKernel):
         )
 
     def build_block_program(self, tile: Dim3) -> ThreadBlockProgram:
-        problem, cfg = self.problem, self.config
-        occupancy = self.occupancy()
-
-        rows = self._clamp_range((tile.y * cfg.tile_m, (tile.y + 1) * cfg.tile_m), problem.gemm_m)
-        cols = self._clamp_range((tile.x * cfg.tile_n, (tile.x + 1) * cfg.tile_n), problem.gemm_n)
-        split_index = tile.z
-        k_per_split = ceil_div(problem.gemm_k, cfg.split_k)
-        k_range = self._clamp_range(
-            (split_index * k_per_split, (split_index + 1) * k_per_split), problem.gemm_k
+        problem = self.problem
+        row_spans, col_spans, z_spans = self._tables or self._block_tables(
+            problem.gemm_m, problem.gemm_n, problem.gemm_k
         )
-
-        tile_m_actual = rows[1] - rows[0]
-        tile_n_actual = cols[1] - cols[0]
+        rows, tile_m_actual = row_spans[tile.y]
+        cols, tile_n_actual = col_spans[tile.x]
+        batch_index, k_range = z_spans[tile.z]
 
         # Share the main-loop segment list between blocks whose read plans
         # are identical (see GemmKernel.build_block_program): only the input
         # activations are ever synchronized, so outside functional mode the
-        # body depends on ``rows`` solely when the input is a sync input.
+        # body depends on ``rows`` solely through the input's plan.
+        compute = None
         if self.functional:
-            segments = self._body_segments(
-                rows, cols, k_range, tile_m_actual, tile_n_actual, occupancy
-            )
+            segments = self._body_segments(rows, cols, k_range, tile_m_actual, tile_n_actual)
+            compute = self._make_epilogue_compute(rows, cols)
         else:
-            body_key = (
-                rows if problem.input in self.sync_inputs else tile_m_actual,
-                tile_n_actual,
-                k_range,
+            input_key, input_plan = self._plan_entry(
+                self._input_entries, (tile.y, tile.z), problem.input, rows, k_range, batch_index,
+                "cols", tile_m_actual,
             )
+            body_key = (input_key, tile_n_actual, k_range)
             body = self._body_segment_cache.get(body_key)
             if body is None:
-                body = self._body_segments(
-                    rows, cols, k_range, tile_m_actual, tile_n_actual, occupancy
+                body = self._body_segment_cache[body_key] = self._body_segments(
+                    rows, cols, k_range, tile_m_actual, tile_n_actual, input_plan
                 )
-                self._body_segment_cache[body_key] = body
             segments = list(body)
-
-        epilogue_key = (tile_m_actual, tile_n_actual)
-        epilogue_duration = self._epilogue_duration_cache.get(epilogue_key)
-        if epilogue_duration is None:
-            epilogue_duration = self.cost_model.gemm_epilogue_us(
-                tile_m_actual, tile_n_actual, occupancy, problem.element_bytes
-            )
-            if self.epilogue.flops_per_element:
-                epilogue_duration += self.cost_model.compute_time_us(
-                    tile_m_actual * tile_n_actual * self.epilogue.flops_per_element,
-                    occupancy,
-                    precision="fp32",
-                )
-            self._epilogue_duration_cache[epilogue_key] = epilogue_duration
-        posts = self.sync.posts_for(tile, self.grid)
-        writes = [TensorAccess(problem.output, self.sync.output_tile_key(tile, self.grid))]
-        compute = self._make_epilogue_compute(rows, cols) if self.functional else None
         segments.append(
-            Segment(
-                label="epilogue",
-                duration_us=epilogue_duration,
-                posts=posts,
-                writes=writes,
-                compute=compute,
-            )
+            self._epilogue_segment(tile, (tile_m_actual, tile_n_actual), problem.output, compute)
         )
-        return ThreadBlockProgram(tile=tile, segments=segments)
+        return ThreadBlockProgram(tile, segments)
+
+    def _epilogue_duration_us(self, tile_m: int, tile_n: int, occupancy: int) -> float:
+        duration = self.cost_model.gemm_epilogue_us(tile_m, tile_n, occupancy, self.problem.element_bytes)
+        if self.epilogue.flops_per_element:
+            duration += self.cost_model.compute_time_us(
+                tile_m * tile_n * self.epilogue.flops_per_element, occupancy, precision="fp32"
+            )
+        return duration
 
     def _body_segments(
         self,
@@ -241,11 +215,13 @@ class Conv2dKernel(TiledKernel):
         k_range: IndexRange,
         tile_m_actual: int,
         tile_n_actual: int,
-        occupancy: int,
+        input_plan: Optional[List[ReadPlanStep]] = None,
     ) -> List[Segment]:
         """The main-loop segments of one block (everything but the epilogue)."""
         problem = self.problem
-        input_plan = self._plan_input(rows, k_range)
+        occupancy = self.occupancy()
+        if input_plan is None:
+            input_plan = self._plan_operand(problem.input, rows, k_range, 0)
         weight_plan = [ReadPlanStep(rows=k_range, cols=cols)]
         chunks = _merge_k_plans(input_plan, weight_plan, k_range)
 
@@ -266,10 +242,15 @@ class Conv2dKernel(TiledKernel):
             if reorder_loads and waits:
                 # Reorder-loads: the filter slice can be prefetched while
                 # waiting on the producer's activation tile.
-                overlappable = self.cost_model.memory_time_us(
-                    chunk_k * tile_n_actual * problem.element_bytes, occupancy
-                )
-            compute = self._make_chunk_compute(rows, cols, (k_lo, k_hi)) if self.functional else None
+                overlappable = self._overlap_cache.get((tile_n_actual, chunk_k))
+                if overlappable is None:
+                    overlappable = self.cost_model.memory_time_us(
+                        chunk_k * tile_n_actual * problem.element_bytes, occupancy
+                    )
+                    self._overlap_cache[(tile_n_actual, chunk_k)] = overlappable
+            compute = None
+            if self.functional:
+                compute = self._make_chunk_compute(rows, cols, (k_lo, k_hi))
             segments.append(
                 Segment(
                     label=f"k[{k_lo}:{k_hi}]",
@@ -282,7 +263,9 @@ class Conv2dKernel(TiledKernel):
             )
         return segments
 
-    def _plan_input(self, rows: IndexRange, k_range: IndexRange) -> List[ReadPlanStep]:
+    def _plan_operand(
+        self, tensor: str, rows: IndexRange, k_range: IndexRange, batch: int
+    ) -> List[ReadPlanStep]:
         """Plan the gathered reads of the input activations.
 
         A chunk ``[k0, k1)`` of the implicit K dimension touches the
@@ -291,15 +274,15 @@ class Conv2dKernel(TiledKernel):
         by the halo.
         """
         problem = self.problem
-        if problem.input not in self.sync_inputs:
-            return [ReadPlanStep(rows=rows, cols=k_range)]
+        if tensor not in self.sync_inputs:
+            return super()._plan_operand(tensor, rows, k_range, batch)
         taps = problem.kernel_r * problem.kernel_s
         channel_lo = k_range[0] // taps
         channel_hi = ceil_div(k_range[1], taps)
         pixel_rows = self._clamp_range(
             (rows[0] - problem.halo_rows, rows[1] + problem.halo_rows), problem.gemm_m
         )
-        steps = self.sync.plan_reads(problem.input, pixel_rows, (channel_lo, channel_hi), 0)
+        steps = self.sync.plan_reads(tensor, pixel_rows, (channel_lo, channel_hi), batch)
         # The stage answers in producer-output coordinates (pixel rows x
         # channels); convert the channel ranges back to this kernel's
         # implicit-K coordinates so the main-loop chunks line up.
@@ -328,19 +311,15 @@ class Conv2dKernel(TiledKernel):
         problem = self.problem
         x = memory.tensor(problem.input)
         taps = problem.kernel_r * problem.kernel_s
-        pad_r = problem.kernel_r // 2
-        pad_s = problem.kernel_s // 2
-        out = np.zeros((rows[1] - rows[0], k_range[1] - k_range[0]), dtype=np.float32)
-        for column_offset, k in enumerate(range(k_range[0], k_range[1])):
-            channel = k // taps
-            tap = k % taps
-            dr = tap // problem.kernel_s - pad_r
-            ds = tap % problem.kernel_s - pad_s
-            for row_offset, row in enumerate(range(rows[0], rows[1])):
-                image, py, px = problem.pixel_coords(row)
-                sy, sx = py + dr, px + ds
-                if 0 <= sy < problem.height and 0 <= sx < problem.width:
-                    out[row_offset, column_offset] = x[image, sy, sx, channel]
+        channel, tap = np.divmod(np.arange(k_range[0], k_range[1]), taps)
+        image, pixel = np.divmod(np.arange(rows[0], rows[1])[:, np.newaxis], problem.height * problem.width)
+        sy = pixel // problem.width + tap // problem.kernel_s - problem.kernel_r // 2
+        sx = pixel % problem.width + tap % problem.kernel_s - problem.kernel_s // 2
+        inside = (sy >= 0) & (sy < problem.height) & (sx >= 0) & (sx < problem.width)
+        image = np.broadcast_to(image, inside.shape)[inside]
+        channel = np.broadcast_to(channel, inside.shape)[inside]
+        out = np.zeros(inside.shape, dtype=np.float32)
+        out[inside] = x[image, sy[inside], sx[inside], channel]
         return out
 
     def _make_chunk_compute(self, rows: IndexRange, cols: IndexRange, k_range: IndexRange):

@@ -113,8 +113,11 @@ class CopyKernel(TiledKernel):
         count = elements[1] - elements[0]
         duration = self.cost_model.elementwise_tile_us(count, occupancy, problem.element_bytes)
         posts = self.sync.posts_for(tile, self.grid)
-        writes = [TensorAccess(problem.destination, self.sync.output_tile_key(tile, self.grid))]
-        compute = self._make_compute(elements) if self.functional else None
+        writes = []
+        compute = None
+        if self.functional:
+            writes = [TensorAccess(problem.destination, self.sync.output_tile_key(tile, self.grid))]
+            compute = self._make_compute(elements)
 
         segment = Segment(
             label=f"copy[{elements[0]}:{elements[1]}]",

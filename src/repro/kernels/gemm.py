@@ -16,8 +16,8 @@ loads), and the block posts its output tile when done (``stage.post``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from repro.common.validation import check_positive
 from repro.errors import SimulationError
 from repro.gpu.arch import GpuArchitecture, TESLA_V100
 from repro.gpu.costmodel import CostModel
-from repro.gpu.kernel import Segment, TensorAccess, ThreadBlockProgram
+from repro.gpu.kernel import Segment, ThreadBlockProgram
 from repro.gpu.memory import GlobalMemory
 from repro.gpu.occupancy import KernelResources, OccupancyCalculator
 from repro.kernels.base import IndexRange, ReadPlanStep, StageGeometry, SyncInterface, TiledKernel
@@ -201,8 +201,6 @@ class GemmKernel(TiledKernel):
         self.gate_input = gate_input
         self.a_transform = a_transform
         self.a_transform_flops = a_transform_flops
-        self._occupancy_cache: Optional[int] = None
-        self._invalidate_plan_caches()
         if functional and self.config.split_k > 1 and not isinstance(self.epilogue, Identity):
             raise SimulationError(
                 "functional simulation of a split-K GeMM with a fused epilogue is not supported: "
@@ -228,18 +226,12 @@ class GemmKernel(TiledKernel):
     def resources(self) -> KernelResources:
         return self.config.resources(self.problem.element_bytes)
 
-    def occupancy(self) -> int:
-        if self._occupancy_cache is None:
-            self._occupancy_cache = super().occupancy()
-        return self._occupancy_cache
-
     def _invalidate_plan_caches(self) -> None:
         # Keyed on tile shapes only: occupancy, element width, epilogue and
         # a_transform cost are fixed per kernel, and reassigning the inputs
         # they derive from (sync / cost_model / functional) lands here.
-        self._occupancy_cache = None
+        super()._invalidate_plan_caches()
         self._chunk_duration_cache: dict = {}
-        self._epilogue_duration_cache: dict = {}
         self._overlap_cache: dict = {}
         #: Shared main-loop segment lists, keyed by the ranges that actually
         #: influence them (see :meth:`build_block_program`).
@@ -251,6 +243,10 @@ class GemmKernel(TiledKernel):
         #: once per base key and each column tile composes in O(1) (see
         #: :meth:`_cached_body` / :meth:`_compose_body`).
         self._base_body_cache: dict = {}
+        #: Synchronized operands' ``(body key, plan)`` entries (see
+        #: :meth:`_plan_entry`): A's per (tile row, z), B's per (tile column, z).
+        self._a_entries: dict = {}
+        self._b_entries: dict = {}
         self._grid_cache: Optional[Dim3] = None
 
     def stage_geometry(self) -> StageGeometry:
@@ -267,125 +263,74 @@ class GemmKernel(TiledKernel):
     # Block program construction
     # ------------------------------------------------------------------
     def build_block_program(self, tile: Dim3) -> ThreadBlockProgram:
-        problem, cfg = self.problem, self.config
-        occupancy = self.occupancy()
-
-        batch_index = tile.z // cfg.split_k
-        split_index = tile.z % cfg.split_k
-
-        rows = self._clamp_range((tile.y * cfg.tile_m, (tile.y + 1) * cfg.tile_m), problem.m)
-        cols = self._clamp_range((tile.x * cfg.tile_n, (tile.x + 1) * cfg.tile_n), problem.n)
-        k_per_split = ceil_div(problem.k, cfg.split_k)
-        k_range = self._clamp_range(
-            (split_index * k_per_split, (split_index + 1) * k_per_split), problem.k
-        )
-
-        tile_m_actual = rows[1] - rows[0]
-        tile_n_actual = cols[1] - cols[0]
+        problem = self.problem
+        row_spans, col_spans, z_spans = self._tables or self._block_tables(problem.m, problem.n, problem.k)
+        rows, tile_m_actual = row_spans[tile.y]
+        cols, tile_n_actual = col_spans[tile.x]
+        batch_index, k_range = z_spans[tile.z]
 
         # Main-loop segments carry no per-tile state beyond what their read
-        # plans dictate, and the plans themselves are memoized (shared
-        # lists) by the producing stage.  Outside functional mode (whose
-        # compute closures capture absolute ranges) the immutable segment
-        # list can therefore be shared by every block whose operand plans
-        # are identical — build_program does O(1) planning work per block
-        # after the first tile of each distinct plan combination.
+        # plans dictate.  Outside functional mode (whose compute closures
+        # capture absolute ranges) the immutable segment list is therefore
+        # shared by every block whose operand plans are identical.
         if self.functional:
-            body = self._body_segments(
-                rows, cols, k_range, batch_index, tile_m_actual, tile_n_actual, occupancy
+            segments, _ = self._body_segments_indexed(
+                rows, cols, k_range, batch_index, tile_m_actual, tile_n_actual, self.occupancy()
             )
         else:
-            body = self._cached_body(
-                rows, cols, k_range, batch_index, tile_m_actual, tile_n_actual, occupancy
+            segments = list(
+                self._cached_body(tile, rows, cols, k_range, batch_index, tile_m_actual, tile_n_actual)
             )
 
-        segments = list(body)
-        segments.extend(
-            self._epilogue_segments(tile, batch_index, rows, cols, tile_m_actual, tile_n_actual, occupancy)
+        gate = ()
+        if self.gate_input is not None and self.gate_input in self.sync_inputs:
+            gate = self.sync.plan_reads(self.gate_input, rows, cols, batch_index)
+        compute = None
+        if self.functional:
+            compute = self._make_epilogue_compute(tile, batch_index, rows, cols)
+        segments.append(
+            self._epilogue_segment(tile, (tile_m_actual, tile_n_actual), problem.c, compute, gate)
         )
-        return ThreadBlockProgram(tile=tile, segments=segments)
-
-    @staticmethod
-    def _neutral_plan(plan: List[ReadPlanStep], span: IndexRange, axis: str) -> bool:
-        """Whether ``plan`` is a single waitless step exactly covering ``span``.
-
-        Such plans (unsynchronized operands, ``NoSync`` bindings) contribute
-        nothing to the merge beyond the span itself, so bodies built from
-        them are shared by tile shape rather than plan identity.
-        """
-        if len(plan) != 1:
-            return False
-        step = plan[0]
-        if step.waits or step.reads:
-            return False
-        covered = step.cols if axis == "cols" else step.rows
-        return covered == span
+        return ThreadBlockProgram(tile, segments)
 
     def _cached_body(
         self,
+        tile: Dim3,
         rows: IndexRange,
         cols: IndexRange,
         k_range: IndexRange,
         batch_index: int,
         tile_m_actual: int,
         tile_n_actual: int,
-        occupancy: int,
     ) -> List[Segment]:
-        """Memoized body segments, keyed by the operand plans' identities.
+        """Memoized body segments, keyed by the operand plan entries.
 
-        Operand read plans are memoized shared lists (the producing stage
-        caches them per distinct requested range), so their object
-        identities key the body cache exactly: equal ids mean equal plans.
-        Each cache value retains its plan lists, which keeps their ids from
-        being recycled while the entry lives.  Waitless single-step plans
-        (unsynchronized operands and ``NoSync`` bindings, which return a
-        fresh plain step per call) collapse to the tile extent instead, so
-        a StreamSync binding shares one body across its whole grid.
+        A synchronized operand's plan is resolved once per tile row (A) or
+        tile column (B) and split: the producing stage's memoized shared
+        list, whose id keys the body cache exactly while the entry holds it.
+        Unsynchronized operands and waitless single-step plans (``NoSync``
+        bindings) key by tile extent instead, so a StreamSync binding shares
+        one body across its whole grid.
         """
         problem = self.problem
-        # Unsynchronized operands need no plan at all to derive the key (a
-        # fresh plain step per block would only be allocation churn); their
-        # plan is materialized lazily on a cache miss.
-        a_plan = (
-            self._plan_operand(problem.a, rows, k_range, batch_index)
-            if problem.a in self.sync_inputs
-            else None
+        a_key, a_plan = self._plan_entry(
+            self._a_entries, (tile.y, tile.z), problem.a, rows, k_range, batch_index, "cols", tile_m_actual
         )
-        b_plan = (
-            self._plan_operand(problem.b, k_range, cols, batch_index, rows_are_k=True)
-            if problem.b in self.sync_inputs
-            else None
-        )
-        a_key = (
-            tile_m_actual
-            if a_plan is None or self._neutral_plan(a_plan, k_range, "cols")
-            else id(a_plan)
-        )
-        b_key = (
-            tile_n_actual
-            if b_plan is None or self._neutral_plan(b_plan, k_range, "rows")
-            else id(b_plan)
+        b_key, b_plan = self._plan_entry(
+            self._b_entries, (tile.x, tile.z), problem.b, k_range, cols, batch_index, "rows", tile_n_actual
         )
         key = (a_key, b_key, tile_m_actual, tile_n_actual, k_range, batch_index)
-        entry = self._body_segment_cache.get(key)
-        if entry is None:
-            built_a = (
-                a_plan
-                if a_plan is not None
-                else [ReadPlanStep(rows=rows, cols=k_range, batch=batch_index)]
+        segments = self._body_segment_cache.get(key)
+        if segments is None:
+            if a_plan is None:
+                a_plan = self._plan_operand(problem.a, rows, k_range, batch_index)
+            if b_plan is None:
+                b_plan = self._plan_operand(problem.b, k_range, cols, batch_index)
+            segments = self._body_segment_cache[key] = self._compose_body(
+                a_plan, b_plan, rows, cols, k_range, batch_index,
+                tile_m_actual, tile_n_actual, self.occupancy(), a_key,
             )
-            built_b = (
-                b_plan
-                if b_plan is not None
-                else [ReadPlanStep(rows=k_range, cols=cols, batch=batch_index)]
-            )
-            segments = self._compose_body(
-                built_a, built_b, rows, cols, k_range, batch_index,
-                tile_m_actual, tile_n_actual, occupancy, a_key,
-            )
-            entry = (segments, a_plan, b_plan)
-            self._body_segment_cache[key] = entry
-        return entry[0]
+        return segments
 
     def _compose_body(
         self,
@@ -429,9 +374,8 @@ class GemmKernel(TiledKernel):
                 rows, cols, k_range, batch_index, tile_m_actual, tile_n_actual, occupancy,
                 a_plan=a_plan, b_plan=neutral,
             )
-            entry = (segments, positions, a_plan)
-            self._base_body_cache[base_key] = entry
-        base, chunk_positions, _ = entry
+            entry = self._base_body_cache[base_key] = (segments, positions)
+        base, chunk_positions = entry
         if not b_step.waits and not b_step.reads:
             return base
         position = chunk_positions.get(b_step.rows[0])
@@ -457,21 +401,6 @@ class GemmKernel(TiledKernel):
         )
         return composed
 
-    def _body_segments(
-        self,
-        rows: IndexRange,
-        cols: IndexRange,
-        k_range: IndexRange,
-        batch_index: int,
-        tile_m_actual: int,
-        tile_n_actual: int,
-        occupancy: int,
-    ) -> List[Segment]:
-        """The main-loop segments of one block (everything but the epilogue)."""
-        return self._body_segments_indexed(
-            rows, cols, k_range, batch_index, tile_m_actual, tile_n_actual, occupancy,
-        )[0]
-
     def _body_segments_indexed(
         self,
         rows: IndexRange,
@@ -495,7 +424,7 @@ class GemmKernel(TiledKernel):
         if a_plan is None:
             a_plan = self._plan_operand(problem.a, rows, k_range, batch_index)
         if b_plan is None:
-            b_plan = self._plan_operand(problem.b, k_range, cols, batch_index, rows_are_k=True)
+            b_plan = self._plan_operand(problem.b, k_range, cols, batch_index)
         chunks = _merge_k_plans(a_plan, b_plan, k_range)
 
         reorder_loads = self.sync.reorder_loads
@@ -564,77 +493,18 @@ class GemmKernel(TiledKernel):
         return credit
 
     def _epilogue_duration_us(self, tile_m: int, tile_n: int, occupancy: int) -> float:
-        key = (tile_m, tile_n)
-        duration = self._epilogue_duration_cache.get(key)
-        if duration is None:
-            problem = self.problem
-            duration = self.cost_model.gemm_epilogue_us(
-                tile_m, tile_n, occupancy, problem.element_bytes
-            )
-            elements = tile_m * tile_n
-            if self.epilogue.flops_per_element:
-                duration += self.cost_model.compute_time_us(
-                    elements * self.epilogue.flops_per_element, occupancy, precision="fp32"
-                )
-            if self.epilogue.extra_reads_per_element:
-                duration += self.cost_model.memory_time_us(
-                    elements * self.epilogue.extra_reads_per_element * problem.element_bytes, occupancy
-                )
-            self._epilogue_duration_cache[key] = duration
-        return duration
-
-    def _plan_operand(
-        self,
-        tensor: str,
-        rows: IndexRange,
-        cols: IndexRange,
-        batch_index: int,
-        rows_are_k: bool = False,
-    ) -> List[ReadPlanStep]:
-        """Plan the reads of one operand, consulting the stage if synchronized."""
-        if tensor in self.sync_inputs:
-            return self.sync.plan_reads(tensor, rows, cols, batch_index)
-        return [ReadPlanStep(rows=rows, cols=cols, batch=batch_index)]
-
-    def _epilogue_segments(
-        self,
-        tile: Dim3,
-        batch_index: int,
-        rows: IndexRange,
-        cols: IndexRange,
-        tile_m_actual: int,
-        tile_n_actual: int,
-        occupancy: int,
-    ) -> List[Segment]:
-        """The final segment: fused epilogue, output store and ``post``."""
         problem = self.problem
-        duration = self._epilogue_duration_us(tile_m_actual, tile_n_actual, occupancy)
-
-        waits = []
-        reads = []
-        if self.gate_input is not None and self.gate_input in self.sync_inputs:
-            for step in self.sync.plan_reads(self.gate_input, rows, cols, batch_index):
-                waits.extend(step.waits)
-                reads.extend(step.reads)
-
-        posts = self.sync.posts_for(tile, self.grid)
-        writes = [TensorAccess(problem.c, self.sync.output_tile_key(tile, self.grid))]
-
-        compute = None
-        if self.functional:
-            compute = self._make_epilogue_compute(batch_index, rows, cols)
-
-        return [
-            Segment(
-                label="epilogue",
-                waits=waits,
-                duration_us=duration,
-                posts=posts,
-                reads=reads,
-                writes=writes,
-                compute=compute,
+        duration = self.cost_model.gemm_epilogue_us(tile_m, tile_n, occupancy, problem.element_bytes)
+        elements = tile_m * tile_n
+        if self.epilogue.flops_per_element:
+            duration += self.cost_model.compute_time_us(
+                elements * self.epilogue.flops_per_element, occupancy, precision="fp32"
             )
-        ]
+        if self.epilogue.extra_reads_per_element:
+            duration += self.cost_model.memory_time_us(
+                elements * self.epilogue.extra_reads_per_element * problem.element_bytes, occupancy
+            )
+        return duration
 
     # ------------------------------------------------------------------
     # Functional (numpy) computation
@@ -645,6 +515,16 @@ class GemmKernel(TiledKernel):
         shape = (problem.m, problem.n) if problem.batch == 1 else (problem.batch, problem.m, problem.n)
         if not memory.has_tensor(problem.c):
             memory.store_tensor(problem.c, np.zeros(shape, dtype=np.float32))
+        if self.config.split_k > 1:
+            grid = self.grid
+            memory.store_tensor(
+                self._arrivals_tensor, np.zeros((problem.batch, grid.y, grid.x), dtype=np.int64)
+            )
+
+    @property
+    def _arrivals_tensor(self) -> str:
+        """Functional runs: per output tile, the split-K blocks whose epilogue ran."""
+        return f"{self.problem.c}.split_k_arrivals"
 
     def _operand_slice(
         self, memory: GlobalMemory, name: str, batch: int, rows: IndexRange, cols: IndexRange
@@ -671,13 +551,22 @@ class GemmKernel(TiledKernel):
 
         return compute
 
-    def _make_epilogue_compute(self, batch: int, rows: IndexRange, cols: IndexRange):
+    def _make_epilogue_compute(self, tile: Dim3, batch: int, rows: IndexRange, cols: IndexRange):
         problem = self.problem
         epilogue = self.epilogue
+        split_k = self.config.split_k
+        arrivals_tensor = self._arrivals_tensor
 
         def compute(memory: GlobalMemory) -> None:
             if isinstance(epilogue, Identity):
                 return
+            if split_k > 1:
+                # Every split adds its partial sum into C; only the tile's
+                # last split to arrive sees the full sum.
+                arrivals = memory.tensor(arrivals_tensor)
+                arrivals[batch, tile.y, tile.x] += 1
+                if arrivals[batch, tile.y, tile.x] < split_k:
+                    return
             c = memory.tensor(problem.c)
             if c.ndim == 3:
                 tile_values = c[batch, rows[0]:rows[1], cols[0]:cols[1]]
@@ -712,8 +601,7 @@ class GemmKernel(TiledKernel):
         return out
 
 
-@dataclass(frozen=True)
-class _KChunk:
+class _KChunk(NamedTuple):
     """A merged main-loop chunk with the waits/reads that guard it."""
 
     k_range: IndexRange

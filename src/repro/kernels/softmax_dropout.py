@@ -22,7 +22,7 @@ from repro.gpu.costmodel import CostModel
 from repro.gpu.kernel import Segment, TensorAccess, ThreadBlockProgram
 from repro.gpu.memory import GlobalMemory
 from repro.gpu.occupancy import KernelResources, SOFTMAX_KERNEL_RESOURCES
-from repro.kernels.base import ReadPlanStep, StageGeometry, SyncInterface, TiledKernel
+from repro.kernels.base import StageGeometry, SyncInterface, TiledKernel
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,25 @@ class SoftmaxDropoutKernel(TiledKernel):
         self.rows_per_block = rows_per_block
         self.sync_inputs = tuple(sync_inputs)
 
+    def _invalidate_plan_caches(self) -> None:
+        super()._invalidate_plan_caches()
+        self._grid_cache: Optional[Dim3] = None
+        #: Per-launch ``(rows, row count)`` of each tile row, built by the first block.
+        self._row_spans: Optional[list] = None
+        #: Block duration per row count (interior bands plus a clamped last one).
+        self._duration_cache: dict = {}
+
     # ------------------------------------------------------------------
     # TiledKernel interface
     # ------------------------------------------------------------------
     @property
     def grid(self) -> Dim3:
-        return Dim3(1, ceil_div(self.problem.rows, self.rows_per_block), self.problem.batch)
+        grid = self._grid_cache
+        if grid is None:
+            grid = self._grid_cache = Dim3(
+                1, ceil_div(self.problem.rows, self.rows_per_block), self.problem.batch
+            )
+        return grid
 
     @property
     def resources(self) -> KernelResources:
@@ -91,34 +104,38 @@ class SoftmaxDropoutKernel(TiledKernel):
 
     def build_block_program(self, tile: Dim3) -> ThreadBlockProgram:
         problem = self.problem
-        occupancy = self.occupancy()
         batch_index = tile.z
-        rows = self._clamp_range(
-            (tile.y * self.rows_per_block, (tile.y + 1) * self.rows_per_block), problem.rows
-        )
-        cols = (0, problem.row_length)
-
-        if problem.input in self.sync_inputs:
-            plan = self.sync.plan_reads(problem.input, rows, cols, batch_index)
-        else:
-            plan = [ReadPlanStep(rows=rows, cols=cols, batch=batch_index)]
-
-        row_count = rows[1] - rows[0]
-        duration = self.cost_model.softmax_tile_us(row_count, problem.row_length, occupancy)
+        row_spans = self._row_spans
+        if row_spans is None:
+            row_spans = self._spans(self.grid.y, self.rows_per_block, problem.rows)
+            self._row_spans = row_spans
+        rows, row_count = row_spans[tile.y]
+        duration = self._duration_cache.get(row_count)
+        if duration is None:
+            duration = self._duration_cache[row_count] = self.cost_model.softmax_tile_us(
+                row_count, problem.row_length, self.occupancy()
+            )
 
         # The whole row must be resident before normalization can start, so
         # all waits land on the single compute segment.
-        waits = [wait for step in plan for wait in step.waits]
-        reads = [read for step in plan for read in step.reads]
-        posts = self.sync.posts_for(tile, self.grid)
-        writes = [TensorAccess(problem.output, self.sync.output_tile_key(tile, self.grid))]
-        compute = self._make_compute(batch_index, rows) if self.functional else None
+        waits = []
+        reads = []
+        if problem.input in self.sync_inputs:
+            cols = (0, problem.row_length)
+            for step in self.sync.plan_reads(problem.input, rows, cols, batch_index):
+                waits.extend(step.waits)
+                reads.extend(step.reads)
+        writes = []
+        compute = None
+        if self.functional:
+            writes = [TensorAccess(problem.output, self.sync.output_tile_key(tile, self.grid))]
+            compute = self._make_compute(batch_index, rows)
 
         segment = Segment(
             label=f"rows[{rows[0]}:{rows[1]}]",
             waits=waits,
             duration_us=duration,
-            posts=posts,
+            posts=self.sync.posts_for(tile, self.grid),
             reads=reads,
             writes=writes,
             compute=compute,

@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.common.dim3 import Dim3, ceil_div
-from repro.common.tiles import delinearize
 from repro.gpu.costmodel import CostModel
-from repro.gpu.kernel import KernelLaunch, Segment, TensorAccess, ThreadBlockProgram
+from repro.gpu.kernel import KernelLaunch, Segment, ThreadBlockProgram, row_major_tiles
 from repro.gpu.occupancy import KernelResources, OccupancyCalculator
 from repro.gpu.stream import Stream, DEFAULT_STREAM
 from repro.kernels.base import NoSync, SyncInterface, TiledKernel
@@ -66,16 +65,18 @@ class StreamKSchedule:
     assignments: List[StreamKAssignment] = field(default_factory=list)
 
     @property
+    def contributors(self) -> List[int]:
+        """Per Stream-K tile, how many blocks contribute to it."""
+        counts = [0] * self.streamk_tiles
+        for a in self.assignments:
+            for tile in range(a.start // self.iters_per_tile, ceil_div(a.stop, self.iters_per_tile)):
+                counts[tile] += 1
+        return counts
+
+    @property
     def tiles_split_across_blocks(self) -> int:
         """How many tiles have contributions from more than one block."""
-        split = 0
-        for tile in range(self.streamk_tiles):
-            start = tile * self.iters_per_tile
-            stop = start + self.iters_per_tile
-            owners = sum(1 for a in self.assignments if a.start < stop and a.stop > start)
-            if owners > 1:
-                split += 1
-        return split
+        return sum(1 for owners in self.contributors if owners > 1)
 
 
 class StreamKGemmKernel:
@@ -198,9 +199,10 @@ class StreamKGemmKernel:
             sync=NoSync(),
         )
 
+        tiles = row_major_tiles(grid)
+
         def build(tile: Dim3) -> ThreadBlockProgram:
-            logical = delinearize(tile.x, grid)
-            return kernel.build_block_program(logical)
+            return kernel.build_block_program(tiles[tile.x])
 
         return KernelLaunch(
             name=f"{self.name}_dp",
@@ -213,10 +215,16 @@ class StreamKGemmKernel:
 
     def _streamk_launch(self, schedule: StreamKSchedule, stream: Stream) -> KernelLaunch:
         problem, cfg = self.problem, self.config
-        grid = self.tile_grid()
         occupancy = self.occupancy()
         tile_m, tile_n = cfg.tile_m, cfg.tile_n
-        first_streamk_tile = schedule.data_parallel_tiles
+        iters_per_tile = schedule.iters_per_tile
+        cost_model = self.cost_model
+        # Per-launch tables: what a span costs depends only on its length,
+        # and each tile's fix-up on how many blocks contribute to it.
+        chunk_us = {}
+        epilogue_us = cost_model.gemm_epilogue_us(tile_m, tile_n, occupancy, problem.element_bytes)
+        spill_us = cost_model.memory_time_us(tile_m * tile_n * 4, occupancy)
+        contributors = schedule.contributors
 
         def build(tile: Dim3) -> ThreadBlockProgram:
             assignment = schedule.assignments[tile.x]
@@ -224,41 +232,28 @@ class StreamKGemmKernel:
             remaining = assignment.iterations
             cursor = assignment.start
             while remaining > 0:
-                tile_index = cursor // schedule.iters_per_tile
-                offset_in_tile = cursor % schedule.iters_per_tile
-                take = min(remaining, schedule.iters_per_tile - offset_in_tile)
-                chunk_k = take * cfg.tile_k
-                duration = self.cost_model.gemm_mainloop_chunk_us(
-                    tile_m, tile_n, chunk_k, occupancy, problem.element_bytes
-                )
-                finishes_tile = offset_in_tile + take == schedule.iters_per_tile
-                covers_whole_tile = take == schedule.iters_per_tile
-                writes = []
-                if finishes_tile:
-                    logical = delinearize(first_streamk_tile + tile_index, grid)
-                    writes = [TensorAccess(problem.c, (logical.x, logical.y, logical.z))]
-                    duration += self.cost_model.gemm_epilogue_us(
-                        tile_m, tile_n, occupancy, problem.element_bytes
+                tile_index = cursor // iters_per_tile
+                offset_in_tile = cursor % iters_per_tile
+                take = min(remaining, iters_per_tile - offset_in_tile)
+                duration = chunk_us.get(take)
+                if duration is None:
+                    duration = chunk_us[take] = cost_model.gemm_mainloop_chunk_us(
+                        tile_m, tile_n, take * cfg.tile_k, occupancy, problem.element_bytes
                     )
-                    if not covers_whole_tile:
-                        # Fix-up: reduce the partial accumulators of every
-                        # block that contributed to this tile.
-                        tile_start = tile_index * schedule.iters_per_tile
-                        tile_stop = tile_start + schedule.iters_per_tile
-                        contributors = sum(
-                            1
-                            for other in schedule.assignments
-                            if other.start < tile_stop and other.stop > tile_start
+                if offset_in_tile + take == iters_per_tile:
+                    # The block finishes the tile: epilogue, and unless it
+                    # covered the whole tile, a fix-up that reduces the
+                    # partial accumulators of every contributing block.
+                    duration += epilogue_us
+                    if take != iters_per_tile:
+                        duration += cost_model.streamk_fixup_us(
+                            tile_m, tile_n, contributors[tile_index], occupancy
                         )
-                        duration += self.cost_model.streamk_fixup_us(
-                            tile_m, tile_n, contributors, occupancy
-                        )
-                elif take < schedule.iters_per_tile:
+                elif take < iters_per_tile:
                     # A partial contribution is spilled to global memory.
-                    duration += self.cost_model.memory_time_us(tile_m * tile_n * 4, occupancy)
-                segments.append(
-                    Segment(label=f"iters[{cursor}:{cursor + take}]", duration_us=duration, writes=writes)
-                )
+                    duration += spill_us
+                label = f"iters[{cursor}:{cursor + take}]"
+                segments.append(Segment(label=label, duration_us=duration))
                 cursor += take
                 remaining -= take
             if not segments:

@@ -412,6 +412,7 @@ class CuSyncBackend(Executor):
                 optimizations=flags,
             )
             stage.stage_index = index
+            stage.functional = ctx.functional
             spec.kernel.sync = stage
             spec.kernel.functional = ctx.functional
             stages[spec.name] = stage

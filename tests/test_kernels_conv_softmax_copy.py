@@ -67,6 +67,30 @@ class TestConv2dKernel:
             memory.tensor("Y"), kernel.reference_result(memory), rtol=1e-3, atol=1e-3
         )
 
+    @pytest.mark.parametrize("kernel_rs", [(3, 3), (5, 3), (1, 1)], ids=["3x3", "5x3", "1x1"])
+    def test_im2col_gather_matches_loop_reference(self, rng, kernel_rs):
+        """The vectorized gather copies exactly what the per-element loop does."""
+        kernel_r, kernel_s = kernel_rs
+        problem = Conv2dProblem(
+            batch=2, height=5, width=7, in_channels=3, out_channels=4,
+            kernel_r=kernel_r, kernel_s=kernel_s,
+        )
+        memory = GlobalMemory()
+        memory.store_tensor("X", rng.standard_normal((2, 5, 7, 3)).astype(np.float32))
+        kernel = Conv2dKernel("c", problem)
+        x = memory.tensor("X")
+        taps = kernel_r * kernel_s
+        for rows, k_range in [((0, problem.gemm_m), (0, problem.gemm_k)), ((9, 41), (2, problem.gemm_k - 1))]:
+            expected = np.zeros((rows[1] - rows[0], k_range[1] - k_range[0]), dtype=np.float32)
+            for column, k in enumerate(range(*k_range)):
+                dr = (k % taps) // kernel_s - kernel_r // 2
+                ds = (k % taps) % kernel_s - kernel_s // 2
+                for row_offset, row in enumerate(range(*rows)):
+                    image, py, px = problem.pixel_coords(row)
+                    if 0 <= py + dr < problem.height and 0 <= px + ds < problem.width:
+                        expected[row_offset, column] = x[image, py + dr, px + ds, k // taps]
+            np.testing.assert_array_equal(kernel._gather_input_columns(memory, rows, k_range), expected)
+
     def test_stage_geometry_output_name(self):
         problem = Conv2dProblem(batch=1, height=8, width=8, in_channels=4, out_channels=4, output="act1")
         kernel = Conv2dKernel("c", problem)

@@ -1,0 +1,101 @@
+"""Per-launch block-program tables and the race payload.
+
+Kernels resolve their geometry, operand plans and posts once per launch
+binding, and only functional runs carry the ``reads``/``writes`` the race
+detector checks.  Neither may show in a trace:
+
+* a timing run and a functional run of the same graph and point produce
+  identical traces, so dropping the payload changed no timing;
+* a graph run under every scheme, policy, architecture and mode in an
+  interleaved order traces each point exactly as a freshly built graph
+  does, so no table outlives the binding it was built for.
+"""
+
+import random
+
+import pytest
+
+from golden_trace_utils import _serialize_result
+from repro.gpu.arch import AMPERE_A100, TESLA_V100
+from repro.kernels.gemm import GemmConfig
+from repro.models import RESNET38_LAYERS, Attention, ConvChain, GptMlp, TransformerConfig
+from repro.pipeline import run
+
+TINY = TransformerConfig(name="tiny", hidden=256, layers=2, tensor_parallel=8)
+RESNET_C64 = {spec.channels: spec for spec in RESNET38_LAYERS}[64]
+
+
+def _workload(name: str):
+    if name == "mlp_split_k":
+        return GptMlp(config=TINY, batch_seq=64, gemm_configs=(GemmConfig(64, 64, 32, 2),) * 2)
+    if name == "attention":
+        return Attention(config=TINY, batch=1, seq=64, functional=True)
+    if name == "attention_s128":
+        return Attention(config=TINY, batch=1, seq=128, functional=True)
+    return ConvChain(RESNET_C64, batch=1, functional=True)
+
+
+def _trace(graph, workload, scheme: str, functional: bool, arch=None):
+    """Serialized trace of one run (``scheme`` is ``"<backend>[:<policy>]"``)."""
+    backend, _, policy = scheme.partition(":")
+    result = run(
+        graph,
+        scheme=backend,
+        policy=policy or "TileSync",
+        arch=arch if arch is not None else workload.arch,
+        functional=functional,
+        tensors=workload.input_tensors() if functional else None,
+    )
+    return _serialize_result(result)
+
+
+@pytest.mark.parametrize(
+    "name,scheme",
+    [
+        ("mlp_split_k", "streamsync"),
+        ("mlp_split_k", "cusync:TileSync"),
+        ("mlp_split_k", "cusync:RowSync"),
+        ("attention", "streamsync"),
+        ("attention", "cusync:TileSync"),
+        ("attention", "cusync:RowSync"),
+        ("attention", "cusync:StridedTileSync"),
+        ("conv", "streamsync"),
+        ("conv", "cusync:Conv2DTileSync"),
+        ("conv", "cusync:RowSync"),
+    ],
+)
+def test_timing_and_functional_runs_trace_identically(name, scheme):
+    workload = _workload(name)
+    graph = workload.to_graph()
+    timing = _trace(graph, workload, scheme, functional=False)
+    functional = _trace(graph, workload, scheme, functional=True)
+    assert functional == timing
+
+
+@pytest.mark.parametrize(
+    "name,schemes",
+    [
+        (
+            "attention_s128",
+            ["streamsync", "streamk", "cusync:TileSync", "cusync:RowSync", "cusync:StridedTileSync"],
+        ),
+        ("conv", ["streamsync", "cusync:Conv2DTileSync", "cusync:RowSync"]),
+    ],
+    ids=["attention_s128", "conv"],
+)
+def test_tables_follow_every_rebinding(name, schemes):
+    workload = _workload(name)
+    points = [
+        (scheme, arch, functional)
+        for scheme in schemes
+        for arch in (TESLA_V100, AMPERE_A100)
+        for functional in (False, True)
+        # Stream-K models timing only.
+        if not (functional and scheme == "streamk")
+    ]
+    random.Random(0).shuffle(points)
+    graph = workload.to_graph()
+    for scheme, arch, functional in points:
+        reused = _trace(graph, workload, scheme, functional, arch)
+        fresh = _trace(workload.to_graph(), workload, scheme, functional, arch)
+        assert reused == fresh, (scheme, arch.name, functional)

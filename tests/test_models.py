@@ -18,8 +18,9 @@ from repro.models import (
     resnet38_config,
     vgg19_config,
 )
-from repro.kernels.gemm import GemmKernel
+from repro.kernels.gemm import GemmConfig, GemmKernel
 from repro.models.mlp import gpt3_mlp_gemm_configs
+from repro.pipeline import run
 from repro.pipeline.executors import resolve_policy
 from repro.cusync.policies import RowSync, StridedSync, TileSync
 
@@ -120,6 +121,26 @@ class TestGptMlp:
         result = run_functional(workload, scheme="streamsync")
         np.testing.assert_allclose(
             result.tensor("XW12"), workload.reference_output(), rtol=1e-3, atol=1e-3
+        )
+
+    @pytest.mark.parametrize(
+        "scheme,policy",
+        [("streamsync", "TileSync"), ("cusync", "TileSync"), ("cusync", "RowSync")],
+    )
+    def test_split_k_timing_graph_runs_functionally(self, scheme, policy):
+        """The fused GeLU applies once per output tile, after its last split."""
+        workload = GptMlp(config=TINY, batch_seq=64, gemm_configs=(GemmConfig(64, 64, 32, 2),) * 2)
+        result = run(
+            workload.to_graph(),
+            scheme=scheme,
+            policy=policy,
+            arch=workload.arch,
+            cost_model=workload.cost_model,
+            functional=True,
+            tensors=workload.input_tensors(),
+        )
+        np.testing.assert_allclose(
+            result.tensor("XW12"), workload.reference_output(), rtol=1e-4, atol=1e-4
         )
 
     def test_cusync_beats_streamsync_at_512(self):
