@@ -961,9 +961,10 @@ class Session:
         The single-point form of :meth:`sweep` (serial mode,
         ``on_error="raise"``): repeated evaluations of the same trace key
         replay from the in-memory cache (and the result store, when one
-        is attached) instead of re-simulating.  This is the hot call of
-        request-level serving loops (:mod:`repro.serving`), where most
-        iterations land on an already-simulated batch shape.
+        is attached) instead of re-simulating.  Request-level serving
+        (:mod:`repro.serving`) looks up each batch shape here until the
+        session returns it from its cache, then charges the shape's later
+        iterations from a per-run memo.
         """
         return self.sweep([(graph, point)], mode="serial", cache=cache)[0]
 

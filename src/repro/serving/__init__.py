@@ -27,7 +27,9 @@ The pieces (see ``docs/serving.md`` for the full tour):
     virtual-time loop charging each iteration the simulated GPU time of
     its batch-shaped transformer layer, evaluated through
     :meth:`Session.sweep_point <repro.pipeline.Session.sweep_point>` so
-    repeated batch shapes replay from the sweep cache / result store.
+    repeated batch shapes replay from the sweep cache / result store;
+    after a shape's first cached replay, the run charges it from a
+    per-run memo of iteration times.
     :func:`compare_schemes` runs one scenario under several schemes.
 
 :mod:`repro.serving.metrics`

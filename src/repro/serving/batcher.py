@@ -287,12 +287,16 @@ class ContinuousBatcher:
 
     def drain_shed(self) -> Tuple[ShedRecord, ...]:
         """Shed records appended since the previous drain."""
+        if self._shed_cursor == len(self.shed_records):
+            return ()
         records = tuple(self.shed_records[self._shed_cursor :])
         self._shed_cursor = len(self.shed_records)
         return records
 
     def drain_preemptions(self) -> Tuple[PreemptionRecord, ...]:
         """Preemption records appended since the previous drain."""
+        if self._preempt_cursor == len(self.preemption_records):
+            return ()
         records = tuple(self.preemption_records[self._preempt_cursor :])
         self._preempt_cursor = len(self.preemption_records)
         return records
@@ -430,6 +434,8 @@ class ContinuousBatcher:
         return list(self._queue)
 
     def _admit(self, now_us: float) -> Tuple[_QueueEntry, ...]:
+        if not self._queue:
+            return ()
         admitted: List[_QueueEntry] = []
         prefill_tokens = 0
         preempt_attempted = False

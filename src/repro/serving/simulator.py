@@ -10,8 +10,11 @@ iteration the **simulated** GPU time of running that graph under the
 scenario's scheme — obtained through
 :meth:`~repro.pipeline.Session.sweep_point`, so a repeated batch shape
 replays from the session's sweep cache (and the disk store, when one is
-attached) instead of re-simulating.  An idle system jumps the clock to
-the next arrival.
+attached) instead of re-simulating.  Once the session has returned a
+shape from its cache, the run charges that shape's later iterations from
+a per-run memo of iteration times, without another lookup, and counts
+each charge as a sweep-cache hit; a session with its cache off is asked
+every time.  An idle system jumps the clock to the next arrival.
 
 Overload semantics: the loop runs until every generated request is
 *terminally resolved* — completed or shed.  Shed records drained from
@@ -27,7 +30,7 @@ A :class:`~repro.testing.faults.ServingFaultPlan` may be threaded
 through :meth:`ServingSimulator.run` for request-level chaos: straggler
 iterations (duration multipliers), dropped completions (the request is
 re-queued and recomputed), and burst arrival spikes.  Faults never touch
-the sweep cache — they perturb the serving loop, not the kernel costs —
+the sweep cache or the memo — a straggler multiplies the looked-up time —
 so a fault-free replay of the same scenario stays bit-identical.
 
 Everything is deterministic for a given scenario (and fault plan):
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServingError, ServingStallError
 from repro.gpu.arch import ArchLike, TESLA_V100, resolve_arch
@@ -49,12 +52,7 @@ from repro.models.config import GPT3_145B, TransformerConfig
 from repro.models.serving import ServingGraphCache
 from repro.pipeline.session import Session, SweepPoint, SweepPolicy
 from repro.serving.arrivals import ArrivalProcess, InferenceRequest
-from repro.serving.batcher import (
-    BatchPlan,
-    ContinuousBatcher,
-    PREFILL,
-    ShedRecord,
-)
+from repro.serving.batcher import ContinuousBatcher, PREFILL, ShedRecord
 from repro.serving.metrics import LatencyReport, RequestRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -107,18 +105,21 @@ class ServingScenario:
     def __post_init__(self) -> None:
         if self.requests <= 0:
             raise ServingError(f"requests must be positive, got {self.requests}")
-        if self.iteration_overhead_us < 0.0:
+        # Negated comparisons, so a NaN (which fails every comparison) is
+        # rejected too: a NaN overhead makes the clock NaN, and the loop
+        # then never admits another arrival.
+        if not 0.0 <= self.iteration_overhead_us < math.inf:
             raise ServingError(
-                f"iteration_overhead_us must be non-negative, "
+                f"iteration_overhead_us must be finite and non-negative, "
                 f"got {self.iteration_overhead_us}"
             )
-        if self.slo_us <= 0.0:
+        if not self.slo_us > 0.0:
             raise ServingError(f"slo_us must be positive, got {self.slo_us}")
         if self.max_iterations is not None and self.max_iterations <= 0:
             raise ServingError(
                 f"max_iterations must be positive, got {self.max_iterations}"
             )
-        if self.max_sim_time_us is not None and self.max_sim_time_us <= 0.0:
+        if self.max_sim_time_us is not None and not self.max_sim_time_us > 0.0:
             raise ServingError(
                 f"max_sim_time_us must be positive, got {self.max_sim_time_us}"
             )
@@ -161,6 +162,7 @@ class ServingSimulator:
     architecture — and a :class:`~repro.pipeline.Session` whose sweep
     cache persists across :meth:`run` calls (pass ``session=`` to share
     one, e.g. with a ``result_store`` attached for cross-process reuse).
+    The memo of repeated shapes lives for one :meth:`run` call only.
     """
 
     def __init__(
@@ -213,6 +215,12 @@ class ServingSimulator:
         cache_hits_before = self.session.sweep_cache_hits
         cache_misses_before = self.session.sweep_cache_misses
         store_hits_before = self.session.sweep_store_hits
+        point = SweepPoint(scheme=self.scheme, policy=self.policy, arch=self.arch)
+        # Iteration time (before stragglers) of each bucketed shape the
+        # session has replayed from its cache; later iterations of the
+        # shape are charged from here, each counted as a cache hit.
+        memo: Dict[Tuple[int, int], float] = {}
+        memo_hits = 0
 
         pending: List[InferenceRequest] = sorted(
             requests, key=lambda request: (request.arrival_us, request.request_id)
@@ -286,7 +294,17 @@ class ServingSimulator:
                 and iterations > scenario.max_iterations
             ):
                 raise stall("max_iterations", float(scenario.max_iterations))
-            duration_us = self._iteration_time_us(graphs, plan, scenario)
+            shape = graphs.bucket_of(plan.rows, plan.keys)
+            duration_us = memo.get(shape)
+            if duration_us is None:
+                result = self.session.sweep_point(
+                    graphs.graph_for(plan.rows, plan.keys), point
+                )
+                duration_us = result.total_time_us + scenario.iteration_overhead_us
+                if result.cached:
+                    memo[shape] = duration_us
+            else:
+                memo_hits += 1
             if faults is not None:
                 duration_us *= faults.straggler_factor(iterations - 1)
             start_us = clock
@@ -347,7 +365,9 @@ class ServingSimulator:
             prefill_iterations=prefill_iterations,
             decode_iterations=decode_iterations,
             distinct_shapes=graphs.distinct_shapes,
-            sweep_cache_hits=self.session.sweep_cache_hits - cache_hits_before,
+            sweep_cache_hits=(
+                self.session.sweep_cache_hits - cache_hits_before + memo_hits
+            ),
             sweep_cache_misses=self.session.sweep_cache_misses - cache_misses_before,
             store_hits=self.session.sweep_store_hits - store_hits_before,
             slo_us=scenario.slo_us,
@@ -356,18 +376,6 @@ class ServingSimulator:
             restarted_tokens=batcher.restarted_tokens,
             kv_reserved_peak=batcher.kv_reserved_peak,
         )
-
-    def _iteration_time_us(
-        self,
-        graphs: ServingGraphCache,
-        plan: BatchPlan,
-        scenario: ServingScenario,
-    ) -> float:
-        graph = graphs.graph_for(plan.rows, plan.keys)
-        result = self.session.sweep_point(graph, SweepPoint(
-            scheme=self.scheme, policy=self.policy, arch=self.arch,
-        ))
-        return result.total_time_us + scenario.iteration_overhead_us
 
 
 def compare_schemes(

@@ -14,6 +14,8 @@ The two acceptance properties of the serving subsystem:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ServingError
@@ -28,6 +30,7 @@ from repro.serving import (
     ServingSimulator,
     compare_schemes,
 )
+from repro.testing import ServingFaultPlan
 
 TINY = TransformerConfig(name="srv-tiny", hidden=256, layers=2, tensor_parallel=8)
 
@@ -113,6 +116,7 @@ class TestDeterminism:
         warm = simulator.run(scenario)
         assert warm.records == cold.records
         assert warm.sweep_cache_misses == 0  # everything replays
+        assert warm.sweep_cache_hits == warm.iterations
 
 
 class TestAcceptance:
@@ -149,8 +153,41 @@ class TestAcceptance:
         second = ServingSimulator(
             scheme="cusync", session=Session(result_store=SweepResultStore(tmp_path))
         ).run(scenario)
-        assert second.store_hits > 0
+        # Each shape's first lookup reads the store; every later iteration
+        # of it is a cache hit, and nothing re-simulates.
+        assert second.store_hits == second.distinct_shapes
+        assert second.sweep_cache_misses == 0
+        assert second.sweep_cache_hits == second.iterations - second.distinct_shapes
         assert second.records == first.records
+
+
+class TestIterationMemo:
+    """A run charges a shape from its memo only after the session has
+    replayed that shape from its cache, so a session with the cache off
+    must produce the same report with no cache counts at all."""
+
+    # 0.2 puts stragglers on some of the iterations that fill the memo;
+    # 1.0 stretches every iteration, so a memo holding a stretched time
+    # always shows.
+    @pytest.mark.parametrize("straggler", [0.2, 1.0])
+    def test_memo_preserves_faulted_report(self, scenario, straggler):
+        scenario = replace(scenario, requests=24)
+        faults = ServingFaultPlan.seeded(
+            24, seed=3, straggler=straggler, drop_completion=0.1, burst=0.1
+        )
+        cached = ServingSimulator(scheme="cusync", session=Session()).run(
+            scenario, faults=faults
+        )
+        uncached = ServingSimulator(
+            scheme="cusync", session=Session(sweep_cache=False)
+        ).run(scenario, faults=faults)
+        assert cached.records == uncached.records
+        assert cached.shed_records == uncached.shed_records
+        assert cached.simulated_us == uncached.simulated_us
+        assert cached.iterations > cached.distinct_shapes  # shapes repeat
+        assert cached.sweep_cache_hits + cached.sweep_cache_misses == cached.iterations
+        assert cached.sweep_cache_misses == cached.distinct_shapes
+        assert uncached.sweep_cache_hits == uncached.sweep_cache_misses == 0
 
 
 class TestScenarioAndSimulatorSurface:
@@ -172,10 +209,19 @@ class TestScenarioAndSimulatorSurface:
             ServingScenario(arrivals=arrivals, requests=1, iteration_overhead_us=-1.0)
         with pytest.raises(ServingError):
             ServingScenario(arrivals=arrivals, requests=1, slo_us=0.0)
+        # NaN passes plain comparisons; a NaN overhead would make the
+        # clock NaN and the loop would never admit another arrival.
+        nan = float("nan")
+        for field in ("iteration_overhead_us", "slo_us", "max_sim_time_us"):
+            with pytest.raises(ServingError):
+                ServingScenario(arrivals=arrivals, requests=1, **{field: nan})
+        with pytest.raises(ServingError):
+            ServingScenario(
+                arrivals=arrivals, requests=1, iteration_overhead_us=float("inf")
+            )
+        assert ServingScenario(arrivals=arrivals, requests=1).slo_us == float("inf")
 
     def test_iteration_overhead_slows_everything(self, scenario):
-        from dataclasses import replace
-
         base = ServingSimulator(scheme="cusync", session=Session()).run(scenario)
         padded = ServingSimulator(scheme="cusync", session=Session()).run(
             replace(scenario, iteration_overhead_us=50.0)
