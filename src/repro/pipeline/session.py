@@ -52,7 +52,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -288,6 +288,27 @@ def _sweep_point_result(
 # ----------------------------------------------------------------------
 # Fault-tolerant evaluation machinery
 # ----------------------------------------------------------------------
+def check_sweep_options(
+    mode: str, workers: Optional[int], timeout: Optional[float], retries: int, backoff: float
+) -> None:
+    """Raise :class:`SimulationError` for settings a sweep cannot honour, NaN included."""
+    if mode not in ("serial", "process"):
+        raise SimulationError(f"unknown sweep mode {mode!r}; choose 'serial' or 'process'")
+    if workers is not None and workers < 1:
+        raise SimulationError(f"workers must be positive, got {workers}")
+    if retries < 0:
+        raise SimulationError(f"retries must be non-negative, got {retries}")
+    if timeout is not None and not 0.0 < timeout < math.inf:
+        raise SimulationError(f"timeout must be finite and positive, got {timeout}")
+    if not 0.0 <= backoff < math.inf:
+        raise SimulationError(f"backoff must be finite and non-negative, got {backoff}")
+
+
+def _replay(result: SweepResult, point: SweepPoint, graph_label: str) -> SweepResult:
+    """``result`` replayed for ``point``: its policy spelling and graph label."""
+    return replace(result, policy=point.policy, graph_label=graph_label, cached=True)
+
+
 @dataclass(frozen=True)
 class _RecoveryPolicy:
     """How :meth:`Session.sweep` handles a failing point (internal)."""
@@ -607,9 +628,11 @@ class Session:
     portable (:meth:`sweep_store_key`) consult the store on a cache miss
     and write fresh successful results through to it, so a brand-new
     process replays a previously swept grid bit-identically with zero
-    simulations.  Store hits count in :attr:`sweep_store_hits`; failures
-    are never persisted, and store errors (corrupt entries, I/O) degrade
-    to simulation, counted in :attr:`sweep_store_errors`.
+    simulations.  Service fronts walk the same two tiers through
+    :meth:`recall` and :meth:`resolve`; a session holds one store
+    (:meth:`attach_store`).  Store hits count in :attr:`sweep_store_hits`;
+    failures are never persisted, and store errors (corrupt entries, I/O)
+    degrade to simulation, counted in :attr:`sweep_store_errors`.
     """
 
     def __init__(
@@ -821,76 +844,81 @@ class Session:
         self._check_registry_generation()
         return self._sweep_cache_key(graph, point)
 
-    def cached_sweep_result(
-        self, graph: PipelineGraph, point: SweepPoint
-    ) -> Optional[SweepResult]:
-        """The in-memory cached result for ``(graph, point)``, or ``None``.
-
-        A raw cache probe for service fronts and tooling: registry
-        generations are checked first (stale entries flush), but the disk
-        store is *not* consulted and no counters move.  The returned
-        result is the cached entry itself — replay spelling/label
-        adjustments are the caller's job.
-        """
-        self._check_registry_generation()
-        key = self._sweep_cache_key(graph, point)
-        if key is None:
-            return None
+    def recall(self, key: Optional[Tuple]) -> Optional[SweepResult]:
+        """The memory tier: the entry cached under ``key`` (from
+        :meth:`sweep_trace_key`; ``None`` misses), or ``None``.  No counter moves."""
         return self._sweep_cache.get(key)
 
-    def adopt_sweep_result(
-        self, graph: PipelineGraph, point: SweepPoint, result: SweepResult
-    ) -> bool:
-        """Install ``result`` under ``(graph, point)``'s trace key.
-
-        Service fronts use this to warm the in-memory tier with results
-        they obtained elsewhere (the disk store, a remote worker).  Only
-        successful :class:`SweepResult` values are accepted — failures are
-        never cached, matching :meth:`sweep`.  Returns ``False`` when the
-        session's cache is disabled or the point has no trace key.
+    def resolve(
+        self,
+        graph: PipelineGraph,
+        point: SweepPoint,
+        key: Optional[Tuple],
+        evaluate: Callable[[PipelineGraph, SweepPoint], Union[SweepResult, SweepFailure]],
+    ) -> Tuple[Union[SweepResult, SweepFailure], str]:
+        """Resolve a point below the memory tier: ``(result, "store")`` on a
+        store hit, else ``(evaluate(graph, point), "simulated")``.  ``key``
+        is its trace key; a result goes into memory when the session caches
+        sweeps, a fresh one also into the store, and a failure into neither.
         """
-        if not isinstance(result, SweepResult):
-            raise SimulationError(
-                f"adopt_sweep_result expects a SweepResult, got {type(result).__name__}"
-            )
         if not self._sweep_cache_enabled:
-            return False
-        self._check_registry_generation()
-        key = self._sweep_cache_key(graph, point)
-        if key is None:
-            return False
-        self._sweep_cache[key] = result
-        return True
+            key = None
+        store_key, stored = self._store_read(graph, point, key)
+        if stored is not None:
+            return stored, "store"
+        result = evaluate(graph, point)
+        if isinstance(result, SweepResult):
+            self._install(key, store_key, result)
+        elif not isinstance(result, SweepFailure):
+            raise SimulationError(
+                f"evaluate returned a {type(result).__name__}, not a SweepResult or SweepFailure"
+            )
+        return result, "simulated"
 
-    def _store_lookup(
-        self, graph: PipelineGraph, point: SweepPoint
-    ) -> Optional[SweepResult]:
-        """Best-effort read of the persistent tier (``None`` = miss)."""
-        if self.result_store is None:
-            return None
-        key = self.sweep_store_key(graph, point)
-        if key is None:
-            return None
+    def _store_read(
+        self, graph: PipelineGraph, point: SweepPoint, key: Optional[Tuple]
+    ) -> Tuple[Optional[Tuple], Optional[SweepResult]]:
+        """The point's store key (``None``: no store or no portable key) and
+        its stored result (``None``: a miss or a store error).  A hit goes
+        into memory under ``key``, so later lookups skip the store."""
+        store_key = None if self.result_store is None else self.sweep_store_key(graph, point)
+        if store_key is None:
+            return None, None
         try:
-            result = self.result_store.get(key)
+            stored = self.result_store.get(store_key)
         except Exception:
             self.sweep_store_errors += 1
-            return None
-        return result if isinstance(result, SweepResult) else None
+            return store_key, None
+        if not isinstance(stored, SweepResult):
+            return store_key, None
+        self.sweep_store_hits += 1
+        self._install(key, None, stored)
+        return store_key, stored
 
-    def _store_write(
-        self, graph: PipelineGraph, point: SweepPoint, result: SweepResult
+    def _install(
+        self, key: Optional[Tuple], store_key: Optional[Tuple], result: SweepResult
     ) -> None:
-        """Best-effort write-through of a fresh result to the persistent tier."""
-        if self.result_store is None:
+        """Put ``result`` into memory under ``key`` and write it through to
+        the store under ``store_key`` (best-effort); ``None`` skips a tier."""
+        if key is not None:
+            self._sweep_cache[key] = result
+        if store_key is not None:
+            try:
+                self.result_store.put(store_key, result)
+            except Exception:
+                self.sweep_store_errors += 1
+
+    def attach_store(self, store: Optional["SweepResultStoreLike"]) -> None:
+        """Attach ``store``; ``None`` or the session's own store is a no-op,
+        and a different store raises :class:`SimulationError` naming both."""
+        if store is None or store is self.result_store:
             return
-        key = self.sweep_store_key(graph, point)
-        if key is None:
-            return
-        try:
-            self.result_store.put(key, result)
-        except Exception:
-            self.sweep_store_errors += 1
+        if self.result_store is not None:
+            raise SimulationError(
+                f"session already holds result store {self.result_store!r}; "
+                f"cannot attach a second store {store!r}"
+            )
+        self.result_store = store
 
     # ------------------------------------------------------------------
     def _arch_entry(self, arch: Optional[ArchLike]) -> Tuple[object, GpuArchitecture]:
@@ -1044,20 +1072,11 @@ class Session:
                 "Session.sweep measures timing only; run functional points "
                 "individually with Session.run(graph, ..., tensors=...)"
             )
-        if mode not in ("serial", "process"):
-            raise SimulationError(
-                f"unknown sweep mode {mode!r}; choose 'serial' or 'process'"
-            )
+        check_sweep_options(mode, workers, timeout, retries, backoff)
         if on_error not in ("raise", "collect", "skip"):
             raise SimulationError(
                 f"unknown on_error policy {on_error!r}; choose 'raise', 'collect' or 'skip'"
             )
-        if workers is not None and workers < 1:
-            raise SimulationError(f"workers must be positive, got {workers}")
-        if retries < 0:
-            raise SimulationError(f"retries must be non-negative, got {retries}")
-        if timeout is not None and timeout <= 0:
-            raise SimulationError(f"timeout must be positive, got {timeout}")
         recovery = _RecoveryPolicy(
             timeout=timeout,
             retries=retries,
@@ -1086,72 +1105,50 @@ class Session:
         # the cache absorbed their neighbours.
         outputs: List[object] = [None] * len(work)
         pending: List[Tuple[PipelineGraph, SweepPoint]] = []
-        pending_keys: List[Optional[Tuple]] = []
+        pending_keys: List[Tuple[Optional[Tuple], Optional[Tuple]]] = []  # (trace, store)
         pending_targets: List[int] = []
         pending_by_key: Dict[Tuple, int] = {}
         duplicates: List[Tuple[int, int]] = []  # (work position, pending position)
         for position, (graph, point) in enumerate(work):
             key = self._sweep_cache_key(graph, point)
+            store_key = None
             if key is not None:
-                hit = self._sweep_cache.get(key)
+                hit = self.recall(key)
                 if hit is not None:
                     self.sweep_cache_hits += 1
-                    outputs[position] = replace(
-                        hit,
-                        policy=point.policy,
-                        graph_label=labels[id(graph)],
-                        cached=True,
-                    )
+                    outputs[position] = _replay(hit, point, labels[id(graph)])
                     continue
                 in_flight = pending_by_key.get(key)
                 if in_flight is not None:
                     self.sweep_cache_hits += 1
                     duplicates.append((position, in_flight))
                     continue
-                stored = self._store_lookup(graph, point)
+                store_key, stored = self._store_read(graph, point, key)
                 if stored is not None:
-                    # Persistent-tier hit: promote into the in-memory cache
-                    # so the rest of this work list (and later sweeps) hit
-                    # without touching disk, then replay like a cache hit.
-                    self.sweep_store_hits += 1
-                    self._sweep_cache[key] = stored
-                    outputs[position] = replace(
-                        stored,
-                        policy=point.policy,
-                        graph_label=labels[id(graph)],
-                        cached=True,
-                    )
+                    outputs[position] = _replay(stored, point, labels[id(graph)])
                     continue
                 pending_by_key[key] = len(pending)
             self.sweep_cache_misses += 1
             pending.append((graph, point))
-            pending_keys.append(key)
+            pending_keys.append((key, store_key))
             pending_targets.append(position)
         fresh = (
             self._sweep_evaluate(pending, labels, workers, mode, recovery, pending_targets)
             if pending
             else []
         )
-        for (graph, point), target, key, result in zip(
-            pending, pending_targets, pending_keys, fresh
-        ):
+        for target, (key, store_key), result in zip(pending_targets, pending_keys, fresh):
             outputs[target] = result
             # Failed (or aborted) points are never cached or persisted: the
             # next sweep re-simulates them instead of replaying a poisoned
             # entry.
-            if key is not None and isinstance(result, SweepResult):
-                self._sweep_cache[key] = result
-                self._store_write(graph, point, result)
+            if isinstance(result, SweepResult):
+                self._install(key, store_key, result)
         for position, pending_position in duplicates:
             graph, point = work[position]
             source = fresh[pending_position]
             if isinstance(source, SweepResult):
-                outputs[position] = replace(
-                    source,
-                    policy=point.policy,
-                    graph_label=labels[id(graph)],
-                    cached=True,
-                )
+                outputs[position] = _replay(source, point, labels[id(graph)])
             elif isinstance(source, _PointFailure):
                 # The one evaluation this duplicate coalesced onto failed;
                 # the duplicate shares its fate (with its own spelling).

@@ -7,14 +7,14 @@ The pieces (see ``docs/service.md`` for the full tour):
     sweep results keyed by structural graph fingerprints, shared across
     processes and sessions.  Plug one into
     :class:`~repro.pipeline.Session` (``result_store=``) for a persistent
-    tier under the in-memory sweep cache, or into a
-    :class:`SweepService`.
+    tier under the in-memory sweep cache; ``SweepService(store=)``
+    attaches it to the service's session.
 
 :mod:`repro.service.jobs`
     :class:`SweepService` — an asyncio front that coalesces duplicate
     in-flight points across concurrent clients (each novel point
-    simulates exactly once), resolves through memory → store →
-    simulation, and streams per-point results.
+    simulates exactly once), hands the rest to the session's memory →
+    store → simulation walk, and streams per-point results.
 
 :mod:`repro.service.audit`
     ``python -m repro.service.audit`` — walk a store's shards, census

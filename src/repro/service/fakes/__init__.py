@@ -31,8 +31,7 @@ class FakeResultStore(ResultStore):
     Honours the :class:`~repro.service.store.ResultStore` contract —
     *except* when ``fail_reads`` / ``fail_writes`` are set, in which case
     the corresponding call raises ``RuntimeError``, which is exactly what
-    the session's and service's best-effort store wrappers are tested
-    against.
+    the session's best-effort store steps are tested against.
     """
 
     def __init__(self, *, fail_reads: bool = False, fail_writes: bool = False) -> None:

@@ -2,13 +2,14 @@
 
 A :class:`SweepService` front-ends one :class:`~repro.pipeline.Session`
 for any number of concurrent async clients.  Each submitted
-``(graph, point)`` pair resolves through three tiers, cheapest first:
+``(graph, point)`` pair resolves through the session's three tiers,
+cheapest first; the service itself only coalesces, cancels and offloads:
 
-1. **Memory** — the session's in-memory sweep cache (a synchronous probe
-   on the event loop; replays are free).
-2. **Store** — the content-addressed disk store, when the service has one
-   and the point has a portable key (read off-loop in a worker thread).
-3. **Simulation** — the session's existing sweep machinery via a
+1. **Memory** — ``Session.recall``, a synchronous probe on the event
+   loop; replays are free.
+2. **Store** — the session's disk store, when it has one and the point
+   has a portable key, read by ``Session.resolve`` on the thread pool.
+3. **Simulation** — ``Session.resolve`` calls the worker, by default a
    :class:`SessionWorker` (``Session.sweep`` with ``cache=False``), which
    carries the timeout / retry / backoff / structured-failure semantics
    unchanged.
@@ -18,7 +19,7 @@ parked in an in-flight table, and every other submission of an equal
 point — same job, another job, another client — awaits that one
 resolution instead of starting its own.  **Each novel point simulates
 exactly once**, no matter how many clients race on it.  Registration is
-synchronous with the tier checks (the event loop never yields between
+synchronous with the memory probe (the event loop never yields between
 "not in flight" and "now in flight"), which is what makes the invariant
 airtight.  Failures propagate to every coalesced waiter but are never
 written to the store or the memory cache, so the next submission after
@@ -64,6 +65,7 @@ from repro.pipeline.session import (
     SweepFailure,
     SweepPoint,
     SweepResult,
+    check_sweep_options,
     graph_labels,
 )
 
@@ -213,6 +215,7 @@ class SessionWorker:
         retries: int = 0,
         backoff: float = 0.05,
     ) -> None:
+        check_sweep_options(mode, workers, timeout, retries, backoff)
         self.session = session
         self.mode = mode
         self.workers = workers
@@ -251,15 +254,16 @@ class SessionWorker:
 
 
 class SweepService:
-    """Coalescing, store-backed sweep front for concurrent async clients.
+    """Coalescing sweep front for concurrent async clients.
 
     See the module docstring for the tier order and the coalescing
-    invariant.  ``store`` and ``worker`` are duck-typed
-    (:class:`~repro.service.store.ResultStore` /
-    :class:`SessionWorker`-shaped); the fakes in
+    invariant.  ``store`` attaches to the session (see
+    :meth:`~repro.pipeline.Session.attach_store`); it and ``worker`` are
+    duck-typed (:class:`~repro.service.store.ResultStore` /
+    :class:`SessionWorker`-shaped), so the fakes in
     :mod:`repro.service.fakes` slot straight in.  Store calls are
-    best-effort — a store that raises is counted in ``store_errors`` and
-    treated as a miss / dropped write, never as a failed point.
+    best-effort — a store that raises counts in ``store_errors`` (read from
+    the session) and reads as a miss or a dropped write, never a failure.
 
     One event loop at a time: in-flight futures belong to the running
     loop.  Blocking work (store IO, simulation) runs on a bounded thread
@@ -283,7 +287,6 @@ class SweepService:
         if max_parallel < 1:
             raise SimulationError(f"max_parallel must be at least 1, got {max_parallel}")
         self.session = session if session is not None else Session()
-        self.store = store
         self.worker = (
             worker
             if worker is not None
@@ -296,6 +299,7 @@ class SweepService:
                 backoff=backoff,
             )
         )
+        self.session.attach_store(store)
         self._executor = ThreadPoolExecutor(
             max_workers=max_parallel, thread_name_prefix="sweep-service"
         )
@@ -310,7 +314,12 @@ class SweepService:
         self.points_simulated = 0
         self.points_cancelled = 0
         self.failures = 0
-        self.store_errors = 0
+        self._store_errors_before = self.session.sweep_store_errors
+
+    @property
+    def store_errors(self) -> int:
+        """Store errors the session counted since this service was built."""
+        return self.session.sweep_store_errors - self._store_errors_before
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
@@ -360,7 +369,7 @@ class SweepService:
         :meth:`SweepJob.cancel`, the timeout releases only this job's
         waiters — shared in-flight resolutions keep going.
         """
-        if timeout_s is not None and timeout_s <= 0.0:
+        if timeout_s is not None and not timeout_s > 0.0:
             raise SimulationError(f"timeout_s must be positive, got {timeout_s}")
         items: List[WorkItem] = []
         for item in work:
@@ -433,7 +442,7 @@ class SweepService:
                 coalesced = True
                 self.points_coalesced += 1
             else:
-                hit = self.session.cached_sweep_result(graph, point)
+                hit = self.session.recall(key)
                 if hit is not None:
                     self.memory_hits += 1
                     return self._outcome(position, point, label, hit, "memory")
@@ -502,7 +511,9 @@ class SweepService:
         point: SweepPoint,
     ) -> None:
         try:
-            result, source = await self._resolve_fresh(graph, point)
+            result, source = await asyncio.get_running_loop().run_in_executor(
+                self._executor, self.session.resolve, graph, point, key, self.worker.evaluate
+            )
         except BaseException as exc:
             if not future.done():
                 if isinstance(exc, asyncio.CancelledError):
@@ -515,55 +526,17 @@ class SweepService:
             if isinstance(exc, asyncio.CancelledError):
                 raise
         else:
+            if source == "store":
+                self.store_hits += 1
+            else:
+                self.points_simulated += 1
+                if not result.ok:
+                    self.failures += 1
             if not future.done():
                 future.set_result((result, source))
         finally:
             if key is not None:
                 self._inflight.pop(key, None)
-
-    async def _resolve_fresh(
-        self, graph: PipelineGraph, point: SweepPoint
-    ) -> Tuple[Union[SweepResult, SweepFailure], str]:
-        loop = asyncio.get_running_loop()
-        store_key = (
-            self.session.sweep_store_key(graph, point) if self.store is not None else None
-        )
-        if store_key is not None:
-            stored = await loop.run_in_executor(self._executor, self._store_get, store_key)
-            if stored is not None:
-                self.store_hits += 1
-                self.session.adopt_sweep_result(graph, point, stored)
-                return stored, "store"
-        result = await loop.run_in_executor(self._executor, self.worker.evaluate, graph, point)
-        self.points_simulated += 1
-        if isinstance(result, SweepResult):
-            self.session.adopt_sweep_result(graph, point, result)
-            if store_key is not None:
-                await loop.run_in_executor(self._executor, self._store_put, store_key, result)
-        elif isinstance(result, SweepFailure):
-            # Failures surface to every waiter but are never persisted:
-            # the next submission re-simulates instead of replaying them.
-            self.failures += 1
-        else:
-            raise SimulationError(
-                "worker.evaluate must return a SweepResult or SweepFailure, "
-                f"got {type(result).__name__}"
-            )
-        return result, "simulated"
-
-    def _store_get(self, key: Tuple) -> Optional[SweepResult]:
-        try:
-            result = self.store.get(key)
-        except Exception:
-            self.store_errors += 1
-            return None
-        return result if isinstance(result, SweepResult) else None
-
-    def _store_put(self, key: Tuple, result: SweepResult) -> None:
-        try:
-            self.store.put(key, result)
-        except Exception:
-            self.store_errors += 1
 
     @staticmethod
     def _outcome(

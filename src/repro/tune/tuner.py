@@ -128,7 +128,9 @@ class Tuner:
 
     ``session`` defaults to a fresh :class:`Session`; pass a long-lived
     one (optionally backed by a ``result_store``) to make reruns replay
-    from cache.  ``mode`` / ``workers`` forward to every underlying
+    from cache.  ``result_store`` attaches to the session
+    (:meth:`Session.attach_store`), which refuses a second, different
+    store.  ``mode`` / ``workers`` forward to every underlying
     :meth:`Session.sweep` call; both modes are bit-identical.
     """
 
@@ -139,11 +141,8 @@ class Tuner:
         mode: str = "serial",
         workers: Optional[int] = None,
     ) -> None:
-        if session is None:
-            session = Session(result_store=result_store)
-        elif result_store is not None and session.result_store is None:
-            session.result_store = result_store
-        self.session = session
+        self.session = session if session is not None else Session()
+        self.session.attach_store(result_store)
         self.mode = mode
         self.workers = workers
 

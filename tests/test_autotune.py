@@ -24,7 +24,7 @@ import warnings
 import pytest
 
 from repro.cusync.optimizations import OptimizationFlags
-from repro.errors import ReproError, TuningError
+from repro.errors import ReproError, SimulationError, TuningError
 from repro.gpu import resolve_arch
 from repro.kernels.gemm import GemmConfig
 from repro.models.config import TransformerConfig
@@ -336,6 +336,14 @@ class TestStoreParity:
         assert replay.store_hits > 0
         assert replay.trajectory() == report.trajectory()
         assert replay.entries == report.entries
+
+    def test_a_session_holds_one_store(self, tmp_path):
+        own = SweepResultStore(tmp_path / "own")
+        session = Session(result_store=own)
+        with pytest.raises(SimulationError, match="result store"):
+            Tuner(session=session, result_store=SweepResultStore(tmp_path / "other"))
+        assert Tuner(session=session, result_store=own).session.result_store is own
+        assert Tuner(session=Session(), result_store=own).session.result_store is own
 
 
 # ----------------------------------------------------------------------

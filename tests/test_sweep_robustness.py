@@ -74,9 +74,15 @@ class TestArgumentValidation:
         with pytest.raises(SimulationError, match="retries"):
             Session().sweep(graph, policies=POLICIES, retries=-1)
 
-    def test_non_positive_timeout_rejected(self, graph):
+    @pytest.mark.parametrize("timeout", [0.0, float("nan"), float("inf")])
+    def test_non_positive_timeout_rejected(self, graph, timeout):
         with pytest.raises(SimulationError, match="timeout"):
-            Session().sweep(graph, policies=POLICIES, timeout=0.0)
+            Session().sweep(graph, policies=POLICIES, timeout=timeout)
+
+    @pytest.mark.parametrize("backoff", [float("nan"), float("inf"), -1.0])
+    def test_invalid_backoff_rejected(self, graph, backoff):
+        with pytest.raises(SimulationError, match="backoff"):
+            Session().sweep(graph, policies=POLICIES, backoff=backoff)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_non_positive_workers_rejected(self, graph, workers):

@@ -8,6 +8,7 @@ asserted on the worker's and store's own call counters.
 from __future__ import annotations
 
 import asyncio
+import sys
 
 import pytest
 
@@ -211,6 +212,41 @@ class TestTiers:
         with pytest.raises(SimulationError, match="SweepResult or SweepFailure"):
             run(scenario())
 
+    def test_session_owned_store_replays_in_a_fresh_session(self, workload, tmp_path):
+        # No store= keyword: the service walks the store its session holds.
+        async def sweep(session):
+            with SweepService(session=session) as service:
+                job = await service.submit(_grid(workload.to_graph()))
+                return service, await job.outcomes()
+
+        cold_store = SweepResultStore(tmp_path)
+        cold_service, cold = run(sweep(Session(result_store=cold_store)))
+        assert cold_service.points_simulated == len(cold)
+        assert cold_store.writes == len(cold)
+
+        session = Session(result_store=SweepResultStore(tmp_path))
+        warm_service, warm = run(sweep(session))
+        assert [o.source for o in warm] == ["store"] * len(cold)
+        assert warm_service.points_simulated == 0
+        assert warm_service.store_hits == session.sweep_store_hits == len(cold)
+        assert [o.result for o in warm] == [o.result for o in cold]
+
+    def test_a_session_holds_one_store(self, tmp_path):
+        own, other = SweepResultStore(tmp_path / "own"), SweepResultStore(tmp_path / "other")
+        session = Session(result_store=own)
+        with pytest.raises(SimulationError, match="result store") as refused:
+            SweepService(session=session, store=other)
+        assert repr(own) in str(refused.value) and repr(other) in str(refused.value)
+        assert session.result_store is own
+        with SweepService(session=session, store=own) as service:
+            assert service.session.result_store is own
+
+    def test_store_keyword_attaches_to_the_session(self):
+        store = FakeResultStore()
+        with SweepService(store=store, worker=FakeWorker()) as service:
+            assert service.session.result_store is store
+            assert not hasattr(service, "store")
+
 
 class TestJobInterface:
     def test_results_are_position_aligned(self, graph, workload):
@@ -270,6 +306,46 @@ class TestJobInterface:
 
         with pytest.raises(SimulationError, match="pairs"):
             run(scenario())
+
+    @pytest.mark.parametrize(
+        "name, value", [("mode", "thread"), ("retries", -1), ("timeout", float("nan"))]
+    )
+    def test_invalid_worker_settings_rejected_when_built(self, name, value):
+        with pytest.raises(SimulationError, match=name):
+            SweepService(**{name: value})
+
+
+class TestParallelResolves:
+    """``Session.resolve`` runs on the service's pool threads, which share
+    the session's memory tier and store counters."""
+
+    def test_no_store_hit_or_error_is_lost(self):
+        graphs = [GptMlp(config=TINY, batch_seq=32 * n).to_graph() for n in range(1, 17)]
+        work = [item for graph in graphs for item in _grid(graph)]
+        store = FakeResultStore()
+        broken = FakeResultStore(fail_reads=True, fail_writes=True)
+
+        async def sweep(session):
+            # Eight threads on a two-core host, switching as often as possible.
+            with SweepService(session=session, worker=FakeWorker(), max_parallel=8) as service:
+                results = await asyncio.wait_for(service.sweep(list(work)), timeout=60)
+                return service, results
+
+        run(sweep(Session(result_store=store)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            replay = Session(result_store=store)
+            replayed, results = run(sweep(replay))
+            failing = Session(result_store=broken)
+            degraded, _ = run(sweep(failing))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(result.ok for result in results)
+        assert replayed.store_hits == replay.sweep_store_hits == len(work)
+        assert replay.sweep_cache_size == len(work)
+        assert degraded.points_simulated == len(work)
+        assert degraded.store_errors == failing.sweep_store_errors == 2 * len(work)
 
 
 class TestEndToEnd:
@@ -448,10 +524,11 @@ class TestCancellationAndTimeouts:
         assert worker.calls == 1
         assert service.points_cancelled == 1
 
-    def test_invalid_timeout_rejected(self, graph, workload):
+    @pytest.mark.parametrize("timeout_s", [0.0, float("nan")])
+    def test_invalid_timeout_rejected(self, graph, workload, timeout_s):
         async def scenario():
             with SweepService(session=Session(arch=workload.arch), worker=FakeWorker()) as service:
-                await service.submit([(graph, self.point(workload))], timeout_s=0.0)
+                await service.submit([(graph, self.point(workload))], timeout_s=timeout_s)
 
         with pytest.raises(SimulationError, match="timeout_s"):
             run(scenario())
