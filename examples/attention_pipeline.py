@@ -54,12 +54,12 @@ def timing_study():
 
 def functional_check():
     tiny = TransformerConfig(name="tiny", hidden=256, layers=1, tensor_parallel=8)
-    workload = Attention(config=tiny, batch=1, seq=64, cached=0, functional=True, dropout=0.0)
-    session = Session(functional=True)
-    result = session.run(
+    workload = Attention(config=tiny, batch=1, seq=64, cached=0, dropout=0.0)
+    result = Session().run(
         workload.to_graph(),
         scheme="cusync",
         policy="StridedTileSync",
+        functional=True,
         tensors=workload.input_tensors(),
     )
     reference = workload.reference_output()

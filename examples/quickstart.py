@@ -26,8 +26,8 @@ def build_graph():
     problem1 = GemmProblem(m=256, n=512, k=1024, a="X", b="W1", c="XW1")
     problem2 = GemmProblem(m=256, n=1024, k=512, a="XW1", b="W2", c="XW12")
     config = GemmConfig(tile_m=64, tile_n=64, tile_k=32)
-    producer = GemmKernel("gemm1", problem1, config, epilogue=GeLU(), functional=True)
-    consumer = GemmKernel("gemm2", problem2, config, sync_inputs=("XW1",), functional=True)
+    producer = GemmKernel("gemm1", problem1, config, epilogue=GeLU())
+    consumer = GemmKernel("gemm2", problem2, config, sync_inputs=("XW1",))
     return PipelineGraph(
         stages=[StageSpec("gemm1", producer), StageSpec("gemm2", consumer)],
         edges=[Edge("gemm1", "gemm2", tensor="XW1")],
@@ -44,16 +44,18 @@ def main():
     reference = GeLU().apply(tensors["X"] @ tensors["W1"]) @ tensors["W2"]
 
     # The graph is built exactly once; the session re-binds its kernels for
-    # every run (scheme, policy) without rebuilding them.
+    # every run (scheme, policy, functional or not) without rebuilding them.
     graph = build_graph()
-    session = Session(arch=TESLA_V100, functional=True)
+    session = Session(arch=TESLA_V100)
 
-    baseline = session.run(graph, scheme="streamsync", tensors=dict(tensors))
+    baseline = session.run(graph, scheme="streamsync", functional=True, tensors=dict(tensors))
     print(f"StreamSync            : {baseline.total_time_us:9.1f} us")
     assert np.allclose(baseline.tensor("XW12"), reference, atol=1e-3)
 
     for policy in ("TileSync", "RowSync"):
-        result = session.run(graph, scheme="cusync", policy=policy, tensors=dict(tensors))
+        result = session.run(
+            graph, scheme="cusync", policy=policy, functional=True, tensors=dict(tensors)
+        )
         improvement = (baseline.total_time_us - result.total_time_us) / baseline.total_time_us
         print(
             f"cuSync {policy:14s}: {result.total_time_us:9.1f} us "

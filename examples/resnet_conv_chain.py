@@ -45,12 +45,12 @@ def timing_study():
 
 def functional_check():
     spec = ConvLayerSpec(image=10, channels=8, kernel=3, convs_per_layer=2, layers=1)
-    workload = ConvChain(spec, batch=1, functional=True)
-    session = Session(functional=True)
-    result = session.run(
+    workload = ConvChain(spec, batch=1)
+    result = Session().run(
         workload.to_graph(),
         scheme="cusync",
         policy="Conv2DTileSync",
+        functional=True,
         tensors=workload.input_tensors(),
     )
     error = np.abs(result.tensor("act2") - workload.reference_output()).max()

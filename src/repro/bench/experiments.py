@@ -17,6 +17,7 @@ import math
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import ModelConfigError
 from repro.gpu.arch import GpuArchitecture, TESLA_V100
 from repro.gpu.costmodel import CostModel
 from repro.gpu.occupancy import OccupancyCalculator
@@ -41,6 +42,17 @@ from repro.models.workload import Workload
 LLM_POLICIES = ("RowSync", "TileSync", "StridedTileSync")
 #: Policy families evaluated for the Conv2D workloads (Figure 7 legend).
 CONV_POLICIES = ("RowSync", "Conv2DTileSync")
+#: The names Figures 6 and 7 accept (case-insensitive), and what they select.
+LLM_MODELS = {"gpt3": GPT3_145B, "llama": LLAMA_65B}
+LLM_BLOCKS = {"mlp": "MLP", "attention": "Attention"}
+CONV_MODELS = {"resnet": RESNET38_LAYERS, "vgg": VGG19_LAYERS}
+
+
+def _lookup(kind: str, name: str, table: Dict[str, object]):
+    """``table[name.lower()]``, or :class:`ModelConfigError` naming the choices."""
+    if name.lower() not in table:
+        raise ModelConfigError(f"unknown {kind} {name!r}; choose one of {', '.join(map(repr, table))}")
+    return table[name.lower()]
 
 
 # ----------------------------------------------------------------------
@@ -229,9 +241,10 @@ def figure6_llm(
     ``"attention"``.  Prompt-processing rows use ``B*S = size, S' = 0``;
     token-generation rows (attention only) use ``(B, S')`` pairs with S = 1.
     """
-    config = GPT3_145B if model.lower() == "gpt3" else LLAMA_65B
+    config = _lookup("model", model, LLM_MODELS)
+    block_label = _lookup("block", block, LLM_BLOCKS)
     rows: List[Dict[str, object]] = []
-    if block.lower() == "mlp":
+    if block_label == "MLP":
         policies = ("TileSync", "RowSync")
         for size in prompt_sizes:
             if config.swiglu:
@@ -239,19 +252,19 @@ def figure6_llm(
             else:
                 workload = GptMlp(config=config, batch_seq=size, arch=arch)
             data = _improvements(workload, policies, include_streamk)
-            rows.append({"model": config.name, "block": "MLP", "batch_seq": size, "cached": 0, **data})
+            rows.append({"model": config.name, "block": block_label, "batch_seq": size, "cached": 0, **data})
         return rows
 
     policies = LLM_POLICIES
     for size in prompt_sizes:
         workload = Attention(config=config, batch=1, seq=size, cached=0, arch=arch)
         data = _improvements(workload, policies, include_streamk)
-        rows.append({"model": config.name, "block": "Attention", "batch_seq": size, "cached": 0, **data})
+        rows.append({"model": config.name, "block": block_label, "batch_seq": size, "cached": 0, **data})
     for batch, cached in token_configs:
         workload = Attention(config=config, batch=batch, seq=1, cached=cached, arch=arch)
         data = _improvements(workload, policies, include_streamk)
         rows.append(
-            {"model": config.name, "block": "Attention", "batch_seq": batch, "cached": cached, **data}
+            {"model": config.name, "block": block_label, "batch_seq": batch, "cached": cached, **data}
         )
     return rows
 
@@ -266,8 +279,7 @@ def figure7_conv(
     arch: GpuArchitecture = TESLA_V100,
 ) -> List[Dict[str, object]]:
     """Reproduce Figure 7: Conv2D-chain improvement per channel count and batch."""
-    layer_table = RESNET38_LAYERS if model.lower() == "resnet" else VGG19_LAYERS
-    by_channels = {spec.channels: spec for spec in layer_table}
+    by_channels = {spec.channels: spec for spec in _lookup("model", model, CONV_MODELS)}
     rows: List[Dict[str, object]] = []
     for channel in channels:
         spec = by_channels[channel]

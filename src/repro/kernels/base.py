@@ -158,19 +158,19 @@ class TiledKernel(ABC):
         name: str,
         cost_model: Optional[CostModel] = None,
         sync: Optional[SyncInterface] = None,
-        functional: bool = False,
     ) -> None:
         self.name = name
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.sync = sync if sync is not None else NoSync()
-        self.functional = functional
+        self.functional = False
 
     # ------------------------------------------------------------------
     # Plan-cache plumbing
     #
-    # Executors re-point ``sync`` / ``cost_model`` / ``functional`` when a
-    # kernel is attached to a pipeline (StreamSync strips synchronization,
-    # cuSync installs a stage).  Kernels that memoize per-tile plans or
+    # Executors re-point ``sync`` / ``cost_model`` / ``functional`` per run
+    # (StreamSync strips synchronization, cuSync installs a stage, and only
+    # the run decides ``functional``; code that builds block programs by
+    # hand sets it itself).  Kernels that memoize per-tile plans or
     # durations derived from those attributes hook
     # :meth:`_invalidate_plan_caches` to drop stale entries.
     # ------------------------------------------------------------------

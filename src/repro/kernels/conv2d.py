@@ -119,9 +119,8 @@ class Conv2dKernel(TiledKernel):
         sync: Optional[SyncInterface] = None,
         sync_inputs: Tuple[str, ...] = (),
         cost_model: Optional[CostModel] = None,
-        functional: bool = False,
     ) -> None:
-        super().__init__(name=name, cost_model=cost_model, sync=sync, functional=functional)
+        super().__init__(name=name, cost_model=cost_model, sync=sync)
         self.problem = problem
         self.config = config if config is not None else choose_conv2d_config(problem)
         self.epilogue = epilogue if epilogue is not None else Identity()

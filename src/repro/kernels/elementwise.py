@@ -70,9 +70,8 @@ class CopyKernel(TiledKernel):
         sync: Optional[SyncInterface] = None,
         sync_inputs: Tuple[str, ...] = (),
         cost_model: Optional[CostModel] = None,
-        functional: bool = False,
     ) -> None:
-        super().__init__(name=name, cost_model=cost_model, sync=sync, functional=functional)
+        super().__init__(name=name, cost_model=cost_model, sync=sync)
         self.problem = problem
         self.sync_inputs = tuple(sync_inputs)
 

@@ -191,9 +191,8 @@ class GemmKernel(TiledKernel):
         a_transform=None,
         a_transform_flops: float = 0.0,
         cost_model: Optional[CostModel] = None,
-        functional: bool = False,
     ) -> None:
-        super().__init__(name=name, cost_model=cost_model, sync=sync, functional=functional)
+        super().__init__(name=name, cost_model=cost_model, sync=sync)
         self.problem = problem
         self.config = config if config is not None else choose_gemm_config(problem, self.cost_model.arch)
         self.epilogue = epilogue if epilogue is not None else Identity()
@@ -201,11 +200,6 @@ class GemmKernel(TiledKernel):
         self.gate_input = gate_input
         self.a_transform = a_transform
         self.a_transform_flops = a_transform_flops
-        if functional and self.config.split_k > 1 and not isinstance(self.epilogue, Identity):
-            raise SimulationError(
-                "functional simulation of a split-K GeMM with a fused epilogue is not supported: "
-                "the epilogue would be applied to partial sums"
-            )
 
     # ------------------------------------------------------------------
     # TiledKernel interface

@@ -60,9 +60,8 @@ class SoftmaxDropoutKernel(TiledKernel):
         sync: Optional[SyncInterface] = None,
         sync_inputs: Tuple[str, ...] = (),
         cost_model: Optional[CostModel] = None,
-        functional: bool = False,
     ) -> None:
-        super().__init__(name=name, cost_model=cost_model, sync=sync, functional=functional)
+        super().__init__(name=name, cost_model=cost_model, sync=sync)
         check_positive("rows_per_block", rows_per_block)
         self.problem = problem
         self.rows_per_block = rows_per_block

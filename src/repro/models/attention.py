@@ -32,7 +32,7 @@ import numpy as np
 from repro.common.validation import check_non_negative, check_positive
 from repro.gpu.arch import GpuArchitecture, TESLA_V100
 from repro.gpu.costmodel import CostModel
-from repro.kernels.gemm import GemmConfig, GemmKernel, GemmProblem, choose_gemm_config
+from repro.kernels.gemm import GemmKernel, GemmProblem, choose_gemm_config
 from repro.kernels.softmax_dropout import SoftmaxDropoutKernel, SoftmaxDropoutProblem
 from repro.models.config import GPT3_145B, TransformerConfig
 from repro.models.workload import Workload
@@ -93,11 +93,10 @@ class Attention(Workload):
         cached: int = 0,
         arch: GpuArchitecture = TESLA_V100,
         cost_model: Optional[CostModel] = None,
-        functional: bool = False,
         dropout: float = 0.0,
         seed: int = 0,
     ) -> None:
-        super().__init__(arch=arch, cost_model=cost_model, functional=functional)
+        super().__init__(arch=arch, cost_model=cost_model)
         check_positive("batch", batch)
         check_positive("seq", seq)
         check_non_negative("cached", cached)
@@ -145,18 +144,13 @@ class Attention(Workload):
 
         def gemm(name: str, problem: GemmProblem, **kwargs) -> GemmKernel:
             config = choose_gemm_config(problem, self.arch)
-            if self.functional:
-                config = GemmConfig(config.tile_m, config.tile_n, config.tile_k, 1)
-            return GemmKernel(
-                name, problem, config=config, cost_model=self.cost_model,
-                functional=self.functional, **kwargs,
-            )
+            return GemmKernel(name, problem, config=config, cost_model=self.cost_model, **kwargs)
 
         qkv = gemm("attn_qkv", qkv_problem)
         scores = gemm("attn_scores", score_problem, sync_inputs=("XQ", "Kall"))
         softmax = SoftmaxDropoutKernel(
             "attn_softmax", softmax_problem, sync_inputs=("P",),
-            cost_model=self.cost_model, functional=self.functional,
+            cost_model=self.cost_model,
         )
         values = gemm("attn_values", value_problem, sync_inputs=("R", "Vall"))
         output = gemm("attn_out", out_problem, sync_inputs=("T",))

@@ -32,12 +32,11 @@ class ConvChain(Workload):
         convs: Optional[int] = None,
         arch: GpuArchitecture = TESLA_V100,
         cost_model: Optional[CostModel] = None,
-        functional: bool = False,
         config: Optional[Conv2dConfig] = None,
         fuse_relu: bool = True,
         seed: int = 0,
     ) -> None:
-        super().__init__(arch=arch, cost_model=cost_model, functional=functional)
+        super().__init__(arch=arch, cost_model=cost_model)
         check_positive("batch", batch)
         self.spec = spec
         self.batch = batch
@@ -83,7 +82,6 @@ class ConvChain(Workload):
                 epilogue=ReLU() if self.fuse_relu else None,
                 sync_inputs=(problem.input,) if index > 0 else (),
                 cost_model=self.cost_model,
-                functional=self.functional,
             )
             stages.append(StageSpec(name=kernel.name, kernel=kernel))
             if index > 0:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.gpu.arch import GpuArchitecture, TESLA_V100
+from repro.gpu.arch import ArchLike, TESLA_V100, resolve_arch
 from repro.gpu.costmodel import CostModel
 from repro.models.attention import Attention
 from repro.models.config import (
@@ -33,7 +33,6 @@ from repro.models.conv_layers import ConvChain
 from repro.models.llama_mlp import LlamaMlp
 from repro.models.mlp import GptMlp
 from repro.models.workload import Workload
-from repro.pipeline import run as run_graph
 
 #: Bytes per fp16 element, used for all-reduce volume estimates.
 FP16_BYTES = 2
@@ -59,27 +58,10 @@ class InferenceEstimate:
 
 
 def _block_times(workload: Workload, policies: List[str]) -> Dict[str, float]:
-    """StreamSync time plus the best cuSync time across policy families.
-
-    The workload's graph is built once and reused for every run — the
-    baseline and every policy family re-bind the same kernels (the paper
-    reports the best policy per configuration).
-    """
-    graph = workload.to_graph()
-    streamsync = run_graph(
-        graph, scheme="streamsync", arch=workload.arch, cost_model=workload.cost_model
-    ).total_time_us
-    cusync = min(
-        run_graph(
-            graph,
-            scheme="cusync",
-            policy=family,
-            arch=workload.arch,
-            cost_model=workload.cost_model,
-        ).total_time_us
-        for family in policies
-    )
-    return {"StreamSync": streamsync, "cuSync": cusync}
+    """StreamSync time plus the best cuSync time over ``policies``, as the paper reports."""
+    times = workload.best_policy(policies)
+    streamsync = times.pop("StreamSync")
+    return {"StreamSync": streamsync, "cuSync": min(times.values())}
 
 
 class TransformerLayer:
@@ -91,7 +73,7 @@ class TransformerLayer:
         batch: int = 1,
         seq: int = 512,
         cached: int = 0,
-        arch: GpuArchitecture = TESLA_V100,
+        arch: ArchLike = TESLA_V100,
         cost_model: Optional[CostModel] = None,
         tuned: bool = False,
     ) -> None:
@@ -99,8 +81,8 @@ class TransformerLayer:
         self.batch = batch
         self.seq = seq
         self.cached = cached
-        self.arch = arch
-        self.cost_model = cost_model if cost_model is not None else CostModel(arch=arch)
+        self.arch = resolve_arch(arch)
+        self.cost_model = cost_model if cost_model is not None else CostModel(arch=self.arch)
         #: Resolve MLP tile configs from the committed tuned-config table
         #: (per-arch) instead of the V100-tuned defaults.
         self.tuned = tuned
@@ -179,13 +161,13 @@ class VisionModel:
         self,
         config: VisionModelConfig,
         batch: int = 1,
-        arch: GpuArchitecture = TESLA_V100,
+        arch: ArchLike = TESLA_V100,
         cost_model: Optional[CostModel] = None,
     ) -> None:
         self.config = config
         self.batch = batch
-        self.arch = arch
-        self.cost_model = cost_model if cost_model is not None else CostModel(arch=arch)
+        self.arch = resolve_arch(arch)
+        self.cost_model = cost_model if cost_model is not None else CostModel(arch=self.arch)
 
     def stage_chain(self, stage_index: int) -> ConvChain:
         spec = self.config.stages[stage_index]

@@ -43,18 +43,17 @@ class LlamaMlp(Workload):
         batch_seq: int = 512,
         arch: GpuArchitecture = TESLA_V100,
         cost_model: Optional[CostModel] = None,
-        functional: bool = False,
         gemm_configs: Optional[Tuple[GemmConfig, GemmConfig]] = None,
         seed: int = 0,
         tuned: bool = False,
     ) -> None:
-        super().__init__(arch=arch, cost_model=cost_model, functional=functional)
+        super().__init__(arch=arch, cost_model=cost_model)
         check_positive("batch_seq", batch_seq)
         self.config = config
         self.batch_seq = batch_seq
         self.seed = seed
         self.tuned = tuned
-        if gemm_configs is None and tuned and not functional:
+        if gemm_configs is None and tuned:
             gemm_configs = _resolve_tuned_pair(
                 self.workload_key, arch, "llama_gemm1", "llama_gemm2"
             )
@@ -104,16 +103,12 @@ class LlamaMlp(Workload):
         else:
             config1 = choose_gemm_config(combined, self.arch)
             config2 = choose_gemm_config(gated, self.arch)
-            if self.functional:
-                config1 = GemmConfig(config1.tile_m, config1.tile_n, config1.tile_k, 1)
-                config2 = GemmConfig(config2.tile_m, config2.tile_n, config2.tile_k, 1)
 
         producer = GemmKernel(
             "llama_gemm1",
             combined,
             config=config1,
             cost_model=self.cost_model,
-            functional=self.functional,
         )
         consumer = GemmKernel(
             "llama_gemm2",
@@ -123,7 +118,6 @@ class LlamaMlp(Workload):
             a_transform=self._swiglu_transform(),
             a_transform_flops=6.0,
             cost_model=self.cost_model,
-            functional=self.functional,
         )
 
         inner = self.intermediate

@@ -67,27 +67,21 @@ class GptMlp(Workload):
         batch_seq: int = 512,
         arch: GpuArchitecture = TESLA_V100,
         cost_model: Optional[CostModel] = None,
-        functional: bool = False,
         gemm_configs: Optional[Tuple[GemmConfig, GemmConfig]] = None,
         seed: int = 0,
         tuned: bool = False,
     ) -> None:
-        super().__init__(arch=arch, cost_model=cost_model, functional=functional)
+        super().__init__(arch=arch, cost_model=cost_model)
         check_positive("batch_seq", batch_seq)
         self.config = config
         self.batch_seq = batch_seq
         self.seed = seed
         self.tuned = tuned
-        if gemm_configs is None and tuned and not functional:
-            gemm_configs = _resolve_tuned_pair(
-                self.workload_key, arch, "mlp_gemm1", "mlp_gemm2"
-            )
-        if gemm_configs is not None:
-            self.gemm_configs = gemm_configs
-        elif config.hidden == GPT3_145B.hidden and not functional:
-            self.gemm_configs = gpt3_mlp_gemm_configs(batch_seq)
-        else:
-            self.gemm_configs = None  # chosen per problem below
+        if gemm_configs is None and tuned:
+            gemm_configs = _resolve_tuned_pair(self.workload_key, arch, "mlp_gemm1", "mlp_gemm2")
+        if gemm_configs is None and config.hidden == GPT3_145B.hidden:
+            gemm_configs = gpt3_mlp_gemm_configs(batch_seq)
+        self.gemm_configs = gemm_configs  # None: chosen per problem in to_graph
 
     @property
     def name(self) -> str:
@@ -113,17 +107,12 @@ class GptMlp(Workload):
         else:
             config1 = choose_gemm_config(first, self.arch)
             config2 = choose_gemm_config(second, self.arch)
-            if self.functional:
-                # Fused epilogues require split_k == 1 in functional mode.
-                config1 = GemmConfig(config1.tile_m, config1.tile_n, config1.tile_k, 1)
-                config2 = GemmConfig(config2.tile_m, config2.tile_n, config2.tile_k, 1)
         producer = GemmKernel(
             "mlp_gemm1",
             first,
             config=config1,
             epilogue=GeLU(),
             cost_model=self.cost_model,
-            functional=self.functional,
         )
         consumer = GemmKernel(
             "mlp_gemm2",
@@ -131,7 +120,6 @@ class GptMlp(Workload):
             config=config2,
             sync_inputs=("XW1",),
             cost_model=self.cost_model,
-            functional=self.functional,
         )
         return PipelineGraph(
             stages=[

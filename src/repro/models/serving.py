@@ -85,7 +85,7 @@ class ServingLayer(Workload):
         cost_model: Optional[CostModel] = None,
         seed: int = 0,
     ) -> None:
-        super().__init__(arch=arch, cost_model=cost_model, functional=False)
+        super().__init__(arch=arch, cost_model=cost_model)
         check_positive("rows", rows)
         check_positive("keys", keys)
         self.config = config

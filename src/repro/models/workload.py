@@ -50,19 +50,21 @@ def _resolve_tuned_pair(workload_key: str, arch: ArchLike, stage1: str, stage2: 
 
 
 class Workload(ABC):
-    """A chain of dependent kernels, described once and run under any scheme."""
+    """A chain of dependent kernels, described once and run under any scheme.
+
+    Whether a run is functional is a property of the run: the timing graph
+    runs functionally with ``functional=True, tensors=workload.input_tensors()``.
+    """
 
     def __init__(
         self,
         arch: ArchLike = TESLA_V100,
         cost_model: Optional[CostModel] = None,
-        functional: bool = False,
     ) -> None:
         #: Always a resolved instance: registered names and
         #: :class:`~repro.gpu.arch.ArchSpec` values are accepted too.
         self.arch = resolve_arch(arch)
         self.cost_model = cost_model if cost_model is not None else CostModel(arch=self.arch)
-        self.functional = functional
 
     # ------------------------------------------------------------------
     # Subclass responsibility: the graph description
@@ -94,7 +96,6 @@ class Workload(ABC):
         policy: PolicyLike = "TileSync",
         optimizations: Optional[OptimizationFlags] = None,
     ) -> PipelineResult:
-        functional = self.functional and scheme != "streamk"
         return run_graph(
             graph,
             scheme=scheme,
@@ -102,8 +103,6 @@ class Workload(ABC):
             optimizations=optimizations,
             arch=self.arch,
             cost_model=self.cost_model,
-            functional=functional,
-            tensors=self.input_tensors() if functional else None,
         )
 
     def improvement_over_streamsync(

@@ -601,11 +601,13 @@ class Session:
     A session binds no state to any graph; it only remembers derived,
     read-only facts (one cost model per architecture, per-arch stage
     summaries per graph) so repeated :meth:`run` calls and :meth:`sweep`
-    points skip redundant derivation.
+    points skip redundant derivation.  Each :meth:`run` call chooses
+    whether it is functional, so one session may alternate functional and
+    timing runs of the same graph.
 
     On top of the derivation caches, :meth:`sweep` keeps a **result cache**:
-    the simulator is deterministic and sweep points are functional (timing
-    only, no per-run memory or tensors), so a point's
+    the simulator is deterministic and sweep points are timing only (no
+    per-run memory or tensors), so a point's
     :class:`SweepResult` is fully determined by its trace key — the tuple
     ``(graph, resolved arch key, scheme, resolved policy assignment)``,
     where the graph is identified by its **structural fingerprint**
@@ -638,7 +640,6 @@ class Session:
     def __init__(
         self,
         arch: ArchLike = TESLA_V100,
-        functional: bool = False,
         cost_model: Optional[CostModel] = None,
         sweep_cache: bool = True,
         result_store: Optional["SweepResultStoreLike"] = None,
@@ -647,7 +648,6 @@ class Session:
         #: instance (names and :class:`~repro.gpu.arch.ArchSpec` values are
         #: accepted and looked up in the registry).
         self.arch = resolve_arch(arch)
-        self.functional = functional
         #: One cost model per architecture, keyed by the *resolved*
         #: :class:`~repro.gpu.arch.ArchSpec` when the architecture is
         #: registry-addressable (names, specs, and instances value-equal to
@@ -960,15 +960,19 @@ class Session:
         policy: PolicyLike = "TileSync",
         optimizations: Optional[OptimizationFlags] = None,
         arch: Optional[ArchLike] = None,
+        functional: bool = False,
         memory: Optional[GlobalMemory] = None,
         tensors: Optional[Dict[str, np.ndarray]] = None,
     ) -> PipelineResult:
-        """Execute ``graph`` once, reusing the session's cached state."""
+        """Execute ``graph`` once, reusing the session's cached state.
+
+        ``functional=True`` (inputs in ``tensors=``) holds for this run only.
+        """
         resolved = resolve_arch(arch) if arch is not None else self.arch
         ctx = ExecutionContext(
             arch=resolved,
             cost_model=self.cost_model(arch),
-            functional=self.functional,
+            functional=functional,
             policy=policy,
             optimizations=optimizations,
             memory=memory,
@@ -1065,13 +1069,8 @@ class Session:
 
         Sweeps measure timing only — functional simulation needs per-run
         input tensors and is not part of the point grid; use :meth:`run`
-        with ``tensors=...`` for functional checks.
+        with ``functional=True, tensors=...`` for functional checks.
         """
-        if self.functional:
-            raise SimulationError(
-                "Session.sweep measures timing only; run functional points "
-                "individually with Session.run(graph, ..., tensors=...)"
-            )
         check_sweep_options(mode, workers, timeout, retries, backoff)
         if on_error not in ("raise", "collect", "skip"):
             raise SimulationError(

@@ -102,15 +102,13 @@ def rng():
 
 @pytest.fixture
 def run_functional():
-    """Run a ``functional=True`` workload once on a freshly built graph.
+    """Run a workload's timing graph functionally once, on a fresh graph.
 
-    The workload itself must be functional: its ``to_graph`` then picks
-    split-K-free tiles and builds kernels that reject a split-K GeMM with a
-    fused epilogue, which a timing-mode graph run functionally would skip.
+    Whether a run is functional is a property of the run: the graph is
+    the one ``to_graph`` builds for timing, split-K tiles included.
     """
 
     def run_once(workload, scheme="cusync", policy="TileSync"):
-        assert workload.functional, "build the workload with functional=True"
         return run(
             workload.to_graph(),
             scheme=scheme,

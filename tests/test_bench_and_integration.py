@@ -12,13 +12,12 @@ from repro.bench import (
     table1_utilization,
     table3_lines_changed,
 )
-from repro.bench.experiments import figure7_conv, table5_conv_optimizations
-from repro.errors import DataRaceError
-from repro.gpu.arch import TESLA_V100
+from repro.bench.experiments import figure6_llm, figure7_conv, table5_conv_optimizations
+from repro.errors import DataRaceError, ModelConfigError
+from repro.gpu.arch import AMPERE_A100, TESLA_V100, ArchSpec
 from repro.models import Attention, ConvChain, GptMlp, TransformerConfig
-from repro.models.config import RESNET38_LAYERS
+from repro.models.config import RESNET38_LAYERS, ConvLayerSpec, VisionModelConfig, resnet38_config
 from repro.models.inference import TransformerLayer, VisionModel
-from repro.models.config import resnet38_config
 from repro.pipeline import PipelineGraph, Session, run
 from repro.tune import SearchSpace, Tuner
 
@@ -113,12 +112,52 @@ class TestEndToEndEstimates:
         assert estimate.improvement > 0.0
         assert len(estimate.per_block_us) == 4
 
+    @pytest.mark.parametrize("arch", ["A100", ArchSpec("A100")], ids=["name", "spec"])
+    def test_estimates_accept_arch_names_and_specs(self, arch):
+        def layer(arch):
+            return TransformerLayer(config=TINY, batch=1, seq=64, arch=arch).estimate(
+                policies=["TileSync"], attention_policies=["TileSync"]
+            )
+
+        vision_config = VisionModelConfig(
+            name="tiny-vision",
+            stages=(ConvLayerSpec(image=8, channels=16, kernel=3, convs_per_layer=2, layers=1),),
+        )
+
+        def vision(arch):
+            return VisionModel(config=vision_config, arch=arch).estimate(policies=["RowSync"])
+
+        assert layer(arch) == layer(AMPERE_A100)
+        assert vision(arch) == vision(AMPERE_A100)
+
+
+class TestFigureNames:
+    """An unknown model or block name is rejected, never run as another model."""
+
+    @pytest.mark.parametrize(
+        "figure,kwargs,accepted",
+        [
+            (figure7_conv, {"model": "resnet38", "channels": (64,), "batches": (1,)}, "'resnet', 'vgg'"),
+            (figure6_llm, {"model": "gpt-3", "prompt_sizes": (), "token_configs": ()}, "'gpt3', 'llama'"),
+            (figure6_llm, {"block": "mlps", "prompt_sizes": (), "token_configs": ()}, "'mlp', 'attention'"),
+        ],
+        ids=["figure7-resnet38", "figure6-gpt-3", "figure6-mlps"],
+    )
+    def test_unknown_name_rejected(self, figure, kwargs, accepted):
+        with pytest.raises(ModelConfigError, match=accepted):
+            figure(**kwargs)
+
+    def test_names_match_case_insensitively(self):
+        assert figure6_llm(model="LLaMA", block="Attention", prompt_sizes=(), token_configs=()) == []
+        rows = figure7_conv(model="VGG", channels=(256,), batches=(1,))
+        assert [row["convs"] for row in rows] == [4]
+
 
 class TestCrossSchemeConsistency:
     """The same workload must produce identical numerics under every scheme."""
 
     def test_all_policies_agree_numerically(self, run_functional):
-        workload = GptMlp(config=TINY, batch_seq=96, functional=True)
+        workload = GptMlp(config=TINY, batch_seq=96)
         outputs = {
             policy: run_functional(workload, policy=policy).tensor("XW12")
             for policy in ("TileSync", "RowSync")
@@ -130,7 +169,7 @@ class TestCrossSchemeConsistency:
     def test_attention_policies_agree(self, run_functional):
         outputs = []
         for policy in ("TileSync", "StridedTileSync"):
-            workload = Attention(config=TINY, batch=1, seq=64, functional=True, dropout=0.0)
+            workload = Attention(config=TINY, batch=1, seq=64, dropout=0.0)
             outputs.append(run_functional(workload, policy=policy).tensor("XW12"))
         np.testing.assert_allclose(outputs[0], outputs[1], rtol=1e-5, atol=1e-5)
 
@@ -153,7 +192,7 @@ class TestCrossSchemeConsistency:
 
         # Small tiles so each output row of the producer spans several tiles.
         configs = (GemmConfig(32, 32, 32), GemmConfig(32, 32, 32))
-        workload = GptMlp(config=TINY, batch_seq=96, functional=True, gemm_configs=configs)
+        workload = GptMlp(config=TINY, batch_seq=96, gemm_configs=configs)
         graph = workload.to_graph()
         leaky = PipelineGraph(
             stages=[replace(stage, policy=LeakyRowSync()) for stage in graph.stages],

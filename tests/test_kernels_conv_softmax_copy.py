@@ -11,6 +11,7 @@ from repro.kernels.softmax_dropout import SoftmaxDropoutKernel, SoftmaxDropoutPr
 
 
 def run_functional(kernel, tensors):
+    kernel.functional = True
     memory = GlobalMemory()
     for name, value in tensors.items():
         memory.store_tensor(name, value)
@@ -55,9 +56,7 @@ class TestConv2dKernel:
 
     def test_functional_matches_direct_convolution(self, rng):
         problem = Conv2dProblem(batch=1, height=6, width=6, in_channels=8, out_channels=8)
-        kernel = Conv2dKernel(
-            "c", problem, Conv2dConfig(tile_m=16, tile_n=8, tile_k=8), functional=True
-        )
+        kernel = Conv2dKernel("c", problem, Conv2dConfig(tile_m=16, tile_n=8, tile_k=8))
         tensors = {
             "X": rng.standard_normal((1, 6, 6, 8)).astype(np.float32),
             "W": rng.standard_normal((3, 3, 8, 8)).astype(np.float32) * 0.2,
@@ -105,14 +104,14 @@ class TestSoftmaxDropout:
 
     def test_functional_softmax_rows_sum_to_one(self, rng):
         problem = SoftmaxDropoutProblem(rows=16, row_length=32, dropout_probability=0.0)
-        kernel = SoftmaxDropoutKernel("s", problem, rows_per_block=4, functional=True)
+        kernel = SoftmaxDropoutKernel("s", problem, rows_per_block=4)
         tensors = {"P": rng.standard_normal((16, 32)).astype(np.float32)}
         memory = run_functional(kernel, tensors)
         np.testing.assert_allclose(memory.tensor("R").sum(axis=1), np.ones(16), rtol=1e-5)
 
     def test_functional_matches_reference(self, rng):
         problem = SoftmaxDropoutProblem(rows=16, row_length=32, dropout_probability=0.25, seed=7)
-        kernel = SoftmaxDropoutKernel("s", problem, rows_per_block=4, functional=True)
+        kernel = SoftmaxDropoutKernel("s", problem, rows_per_block=4)
         tensors = {"P": rng.standard_normal((16, 32)).astype(np.float32)}
         memory = run_functional(kernel, tensors)
         np.testing.assert_allclose(memory.tensor("R"), kernel.reference_result(memory), rtol=1e-5)
@@ -137,7 +136,7 @@ class TestCopyKernel:
 
     def test_copy_functional(self, rng):
         problem = CopyProblem(elements=1000, elements_per_block=256)
-        kernel = CopyKernel("copy", problem, functional=True)
+        kernel = CopyKernel("copy", problem)
         data = rng.standard_normal(1000).astype(np.float32)
         memory = run_functional(kernel, {"input": data})
         np.testing.assert_array_equal(memory.tensor("output"), data)

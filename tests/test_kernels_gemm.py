@@ -85,20 +85,10 @@ class TestBlockPrograms:
         assert first.segments[0].label == "k[0:128]"
         assert second.segments[0].label == "k[128:256]"
 
-    def test_functional_split_k_with_epilogue_rejected(self):
-        problem = GemmProblem(m=64, n=64, k=256)
-        with pytest.raises(Exception):
-            GemmKernel(
-                "g",
-                problem,
-                GemmConfig(tile_m=64, tile_n=64, tile_k=32, split_k=2),
-                epilogue=GeLU(),
-                functional=True,
-            )
-
 
 class TestFunctionalGemm:
     def _run_functional(self, kernel, tensors):
+        kernel.functional = True
         memory = GlobalMemory()
         for name, value in tensors.items():
             memory.store_tensor(name, value)
@@ -114,7 +104,7 @@ class TestFunctionalGemm:
 
     def test_matches_numpy(self, rng):
         problem = GemmProblem(m=96, n=80, k=64)
-        kernel = GemmKernel("g", problem, GemmConfig(tile_m=32, tile_n=32, tile_k=32), functional=True)
+        kernel = GemmKernel("g", problem, GemmConfig(tile_m=32, tile_n=32, tile_k=32))
         tensors = {
             "A": rng.standard_normal((96, 64)).astype(np.float32),
             "B": rng.standard_normal((64, 80)).astype(np.float32),
@@ -125,7 +115,7 @@ class TestFunctionalGemm:
     def test_gelu_epilogue(self, rng):
         problem = GemmProblem(m=64, n=64, k=32)
         kernel = GemmKernel(
-            "g", problem, GemmConfig(tile_m=32, tile_n=32, tile_k=32), epilogue=GeLU(), functional=True
+            "g", problem, GemmConfig(tile_m=32, tile_n=32, tile_k=32), epilogue=GeLU()
         )
         tensors = {
             "A": rng.standard_normal((64, 32)).astype(np.float32),
@@ -136,9 +126,24 @@ class TestFunctionalGemm:
             memory.tensor("C"), kernel.reference_result(memory), rtol=1e-4, atol=1e-4
         )
 
+    def test_split_k_gelu_epilogue(self, rng):
+        """The fused GeLU applies once per output tile, after its last split."""
+        problem = GemmProblem(m=64, n=64, k=128)
+        kernel = GemmKernel(
+            "g", problem, GemmConfig(tile_m=32, tile_n=32, tile_k=32, split_k=2), epilogue=GeLU()
+        )
+        tensors = {
+            "A": rng.standard_normal((64, 128)).astype(np.float32),
+            "B": rng.standard_normal((128, 64)).astype(np.float32),
+        }
+        memory = self._run_functional(kernel, tensors)
+        np.testing.assert_allclose(
+            memory.tensor("C"), GeLU().apply(tensors["A"] @ tensors["B"]), rtol=1e-4, atol=1e-4
+        )
+
     def test_batched(self, rng):
         problem = GemmProblem(m=32, n=32, k=32, batch=3)
-        kernel = GemmKernel("g", problem, GemmConfig(tile_m=32, tile_n=32, tile_k=32), functional=True)
+        kernel = GemmKernel("g", problem, GemmConfig(tile_m=32, tile_n=32, tile_k=32))
         tensors = {
             "A": rng.standard_normal((3, 32, 32)).astype(np.float32),
             "B": rng.standard_normal((3, 32, 32)).astype(np.float32),

@@ -29,10 +29,10 @@ def _workload(name: str):
     if name == "mlp_split_k":
         return GptMlp(config=TINY, batch_seq=64, gemm_configs=(GemmConfig(64, 64, 32, 2),) * 2)
     if name == "attention":
-        return Attention(config=TINY, batch=1, seq=64, functional=True)
+        return Attention(config=TINY, batch=1, seq=64)
     if name == "attention_s128":
-        return Attention(config=TINY, batch=1, seq=128, functional=True)
-    return ConvChain(RESNET_C64, batch=1, functional=True)
+        return Attention(config=TINY, batch=1, seq=128)
+    return ConvChain(RESNET_C64, batch=1)
 
 
 def _trace(graph, workload, scheme: str, functional: bool, arch=None):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from golden_trace_utils import _serialize_result
 from repro.errors import ModelConfigError
 from repro.gpu.arch import TESLA_V100
 from repro.models import (
@@ -20,7 +21,7 @@ from repro.models import (
 )
 from repro.kernels.gemm import GemmConfig, GemmKernel
 from repro.models.mlp import gpt3_mlp_gemm_configs
-from repro.pipeline import run
+from repro.pipeline import Session, run
 from repro.pipeline.executors import resolve_policy
 from repro.cusync.policies import RowSync, StridedSync, TileSync
 
@@ -60,25 +61,68 @@ class TestConfigs:
         assert small_first.split_k == 4
 
 
-class TestFunctionalTiles:
-    """A functional workload drops split-K: fused epilogues need split_k == 1."""
+#: Sizes at which ``to_graph`` picks split-K for GeMMs with fused epilogues
+#: (GeLU, the SwiGLU A transform) and for attention's QKV and output GeMMs.
+SPLIT_K_WORKLOADS = {
+    "GptMlp": lambda: GptMlp(
+        config=TransformerConfig(name="gpt-h1536", hidden=1536, layers=2, tensor_parallel=8),
+        batch_seq=64,
+    ),
+    "LlamaMlp": lambda: LlamaMlp(
+        config=TransformerConfig(
+            name="llama-h1536", hidden=1536, layers=2, tensor_parallel=8, swiglu=True
+        ),
+        batch_seq=64,
+    ),
+    "Attention": lambda: Attention(
+        config=TransformerConfig(name="gpt-h3072", hidden=3072, layers=2, tensor_parallel=8),
+        batch=1,
+        seq=64,
+        dropout=0.0,
+    ),
+}
+
+
+def _relative_error(actual: np.ndarray, expected: np.ndarray) -> float:
+    return float(np.abs(actual - expected).max() / np.abs(expected).max())
+
+
+class TestFunctionalTimingGraphs:
+    """Functional runs use the timing graphs: functional is a property of the run."""
 
     @pytest.mark.parametrize(
-        "make",
+        "scheme,policy",
         [
-            lambda functional: GptMlp(batch_seq=64, functional=functional),
-            lambda functional: LlamaMlp(batch_seq=64, functional=functional),
-            lambda functional: Attention(batch=1, seq=64, functional=functional),
+            ("streamsync", "TileSync"),
+            ("cusync", "TileSync"),
+            ("cusync", "RowSync"),
+            ("cusync", "StridedTileSync"),
         ],
-        ids=["GptMlp", "LlamaMlp", "Attention"],
     )
-    def test_functional_graph_has_no_split_k(self, make):
-        def split_ks(functional):
-            stages = make(functional).to_graph().stages
-            return {s.kernel.config.split_k for s in stages if isinstance(s.kernel, GemmKernel)}
+    @pytest.mark.parametrize("name", sorted(SPLIT_K_WORKLOADS))
+    def test_split_k_timing_graph_matches_numpy(self, name, scheme, policy, run_functional):
+        workload = SPLIT_K_WORKLOADS[name]()
+        stages = workload.to_graph().stages
+        split_ks = [s.kernel.config.split_k for s in stages if isinstance(s.kernel, GemmKernel)]
+        assert max(split_ks) > 1, split_ks
+        result = run_functional(workload, scheme=scheme, policy=policy)
+        assert _relative_error(result.tensor("XW12"), workload.reference_output()) < 1e-4
 
-        assert max(split_ks(False)) > 1
-        assert split_ks(True) == {1}
+    def test_one_session_alternates_functional_and_timing_runs(self):
+        workload = SPLIT_K_WORKLOADS["GptMlp"]()
+        graph = workload.to_graph()
+        session = Session(arch=workload.arch)
+
+        def functional_error():
+            result = session.run(graph, functional=True, tensors=workload.input_tensors())
+            return _relative_error(result.tensor("XW12"), workload.reference_output())
+
+        assert functional_error() < 1e-4
+        timing = session.run(graph)
+        fresh = Session(arch=workload.arch).run(workload.to_graph())
+        assert _serialize_result(timing) == _serialize_result(fresh)
+        assert not timing.memory.has_tensor("XW12")
+        assert functional_error() < 1e-4
 
 
 class TestPolicySelection:
@@ -110,14 +154,14 @@ class TestGptMlp:
         assert producer.occupancy() == 2
 
     def test_functional_correctness_tilesync(self, run_functional):
-        workload = GptMlp(config=TINY, batch_seq=96, functional=True)
+        workload = GptMlp(config=TINY, batch_seq=96)
         result = run_functional(workload, policy="TileSync")
         np.testing.assert_allclose(
             result.tensor("XW12"), workload.reference_output(), rtol=1e-3, atol=1e-3
         )
 
     def test_functional_correctness_streamsync(self, run_functional):
-        workload = GptMlp(config=TINY, batch_seq=96, functional=True)
+        workload = GptMlp(config=TINY, batch_seq=96)
         result = run_functional(workload, scheme="streamsync")
         np.testing.assert_allclose(
             result.tensor("XW12"), workload.reference_output(), rtol=1e-3, atol=1e-3
@@ -160,7 +204,7 @@ class TestLlamaMlp:
         assert first.problem.n == 2 * (TINY_SWIGLU.hidden // 3)
 
     def test_functional_correctness(self, run_functional):
-        workload = LlamaMlp(config=TINY_SWIGLU, batch_seq=64, functional=True)
+        workload = LlamaMlp(config=TINY_SWIGLU, batch_seq=64)
         result = run_functional(workload, policy="RowSync")
         np.testing.assert_allclose(
             result.tensor("XW12"), workload.reference_output(), rtol=1e-3, atol=1e-3
@@ -185,14 +229,14 @@ class TestAttention:
 
     @pytest.mark.parametrize("policy", ["TileSync", "RowSync", "StridedTileSync"])
     def test_functional_correctness(self, policy, run_functional):
-        workload = Attention(config=TINY, batch=1, seq=64, cached=0, functional=True, dropout=0.0)
+        workload = Attention(config=TINY, batch=1, seq=64, cached=0, dropout=0.0)
         result = run_functional(workload, policy=policy)
         np.testing.assert_allclose(
             result.tensor("XW12"), workload.reference_output(), rtol=1e-2, atol=1e-2
         )
 
     def test_streamsync_functional(self, run_functional):
-        workload = Attention(config=TINY, batch=1, seq=64, cached=0, functional=True, dropout=0.0)
+        workload = Attention(config=TINY, batch=1, seq=64, cached=0, dropout=0.0)
         result = run_functional(workload, scheme="streamsync")
         np.testing.assert_allclose(
             result.tensor("XW12"), workload.reference_output(), rtol=1e-2, atol=1e-2
@@ -219,7 +263,7 @@ class TestConvChain:
         from repro.models.config import ConvLayerSpec
 
         spec = ConvLayerSpec(image=8, channels=16, kernel=3, convs_per_layer=2, layers=1)
-        chain = ConvChain(spec, batch=1, functional=True)
+        chain = ConvChain(spec, batch=1)
         result = run_functional(chain, policy="Conv2DTileSync")
         np.testing.assert_allclose(
             result.tensor("act2"), chain.reference_output(), rtol=1e-2, atol=1e-2
