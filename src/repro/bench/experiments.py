@@ -45,14 +45,20 @@ CONV_POLICIES = ("RowSync", "Conv2DTileSync")
 #: The names Figures 6 and 7 accept (case-insensitive), and what they select.
 LLM_MODELS = {"gpt3": GPT3_145B, "llama": LLAMA_65B}
 LLM_BLOCKS = {"mlp": "MLP", "attention": "Attention"}
-CONV_MODELS = {"resnet": RESNET38_LAYERS, "vgg": VGG19_LAYERS}
+#: A conv model's layers are keyed by channel count.
+CONV_MODELS = {
+    model: {spec.channels: spec for spec in layers}
+    for model, layers in (("resnet", RESNET38_LAYERS), ("vgg", VGG19_LAYERS))
+}
 
 
-def _lookup(kind: str, name: str, table: Dict[str, object]):
-    """``table[name.lower()]``, or :class:`ModelConfigError` naming the choices."""
-    if name.lower() not in table:
+def _lookup(kind: str, name, table: Dict[object, object]):
+    """``table[name]``, a string name matched case-insensitively, or
+    :class:`ModelConfigError` naming the choices."""
+    key = name.lower() if isinstance(name, str) else name
+    if key not in table:
         raise ModelConfigError(f"unknown {kind} {name!r}; choose one of {', '.join(map(repr, table))}")
-    return table[name.lower()]
+    return table[key]
 
 
 # ----------------------------------------------------------------------
@@ -200,10 +206,10 @@ def table5_conv_optimizations(
 ) -> List[Dict[str, object]]:
     """Reproduce Table V(b): Conv2DTileSync + optimizations for ResNet."""
     rows = []
-    by_channels = {spec.channels: spec for spec in RESNET38_LAYERS}
     for channel in channels:
+        spec = _lookup("channel count", channel, CONV_MODELS["resnet"])
         for batch in batches:
-            workload = ConvChain(by_channels[channel], batch=batch, arch=arch)
+            workload = ConvChain(spec, batch=batch, arch=arch)
             ladder = _optimization_ladder(workload, "Conv2DTileSync")
             rows.append({"channels": channel, "batch": batch, "policy": "Conv2DTileSync", **ladder})
     return rows
@@ -279,10 +285,10 @@ def figure7_conv(
     arch: GpuArchitecture = TESLA_V100,
 ) -> List[Dict[str, object]]:
     """Reproduce Figure 7: Conv2D-chain improvement per channel count and batch."""
-    by_channels = {spec.channels: spec for spec in _lookup("model", model, CONV_MODELS)}
+    layers = _lookup("model", model, CONV_MODELS)
     rows: List[Dict[str, object]] = []
     for channel in channels:
-        spec = by_channels[channel]
+        spec = _lookup("channel count", channel, layers)
         for batch in batches:
             workload = ConvChain(spec, batch=batch, arch=arch)
             data = _improvements(workload, CONV_POLICIES, include_streamk=False)
@@ -366,8 +372,8 @@ def _model_workloads(
     leaves each workload on its default (V100-tuned) configuration, which
     is what the arch axis reuses across architectures.
     """
-    resnet_spec = {spec.channels: spec for spec in RESNET38_LAYERS}[conv_channels]
-    vgg_spec = {spec.channels: spec for spec in VGG19_LAYERS}[conv_channels]
+    resnet_spec = _lookup("channel count", conv_channels, CONV_MODELS["resnet"])
+    vgg_spec = _lookup("channel count", conv_channels, CONV_MODELS["vgg"])
     kwargs = {} if arch is None else {"arch": arch}
     return [
         (GptMlp(config=GPT3_145B, batch_seq=batch_seq, **kwargs), ("TileSync", "RowSync")),

@@ -10,15 +10,15 @@ from typing import Any, Tuple, Type, Union
 
 
 def check_positive(name: str, value: Union[int, float]) -> Union[int, float]:
-    """Raise ``ValueError`` unless ``value > 0``; return the value."""
-    if value <= 0:
+    """Raise ``ValueError`` unless ``value > 0`` (so NaN fails); return the value."""
+    if not value > 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
     return value
 
 
 def check_non_negative(name: str, value: Union[int, float]) -> Union[int, float]:
-    """Raise ``ValueError`` unless ``value >= 0``; return the value."""
-    if value < 0:
+    """Raise ``ValueError`` unless ``value >= 0`` (so NaN fails); return the value."""
+    if not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return value
 

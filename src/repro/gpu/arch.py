@@ -318,7 +318,7 @@ class ArchSpec:
         """
         for label, factor in (("sms", sms), ("compute", compute),
                               ("bandwidth", bandwidth), ("latency", latency)):
-            if factor <= 0.0:
+            if not factor > 0.0:
                 raise ModelConfigError(f"scaled() factor {label} must be positive, got {factor}")
         base = self.resolve()
         overrides = dict(self.overrides)

@@ -11,6 +11,10 @@ cuSync integration happens at exactly the call sites the paper adds to
 CUTLASS (Table III): the main loop asks the stage how to split its K
 iteration and which waits guard each chunk (``stage.wait`` before tile
 loads), and the block posts its output tile when done (``stage.post``).
+
+This is the one implicit-GeMM main loop: :class:`~repro.kernels.conv2d.
+Conv2dKernel` subclasses :class:`GemmKernel` and supplies only its operand
+planning and the numpy views of its operands and output.
 """
 
 from __future__ import annotations
@@ -177,6 +181,11 @@ class GemmKernel(TiledKernel):
         ``Swish(XW1) * XV`` into its third GeMM this way).  The callable
         receives ``(values, memory, rows, k_range, batch)`` and returns the
         transformed slice; ``a_transform_flops`` models its per-element cost.
+
+    Functional runs reach the operands and the output only through four
+    hooks, which an implicit GeMM (Conv2D) overrides: :meth:`_output_shape`
+    (the allocated output), :meth:`_output_matrix` (the output as ``[m, n]``
+    per batch entry), :meth:`_a_slice` and :meth:`_b_slice`.
     """
 
     def __init__(
@@ -305,6 +314,11 @@ class GemmKernel(TiledKernel):
         Unsynchronized operands and waitless single-step plans (``NoSync``
         bindings) key by tile extent instead, so a StreamSync binding shares
         one body across its whole grid.
+
+        A body whose B operand is unsynchronized (weights, Conv2D filters)
+        merges directly with B's one waitless step over the whole K range:
+        a :meth:`_compose_body` base entry would be keyed one-to-one with
+        this cache's entry and never hit.
         """
         problem = self.problem
         a_key, a_plan = self._plan_entry(
@@ -319,11 +333,16 @@ class GemmKernel(TiledKernel):
             if a_plan is None:
                 a_plan = self._plan_operand(problem.a, rows, k_range, batch_index)
             if b_plan is None:
-                b_plan = self._plan_operand(problem.b, k_range, cols, batch_index)
-            segments = self._body_segment_cache[key] = self._compose_body(
-                a_plan, b_plan, rows, cols, k_range, batch_index,
-                tile_m_actual, tile_n_actual, self.occupancy(), a_key,
-            )
+                segments = self._body_segments_indexed(
+                    rows, cols, k_range, batch_index, tile_m_actual, tile_n_actual, self.occupancy(),
+                    a_plan=a_plan, b_plan=[ReadPlanStep(rows=k_range, cols=cols, batch=batch_index)],
+                )[0]
+            else:
+                segments = self._compose_body(
+                    a_plan, b_plan, rows, cols, k_range, batch_index,
+                    tile_m_actual, tile_n_actual, self.occupancy(), a_key,
+                )
+            self._body_segment_cache[key] = segments
         return segments
 
     def _compose_body(
@@ -506,9 +525,8 @@ class GemmKernel(TiledKernel):
     def allocate_functional_tensors(self, memory: GlobalMemory) -> None:
         """Allocate the zero-initialized output tensor in global memory."""
         problem = self.problem
-        shape = (problem.m, problem.n) if problem.batch == 1 else (problem.batch, problem.m, problem.n)
         if not memory.has_tensor(problem.c):
-            memory.store_tensor(problem.c, np.zeros(shape, dtype=np.float32))
+            memory.store_tensor(problem.c, np.zeros(self._output_shape(), dtype=np.float32))
         if self.config.split_k > 1:
             grid = self.grid
             memory.store_tensor(
@@ -520,33 +538,35 @@ class GemmKernel(TiledKernel):
         """Functional runs: per output tile, the split-K blocks whose epilogue ran."""
         return f"{self.problem.c}.split_k_arrivals"
 
-    def _operand_slice(
-        self, memory: GlobalMemory, name: str, batch: int, rows: IndexRange, cols: IndexRange
-    ) -> np.ndarray:
-        tensor = memory.tensor(name)
-        if tensor.ndim == 3:
-            return tensor[batch, rows[0]:rows[1], cols[0]:cols[1]]
-        return tensor[rows[0]:rows[1], cols[0]:cols[1]]
+    def _output_shape(self) -> Tuple[int, ...]:
+        """Shape of the output tensor a functional run allocates."""
+        problem = self.problem
+        return (problem.m, problem.n) if problem.batch == 1 else (problem.batch, problem.m, problem.n)
+
+    def _output_matrix(self, memory: GlobalMemory, batch: int) -> np.ndarray:
+        """Batch entry ``batch`` of the output as a writable ``[m, n]`` view."""
+        return _matrix(memory.tensor(self.problem.c), batch)
+
+    def _a_slice(self, memory: GlobalMemory, batch: int, rows: IndexRange, k_range: IndexRange) -> np.ndarray:
+        """``[rows, k_range]`` slice of batch entry ``batch`` of A."""
+        return _matrix(memory.tensor(self.problem.a), batch)[rows[0]:rows[1], k_range[0]:k_range[1]]
+
+    def _b_slice(self, memory: GlobalMemory, batch: int, k_range: IndexRange, cols: IndexRange) -> np.ndarray:
+        """``[k_range, cols]`` slice of batch entry ``batch`` of B."""
+        return _matrix(memory.tensor(self.problem.b), batch)[k_range[0]:k_range[1], cols[0]:cols[1]]
 
     def _make_chunk_compute(self, batch: int, rows: IndexRange, cols: IndexRange, k_range: IndexRange):
-        problem = self.problem
-
         def compute(memory: GlobalMemory) -> None:
-            a = self._operand_slice(memory, problem.a, batch, rows, k_range)
-            b = self._operand_slice(memory, problem.b, batch, k_range, cols)
+            a = self._a_slice(memory, batch, rows, k_range)
+            b = self._b_slice(memory, batch, k_range, cols)
             if self.a_transform is not None:
                 a = self.a_transform(a.astype(np.float32), memory, rows, k_range, batch)
-            c = memory.tensor(problem.c)
             partial = a.astype(np.float32) @ b.astype(np.float32)
-            if c.ndim == 3:
-                c[batch, rows[0]:rows[1], cols[0]:cols[1]] += partial
-            else:
-                c[rows[0]:rows[1], cols[0]:cols[1]] += partial
+            self._output_matrix(memory, batch)[rows[0]:rows[1], cols[0]:cols[1]] += partial
 
         return compute
 
     def _make_epilogue_compute(self, tile: Dim3, batch: int, rows: IndexRange, cols: IndexRange):
-        problem = self.problem
         epilogue = self.epilogue
         split_k = self.config.split_k
         arrivals_tensor = self._arrivals_tensor
@@ -561,15 +581,9 @@ class GemmKernel(TiledKernel):
                 arrivals[batch, tile.y, tile.x] += 1
                 if arrivals[batch, tile.y, tile.x] < split_k:
                     return
-            c = memory.tensor(problem.c)
-            if c.ndim == 3:
-                tile_values = c[batch, rows[0]:rows[1], cols[0]:cols[1]]
-                c[batch, rows[0]:rows[1], cols[0]:cols[1]] = epilogue.apply(
-                    tile_values, memory, rows, cols, batch
-                )
-            else:
-                tile_values = c[rows[0]:rows[1], cols[0]:cols[1]]
-                c[rows[0]:rows[1], cols[0]:cols[1]] = epilogue.apply(tile_values, memory, rows, cols, batch)
+            c = self._output_matrix(memory, batch)
+            tile_values = c[rows[0]:rows[1], cols[0]:cols[1]]
+            c[rows[0]:rows[1], cols[0]:cols[1]] = epilogue.apply(tile_values, memory, rows, cols, batch)
 
         return compute
 
@@ -593,6 +607,11 @@ class GemmKernel(TiledKernel):
                 result[batch], memory, (0, problem.m), (0, problem.n), batch
             )
         return out
+
+
+def _matrix(tensor: np.ndarray, batch: int) -> np.ndarray:
+    """Batch entry ``batch`` of a ``[batch, m, n]`` tensor; an ``[m, n]`` one as is."""
+    return tensor[batch] if tensor.ndim == 3 else tensor
 
 
 class _KChunk(NamedTuple):

@@ -331,8 +331,8 @@ class StreamKBackend(Executor):
     wave for the remainder; other kernels run as under StreamSync, all on
     one stream.  Stream-K improves each GeMM individually but cannot overlap
     dependent kernels, the distinction Section V-H draws against cuSync.
-    Only GeMMs convert, which is why Stream-K does not apply to the Conv2D
-    workloads.
+    Only plain GeMMs convert, which is why Stream-K does not apply to the
+    Conv2D workloads.
     """
 
     scheme = "streamk"
@@ -348,7 +348,7 @@ class StreamKBackend(Executor):
         stream = Stream(priority=0, name="stream_k")
         launches: List[KernelLaunch] = []
         for kernel in graph.kernels:
-            if isinstance(kernel, GemmKernel):
+            if type(kernel) is GemmKernel:
                 # Stream-K variants are per-execution derivations (they
                 # re-partition the K dimension for the target arch); the
                 # graph's own kernels are left untouched.

@@ -1238,19 +1238,9 @@ class Session:
         schemes,
     ) -> List[Tuple[PipelineGraph, SweepPoint]]:
         if isinstance(graph_or_work, PipelineGraph):
-            graph = graph_or_work
-            arches = tuple(arches) if arches is not None else (self.arch,)
-            work: List[Tuple[PipelineGraph, SweepPoint]] = []
-            for arch in arches:
-                for scheme in schemes:
-                    if scheme == "cusync":
-                        for policy in policies:
-                            work.append(
-                                (graph, SweepPoint(scheme=scheme, policy=policy, arch=arch))
-                            )
-                    else:
-                        work.append((graph, SweepPoint(scheme=scheme, policy=None, arch=arch)))
-            return work
+            return sweep_archs(
+                graph_or_work, arches if arches is not None else (self.arch,), policies, schemes
+            )
         work = []
         for item in graph_or_work:
             graph, point = item

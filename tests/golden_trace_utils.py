@@ -25,6 +25,7 @@ import os
 from typing import Dict, List
 
 from repro.gpu.arch import AMPERE_A100, TESLA_V100
+from repro.kernels.conv2d import Conv2dConfig
 from repro.models.attention import Attention
 from repro.models.config import GPT3_145B, LLAMA_65B, RESNET38_LAYERS, VGG19_LAYERS
 from repro.models.conv_layers import ConvChain
@@ -40,7 +41,8 @@ def _workloads() -> Dict[str, object]:
 
     All five model workloads are pinned on both V100 and A100 (``@a100``
     keys), so the arch axis is trace-pinned too; the original four V100
-    entries keep their historical keys.
+    entries keep their historical keys.  ``conv_c64_splitk2`` pins the
+    split-K Conv2D main loop, which no figure's tile choice reaches.
     """
     resnet = {spec.channels: spec for spec in RESNET38_LAYERS}
     vgg = {spec.channels: spec for spec in VGG19_LAYERS}
@@ -51,6 +53,10 @@ def _workloads() -> Dict[str, object]:
         "conv_c64": ConvChain(resnet[64], batch=1, arch=TESLA_V100),
         "llama_mlp_b256": LlamaMlp(config=LLAMA_65B, batch_seq=256, arch=TESLA_V100),
         "conv_vgg_c256": ConvChain(vgg[256], batch=1, arch=TESLA_V100),
+        "conv_c64_splitk2": ConvChain(
+            resnet[64], batch=1, arch=TESLA_V100,
+            config=Conv2dConfig(tile_m=128, tile_n=64, tile_k=32, split_k=2),
+        ),
         "mlp_b256@a100": GptMlp(batch_seq=256, arch=AMPERE_A100),
         "llama_mlp_b256@a100": LlamaMlp(config=LLAMA_65B, batch_seq=256, arch=AMPERE_A100),
         "attention_s256@a100": Attention(

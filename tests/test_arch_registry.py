@@ -173,6 +173,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="kernel_launch_latency_us"):
             TESLA_V100.with_overrides(kernel_launch_latency_us=-1.0)
 
+    def test_nan_latency_rejected(self):
+        with pytest.raises(ValueError, match="global_latency_us"):
+            resolve_arch(ArchSpec("V100", global_latency_us=float("nan")))
+
     def test_occupancy_bounds_enforced(self):
         with pytest.raises(ValueError, match="max_threads_per_block"):
             TESLA_V100.with_overrides(max_threads_per_block=4096)
@@ -188,6 +192,10 @@ class TestValidation:
     def test_scaled_factors_must_be_positive(self):
         with pytest.raises(ModelConfigError, match="must be positive"):
             ArchSpec("V100").scaled(sms=0.0)
+
+    def test_scaled_rejects_nan_factor(self):
+        with pytest.raises(ModelConfigError, match="latency must be positive"):
+            ArchSpec("V100").scaled(latency=float("nan"))
 
     def test_scaled_derives_quantities(self):
         spec = ArchSpec("V100").scaled(sms=0.5, bandwidth=2.0, latency=0.5)

@@ -6,6 +6,8 @@ from repro.kernels.base import NoSync
 from repro.kernels.epilogue import GeLU
 from repro.kernels.gemm import GemmConfig, GemmKernel, GemmProblem
 from repro.kernels.softmax_dropout import SoftmaxDropoutKernel, SoftmaxDropoutProblem
+from repro.models import ConvChain
+from repro.models.config import RESNET38_LAYERS
 from repro.pipeline import linear_graph, run
 
 
@@ -65,6 +67,15 @@ class TestStreamKScheme:
         result = run(linear_graph([softmax], []), scheme="streamk", cost_model=v100_cost_model)
         assert list(result.simulation.trace.kernels) == ["s"]
         assert isinstance(softmax.sync, NoSync)
+
+    def test_conv_chain_stays_unconverted(self):
+        """A Conv2D is an implicit GeMM, but Stream-K converts plain GeMMs
+        only: a conv chain runs exactly as under StreamSync."""
+        chain = ConvChain(RESNET38_LAYERS[0], batch=1)
+        streamk = run(chain.to_graph(), scheme="streamk").simulation.trace
+        streamsync = run(chain.to_graph(), scheme="streamsync").simulation.trace
+        assert list(streamk.kernels) == list(streamsync.kernels) == ["conv0", "conv1"]
+        assert streamk.blocks == streamsync.blocks
 
     def test_run_mixed_pipeline(self, v100_cost_model):
         problem = GemmProblem(m=256, n=6144, k=2048, a="X", b="W", c="P")

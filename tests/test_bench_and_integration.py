@@ -12,7 +12,13 @@ from repro.bench import (
     table1_utilization,
     table3_lines_changed,
 )
-from repro.bench.experiments import figure6_llm, figure7_conv, table5_conv_optimizations
+from repro.bench.experiments import (
+    arch_comparison,
+    figure6_llm,
+    figure7_conv,
+    policy_ablation,
+    table5_conv_optimizations,
+)
 from repro.errors import DataRaceError, ModelConfigError
 from repro.gpu.arch import AMPERE_A100, TESLA_V100, ArchSpec
 from repro.models import Attention, ConvChain, GptMlp, TransformerConfig
@@ -146,6 +152,20 @@ class TestFigureNames:
     def test_unknown_name_rejected(self, figure, kwargs, accepted):
         with pytest.raises(ModelConfigError, match=accepted):
             figure(**kwargs)
+
+    @pytest.mark.parametrize(
+        "experiment,kwargs",
+        [
+            (figure7_conv, {"model": "resnet", "channels": (96,), "batches": (1,)}),
+            (table5_conv_optimizations, {"channels": (96,)}),
+            (policy_ablation, {"conv_channels": 96}),
+            (arch_comparison, {"arches": ("V100",), "conv_channels": 96}),
+        ],
+        ids=["figure7", "table5", "policy_ablation", "arch_comparison"],
+    )
+    def test_unknown_channel_count_rejected(self, experiment, kwargs):
+        with pytest.raises(ModelConfigError, match="64, 128, 256, 512"):
+            experiment(**kwargs)
 
     def test_names_match_case_insensitively(self):
         assert figure6_llm(model="LLaMA", block="Attention", prompt_sizes=(), token_configs=()) == []

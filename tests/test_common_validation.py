@@ -21,6 +21,15 @@ class TestValidationHelpers:
         with pytest.raises(ValueError):
             check_non_negative("x", -1)
 
+    @pytest.mark.parametrize("check", [check_positive, check_non_negative])
+    def test_nan_rejected(self, check):
+        with pytest.raises(ValueError, match="x"):
+            check("x", float("nan"))
+
+    @pytest.mark.parametrize("check", [check_positive, check_non_negative])
+    def test_infinity_accepted(self, check):
+        assert check("x", float("inf")) == float("inf")
+
     def test_check_in_range(self):
         assert check_in_range("x", 0.5, 0.0, 1.0) == 0.5
         with pytest.raises(ValueError):

@@ -7,7 +7,9 @@ from repro.common.dim3 import Dim3
 from repro.gpu.memory import GlobalMemory
 from repro.kernels.conv2d import Conv2dConfig, Conv2dKernel, Conv2dProblem, choose_conv2d_config
 from repro.kernels.elementwise import CopyKernel, CopyProblem
+from repro.kernels.epilogue import GeLU
 from repro.kernels.softmax_dropout import SoftmaxDropoutKernel, SoftmaxDropoutProblem
+from repro.pipeline import linear_graph, run
 
 
 def run_functional(kernel, tensors):
@@ -88,7 +90,25 @@ class TestConv2dKernel:
                     image, py, px = problem.pixel_coords(row)
                     if 0 <= py + dr < problem.height and 0 <= px + ds < problem.width:
                         expected[row_offset, column] = x[image, py + dr, px + ds, k // taps]
-            np.testing.assert_array_equal(kernel._gather_input_columns(memory, rows, k_range), expected)
+            np.testing.assert_array_equal(kernel._a_slice(memory, 0, rows, k_range), expected)
+
+    @pytest.mark.parametrize("split_k", [2, 3])
+    @pytest.mark.parametrize("scheme", ["streamsync", "cusync"])
+    def test_split_k_gelu_runs_functionally(self, rng, scheme, split_k):
+        """Each split adds its partial sum; only the tile's last split applies
+        the epilogue.  GeLU, unlike ReLU, is not idempotent, so applying it
+        once per split would show here."""
+        problem = Conv2dProblem(batch=1, height=8, width=8, in_channels=16, out_channels=16)
+        config = Conv2dConfig(tile_m=16, tile_n=16, tile_k=16, split_k=split_k)
+        kernel = Conv2dKernel("c", problem, config, epilogue=GeLU())
+        tensors = {
+            "X": rng.standard_normal((1, 8, 8, 16)).astype(np.float32),
+            "W": (rng.standard_normal((3, 3, 16, 16)) / 12.0).astype(np.float32),
+        }
+        result = run(linear_graph([kernel], []), scheme=scheme, functional=True, tensors=tensors)
+        np.testing.assert_allclose(
+            result.tensor("Y"), kernel.reference_result(result.memory), rtol=1e-4, atol=1e-4
+        )
 
     def test_stage_geometry_output_name(self):
         problem = Conv2dProblem(batch=1, height=8, width=8, in_channels=4, out_channels=4, output="act1")
