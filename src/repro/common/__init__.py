@@ -1,9 +1,12 @@
 """Shared utilities used across the cuSync reproduction.
 
-This package intentionally contains only small, dependency-free building
-blocks: 3-dimensional index arithmetic (:mod:`repro.common.dim3`), tile
-coordinate helpers (:mod:`repro.common.tiles`) and argument validation
-helpers (:mod:`repro.common.validation`).
+This package intentionally contains only small building blocks that
+depend on nothing else in the library but :mod:`repro.errors`:
+3-dimensional index arithmetic (:mod:`repro.common.dim3`), tile
+coordinate helpers (:mod:`repro.common.tiles`), argument validation
+helpers (:mod:`repro.common.validation`) and the one spec type and name
+registry behind architectures and policy families
+(:mod:`repro.common.registry`).
 """
 
 from repro.common.dim3 import Dim3, ceil_div

@@ -28,10 +28,12 @@ Provided policies (all from the paper):
 * :class:`BatchSync` — one semaphore per batch entry (coarsest useful
   granularity; included as a reference point for the ablation benches).
 
-On top of the policy classes this module provides the **policy space API**:
+On top of the policy classes this module provides the **policy space API**,
+built like the architecture space of :mod:`repro.gpu.arch` on the one spec
+type and registry of :mod:`repro.common.registry`:
 
-* :class:`PolicySpec` — a hashable, picklable ``(family, parameters)``
-  value naming a policy without instantiating it;
+* :class:`PolicySpec` — a hashable, picklable ``(name, params)`` value
+  naming a policy family and its parameters without instantiating it;
 * a user-extensible registry (:func:`register_policy`,
   :func:`resolve_policy`, :func:`registered_policies`) that subsumes the
   previously hard-coded family strings.  Factories receive a
@@ -50,6 +52,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.common.dim3 import Dim3
+from repro.common.registry import Registry, Spec
 from repro.common.validation import check_positive
 from repro.errors import ModelConfigError, SynchronizationError
 from repro.gpu.kernel import row_major_tiles
@@ -218,72 +221,23 @@ class BatchSync(SyncPolicy):
 # ======================================================================
 # The first-class policy space: specs, registry, assignments
 # ======================================================================
-class PolicySpec:
+class PolicySpec(Spec):
     """A policy family plus parameters, without an instance.
 
-    Specs are the *declarative* half of the policy space: hashable (usable
-    as dict keys and in frozen dataclasses such as
-    :class:`~repro.pipeline.session.SweepPoint`), picklable (they cross
-    process boundaries in parallel sweeps) and cheap.  They are turned into
-    :class:`SyncPolicy` objects by :func:`resolve_policy`, which consults
-    the family registry with a per-stage :class:`PolicyContext`::
+    Specs are the *declarative* half of the policy space.  They are turned
+    into :class:`SyncPolicy` objects by :func:`resolve_policy`, which calls
+    the family's registered factory with a per-stage
+    :class:`PolicyContext`::
 
         PolicySpec("RowSync")
         PolicySpec("StridedSync", stride=4)
         PolicySpec("StridedTileSync", groups=3)   # grid-adaptive family
-
-    Parameter values must themselves be hashable.
     """
 
-    __slots__ = ("family", "params")
-
-    def __init__(self, family: str, **params: Any) -> None:
-        if not isinstance(family, str) or not family:
-            raise ModelConfigError("PolicySpec needs a non-empty family name")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", tuple(sorted(params.items())))
-
-    @classmethod
-    def _from_state(cls, family: str, params: Tuple[Tuple[str, Any], ...]) -> "PolicySpec":
-        spec = cls.__new__(cls)
-        object.__setattr__(spec, "family", family)
-        object.__setattr__(spec, "params", tuple(params))
-        return spec
-
-    @classmethod
-    def coerce(cls, value: Union[str, "PolicySpec"]) -> "PolicySpec":
-        """Lower a family-name string to a spec; pass specs through."""
-        if isinstance(value, PolicySpec):
-            return value
-        if isinstance(value, str):
-            return cls(value)
-        raise ModelConfigError(
-            f"expected a policy family name or PolicySpec, got {value!r} "
-            f"(pass SyncPolicy instances via StageSpec.policy / Edge.policy)"
-        )
-
-    def label(self) -> str:
-        if not self.params:
-            return self.family
-        rendered = ",".join(f"{key}={value}" for key, value in self.params)
-        return f"{self.family}({rendered})"
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("PolicySpec is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PolicySpec):
-            return NotImplemented
-        return (self.family.lower(), self.params) == (other.family.lower(), other.params)
-
-    def __hash__(self) -> int:
-        return hash((self.family.lower(), self.params))
-
-    def __reduce__(self):
-        return (PolicySpec._from_state, (self.family, self.params))
-
-    def __repr__(self) -> str:
-        return f"PolicySpec({self.label()!r})" if self.params else f"PolicySpec({self.family!r})"
+    __slots__ = ()
+    kind = "synchronization policy family"
+    tag = "policy-spec"
+    hint = "pass SyncPolicy instances via StageSpec.policy / Edge.policy"
 
 
 @dataclass(frozen=True)
@@ -308,25 +262,8 @@ PolicyFactory = Callable[[Dict[str, Any], PolicyContext], SyncPolicy]
 OrderFactory = Callable[[Dict[str, Any], PolicyContext], Optional[object]]
 
 
-@dataclass(frozen=True)
-class _PolicyEntry:
-    canonical: str
-    factory: PolicyFactory
-    order_factory: Optional[OrderFactory] = None
-
-
-_POLICY_REGISTRY: Dict[str, _PolicyEntry] = {}
-
-#: Bumped on every registry mutation; consumers that key derived caches on
-#: policy *specs* (whose meaning resolves through this registry) compare
-#: generations to know when to flush — mirrors
-#: :func:`repro.gpu.arch.arch_registry_generation`.
-_REGISTRY_GENERATION = 0
-
-
-def policy_registry_generation() -> int:
-    """Monotonic counter of policy-registry mutations (register/unregister)."""
-    return _REGISTRY_GENERATION
+#: Family name -> ``(factory, order_factory)``.
+_POLICIES = Registry(PolicySpec.kind)
 
 
 def register_policy(
@@ -350,28 +287,15 @@ def register_policy(
     :class:`PolicyContext`; it returns a ready :class:`SyncPolicy`.  An
     ``order_factory`` may pair a custom tile processing order with the
     family (the registry hook behind ``StridedTileSync``'s grouped-columns
-    order).  Re-registering a taken name raises unless ``overwrite=True``.
+    order).  Re-registering a taken name raises unless ``overwrite=True``,
+    which replaces only ``family``'s own previous registration (see
+    :meth:`repro.common.registry.Registry.register`).
     """
 
     def _register(the_factory: PolicyFactory) -> PolicyFactory:
-        global _REGISTRY_GENERATION
-        entry = _PolicyEntry(
-            canonical=family, factory=the_factory, order_factory=order_factory
+        _POLICIES.register(
+            family, (the_factory, order_factory), aliases=aliases, overwrite=overwrite
         )
-        names = [name.lower() for name in (family, *aliases)]
-        # Validate every name before inserting any, so a conflicting alias
-        # cannot leave a partial registration behind.
-        if not overwrite:
-            for name in names:
-                existing = _POLICY_REGISTRY.get(name)
-                if existing is not None:
-                    raise ModelConfigError(
-                        f"policy family {name!r} is already registered "
-                        f"(for {existing.canonical!r}); pass overwrite=True to replace it"
-                    )
-        for name in names:
-            _POLICY_REGISTRY[name] = entry
-        _REGISTRY_GENERATION += 1
         return the_factory
 
     if factory is not None:
@@ -380,29 +304,13 @@ def register_policy(
 
 
 def unregister_policy(family: str) -> None:
-    """Remove a family and every alias registered for it.
-
-    Aliases are matched by the entry's canonical name (not object
-    identity), so stale aliases left behind by an ``overwrite=True``
-    re-registration are cleaned up too.
-    """
-    global _REGISTRY_GENERATION
-    canonical = _registry_entry(family).canonical.lower()
-    for name in [n for n, e in _POLICY_REGISTRY.items() if e.canonical.lower() == canonical]:
-        del _POLICY_REGISTRY[name]
-    _REGISTRY_GENERATION += 1
+    """Remove a family and every alias registered for it."""
+    _POLICIES.unregister(family)
 
 
 def registered_policies() -> Tuple[str, ...]:
     """Canonical names of every registered family, sorted."""
-    return tuple(sorted({entry.canonical for entry in _POLICY_REGISTRY.values()}))
-
-
-def _registry_entry(family: str) -> _PolicyEntry:
-    entry = _POLICY_REGISTRY.get(family.lower())
-    if entry is None:
-        raise ModelConfigError(f"unknown synchronization policy family {family!r}")
-    return entry
+    return _POLICIES.names()
 
 
 def resolve_policy(
@@ -418,8 +326,8 @@ def resolve_policy(
     if isinstance(policy, SyncPolicy):
         return policy
     spec = PolicySpec.coerce(policy)
-    entry = _registry_entry(spec.family)
-    return entry.factory(dict(spec.params), context if context is not None else PolicyContext())
+    factory, _ = _POLICIES.lookup(spec.name)
+    return factory(dict(spec.params), context if context is not None else PolicyContext())
 
 
 def resolve_order_for(
@@ -428,10 +336,10 @@ def resolve_order_for(
 ):
     """The tile processing order a family pairs with, or ``None`` for default."""
     spec = PolicySpec.coerce(policy)
-    entry = _registry_entry(spec.family)
-    if entry.order_factory is None:
+    _, order_factory = _POLICIES.lookup(spec.name)
+    if order_factory is None:
         return None
-    return entry.order_factory(dict(spec.params), context if context is not None else PolicyContext())
+    return order_factory(dict(spec.params), context if context is not None else PolicyContext())
 
 
 # ----------------------------------------------------------------------

@@ -17,10 +17,12 @@ occupancy geometry (1536 threads / 24 blocks per SM) and a higher host
 launch latency.
 
 On top of the dataclass this module provides the **architecture space
-API**, mirroring the policy space of :mod:`repro.cusync.policies`:
+API**, built like the policy space of :mod:`repro.cusync.policies` on the
+one spec type and registry of :mod:`repro.common.registry`:
 
-* :class:`ArchSpec` — a hashable, picklable ``(name, overrides)`` value
-  naming an architecture without holding the instance;
+* :class:`ArchSpec` — a hashable, picklable ``(name, params)`` value
+  naming an architecture without holding the instance (``params``
+  override fields of the registered architecture);
 * a user-extensible registry (:func:`register_arch`, :func:`resolve_arch`,
   :func:`registered_archs`) that subsumes passing raw
   :class:`GpuArchitecture` objects around — architecture axes of sweeps
@@ -32,8 +34,9 @@ API**, mirroring the policy space of :mod:`repro.cusync.policies`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Iterable, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Tuple, Union
 
+from repro.common.registry import Registry, Spec
 from repro.common.validation import check_non_negative, check_positive
 from repro.errors import ModelConfigError
 
@@ -245,59 +248,25 @@ ADA_RTX_4090 = GpuArchitecture(
 ArchLike = Union[str, "ArchSpec", GpuArchitecture]
 
 
-class ArchSpec:
+class ArchSpec(Spec):
     """A registered architecture name plus field overrides, without an instance.
 
-    Specs are the *declarative* half of the architecture space, mirroring
-    :class:`~repro.cusync.policies.PolicySpec`: hashable (usable as dict
-    keys and inside frozen dataclasses such as
-    :class:`~repro.pipeline.session.SweepPoint`), picklable (they cross
-    process boundaries in parallel sweeps and resolve against the registry
-    on the other side) and cheap::
+    Architecture specs name an entry of the architecture registry; their
+    ``params`` override fields of the registered :class:`GpuArchitecture`::
 
         ArchSpec("V100")
         ArchSpec("A100", num_sms=64)
         ArchSpec("H100-SXM").scaled(bandwidth=0.5)
-
-    Override values must be hashable (numbers and strings are).
     """
 
-    __slots__ = ("name", "overrides")
-
-    def __init__(self, name: str, /, **overrides: Any) -> None:
-        # ``name`` is positional-only so a ``name=...`` keyword becomes an
-        # override of the GpuArchitecture *field* (used by scaled()).
-        if not isinstance(name, str) or not name:
-            raise ModelConfigError("ArchSpec needs a non-empty architecture name")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "overrides", tuple(sorted(overrides.items())))
-
-    @classmethod
-    def _from_state(cls, name: str, overrides: Tuple[Tuple[str, Any], ...]) -> "ArchSpec":
-        spec = cls.__new__(cls)
-        object.__setattr__(spec, "name", name)
-        object.__setattr__(spec, "overrides", tuple(overrides))
-        return spec
-
-    @classmethod
-    def coerce(cls, value: Union[str, "ArchSpec"]) -> "ArchSpec":
-        """Lower an architecture name string to a spec; pass specs through."""
-        if isinstance(value, ArchSpec):
-            return value
-        if isinstance(value, str):
-            return cls(value)
-        raise ModelConfigError(
-            f"expected an architecture name or ArchSpec, got {value!r} "
-            "(GpuArchitecture instances are accepted directly by resolve_arch)"
-        )
-
-    # ------------------------------------------------------------------
-    def override(self, name: str, default: Any = None) -> Any:
-        return dict(self.overrides).get(name, default)
+    __slots__ = ()
+    kind = "GPU architecture"
+    tag = "arch-spec"
+    hint = "GpuArchitecture instances are accepted directly by resolve_arch"
 
     def with_overrides(self, **overrides: Any) -> "ArchSpec":
         """A spec with additional field overrides merged over this one's."""
-        merged = dict(self.overrides)
+        merged = dict(self.params)
         merged.update(overrides)
         return ArchSpec(self.name, **merged)
 
@@ -321,7 +290,7 @@ class ArchSpec:
             if not factor > 0.0:
                 raise ModelConfigError(f"scaled() factor {label} must be positive, got {factor}")
         base = self.resolve()
-        overrides = dict(self.overrides)
+        overrides = dict(self.params)
         applied = []
         if sms != 1.0:
             overrides["num_sms"] = max(1, round(base.num_sms * sms))
@@ -349,51 +318,12 @@ class ArchSpec:
         """The concrete :class:`GpuArchitecture` this spec names."""
         return resolve_arch(self)
 
-    # ------------------------------------------------------------------
-    def label(self) -> str:
-        if not self.overrides:
-            return self.name
-        rendered = ",".join(f"{key}={value}" for key, value in self.overrides)
-        return f"{self.name}({rendered})"
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("ArchSpec is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ArchSpec):
-            return NotImplemented
-        return (self.name.lower(), self.overrides) == (other.name.lower(), other.overrides)
-
-    def __hash__(self) -> int:
-        return hash((self.name.lower(), self.overrides))
-
-    def __reduce__(self):
-        return (ArchSpec._from_state, (self.name, self.overrides))
-
-    def __repr__(self) -> str:
-        return f"ArchSpec({self.label()!r})"
-
-
-@dataclass(frozen=True)
-class _ArchEntry:
-    canonical: str
-    arch: GpuArchitecture
-
-
-_ARCH_REGISTRY: Dict[str, _ArchEntry] = {}
+_ARCHS = Registry(ArchSpec.kind)
 #: Memoized spec resolutions: equal specs resolve to the *same* instance,
 #: so identity-keyed caches downstream (sessions) coalesce naturally.
-#: Cleared whenever the registry changes.
-_RESOLVE_CACHE: Dict["ArchSpec", GpuArchitecture] = {}
-#: Bumped on every registry mutation.  Holders of spec-keyed derived
-#: caches (e.g. Session cost models) compare it to drop entries whose
-#: resolution may have changed under them.
-_REGISTRY_GENERATION: int = 0
-
-
-def arch_registry_generation() -> int:
-    """Monotonic counter of registry mutations (for cache invalidation)."""
-    return _REGISTRY_GENERATION
+#: Cleared whenever the architecture registry changes.
+_RESOLVE_CACHE: Dict[ArchSpec, GpuArchitecture] = {}
 
 
 def register_arch(
@@ -409,70 +339,28 @@ def register_arch(
     architecture axis appears — ``SweepPoint.arch``, ``Session(arch=...)``,
     ``sweep_archs(...)`` — and resolve inside worker processes (register
     custom architectures at module import time so workers see them too).
-    Re-registering a taken name raises unless ``overwrite=True``.
+    Re-registering a taken name raises unless ``overwrite=True``, which
+    replaces only ``name``'s own previous registration (see
+    :meth:`repro.common.registry.Registry.register`).
     """
     if not isinstance(arch, GpuArchitecture):
         raise ModelConfigError(
             f"register_arch expects a GpuArchitecture, got {arch!r}"
         )
-    entry = _ArchEntry(canonical=name, arch=arch)
-    names = [candidate.lower() for candidate in (name, *aliases)]
-    # Validate every name before touching the registry, so a conflicting
-    # alias can neither leave a partial registration behind nor destroy
-    # the previous one.  ``overwrite`` only excuses collisions with this
-    # architecture's *own* previous registration; claiming a name that
-    # belongs to a different architecture still raises.
-    for candidate in names:
-        existing = _ARCH_REGISTRY.get(candidate)
-        if existing is None:
-            continue
-        if overwrite and existing.canonical.lower() == name.lower():
-            continue
-        raise ModelConfigError(
-            f"architecture {candidate!r} is already registered "
-            f"(for {existing.canonical!r}); pass overwrite=True to replace it"
-        )
-    if overwrite:
-        # Replace the whole previous registration: drop every entry (alias
-        # included) whose canonical name matches, so no stale alias keeps
-        # resolving to the old architecture.
-        for key in [
-            k for k, e in _ARCH_REGISTRY.items() if e.canonical.lower() == name.lower()
-        ]:
-            del _ARCH_REGISTRY[key]
-    for candidate in names:
-        _ARCH_REGISTRY[candidate] = entry
-    _bump_generation()
+    _ARCHS.register(name, arch, aliases=aliases, overwrite=overwrite)
+    _RESOLVE_CACHE.clear()
     return arch
 
 
 def unregister_arch(name: str) -> None:
     """Remove an architecture and every alias registered for it."""
-    canonical = _registry_entry(name).canonical.lower()
-    for key in [k for k, e in _ARCH_REGISTRY.items() if e.canonical.lower() == canonical]:
-        del _ARCH_REGISTRY[key]
-    _bump_generation()
-
-
-def _bump_generation() -> None:
-    global _REGISTRY_GENERATION
-    _REGISTRY_GENERATION += 1
+    _ARCHS.unregister(name)
     _RESOLVE_CACHE.clear()
 
 
 def registered_archs() -> Tuple[str, ...]:
     """Canonical names of every registered architecture, sorted."""
-    return tuple(sorted({entry.canonical for entry in _ARCH_REGISTRY.values()}))
-
-
-def _registry_entry(name: str) -> _ArchEntry:
-    entry = _ARCH_REGISTRY.get(name.lower())
-    if entry is None:
-        raise ModelConfigError(
-            f"unknown GPU architecture {name!r}; registered: "
-            f"{', '.join(registered_archs())}"
-        )
-    return entry
+    return _ARCHS.names()
 
 
 def resolve_arch(value: ArchLike) -> GpuArchitecture:
@@ -489,15 +377,15 @@ def resolve_arch(value: ArchLike) -> GpuArchitecture:
     cached = _RESOLVE_CACHE.get(spec)
     if cached is not None:
         return cached
-    base = _registry_entry(spec.name).arch
-    if spec.overrides:
-        values = dict(spec.overrides)
+    base = _ARCHS.lookup(spec.name)
+    if spec.params:
+        values = dict(spec.params)
         if "name" not in values:
             # Distinct override specs must resolve to distinctly *named*
             # architectures: results keyed by arch name (sweep baselines,
             # comparison tables) would otherwise silently collide with the
             # unmodified preset.
-            rendered = ",".join(f"{key}={value}" for key, value in spec.overrides)
+            rendered = ",".join(f"{key}={value}" for key, value in spec.params)
             values["name"] = f"{base.name}({rendered})"
         resolved = base.with_overrides(**values)
     else:
@@ -519,10 +407,8 @@ def canonical_arch_key(value: ArchLike):
     cache value).
     """
     if isinstance(value, GpuArchitecture):
-        for entry in _ARCH_REGISTRY.values():
-            if entry.arch == value:
-                return ArchSpec(entry.canonical)
-        return ("arch-instance", id(value))
+        name = _ARCHS.name_of(value)
+        return ArchSpec(name) if name is not None else ("arch-instance", id(value))
     return ArchSpec.coerce(value)
 
 

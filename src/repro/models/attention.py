@@ -189,54 +189,49 @@ class Attention(Workload):
     # Functional simulation
     # ------------------------------------------------------------------
     def input_tensors(self, rng: Optional[np.random.Generator] = None) -> Dict[str, np.ndarray]:
-        """Inputs plus aliased views of ``XQKV`` for the Q/K/V slices.
+        """Inputs plus aliased views of one ``(S' + B*S, 3H/8)`` buffer.
 
-        ``XQ``, ``Kall`` and ``Vall`` are numpy *views* into the ``XQKV``
-        output buffer (plus the KV cache when ``S' > 0``), so values written
-        by the first GeMM are immediately visible to its consumers exactly
-        like slices of GPU global memory.
+        The buffer's top ``S'`` rows hold the KV cache (in its key and value
+        column slices) and the rows below are ``XQKV``, the first GeMM's
+        output.  ``XQ``, ``Kall`` and ``Vall`` are numpy *views* into the
+        buffer, so values written by the first GeMM are immediately visible
+        to its consumers exactly like slices of GPU global memory, and the
+        score and value GeMMs read the cached and the new keys and values
+        together.
         """
         rng = rng if rng is not None else np.random.default_rng(self.seed)
         hidden = self.config.hidden
         width = self.head_width
-        rows, keys = self.rows, self.keys
+        cached = self.cached
         scale = 1.0 / np.sqrt(hidden)
 
-        xqkv = np.zeros((rows, 3 * width), dtype=np.float32)
+        buffer = np.zeros((cached + self.rows, 3 * width), dtype=np.float32)
+        xqkv = buffer[cached:]
         tensors = {
-            "X": rng.standard_normal((rows, hidden)).astype(np.float32),
+            "X": rng.standard_normal((self.rows, hidden)).astype(np.float32),
             "WQKV": (rng.standard_normal((hidden, 3 * width)) * scale).astype(np.float32),
             "W2": (rng.standard_normal((width, hidden)) * scale).astype(np.float32),
             "XQKV": xqkv,
             "XQ": xqkv[:, :width],
+            "Kall": buffer[:, 2 * width:].T,
+            "Vall": buffer[:, width:2 * width],
         }
-        if self.cached == 0:
-            tensors["Kall"] = xqkv[:, 2 * width:3 * width].T
-            tensors["Vall"] = xqkv[:, width:2 * width]
-        else:
-            cached_k = rng.standard_normal((width, self.cached)).astype(np.float32)
-            cached_v = rng.standard_normal((self.cached, width)).astype(np.float32)
-            kall = np.zeros((width, keys), dtype=np.float32)
-            kall[:, :self.cached] = cached_k
-            vall = np.zeros((keys, width), dtype=np.float32)
-            vall[:self.cached, :] = cached_v
-            tensors["Kall"] = kall
-            tensors["Vall"] = vall
-            tensors["CachedK"] = cached_k
-            tensors["CachedV"] = cached_v
+        buffer[:cached, width:] = rng.standard_normal((cached, 2 * width)).astype(np.float32)
         return tensors
 
     def reference_output(self) -> np.ndarray:
-        """Numpy reference of the attention block output (for ``S' = 0``)."""
+        """Numpy reference of the attention block output.
+
+        The new tokens' keys and values land below the KV cache rows of the
+        input buffer, so ``Kall`` and ``Vall`` span every attended position.
+        """
         tensors = self.input_tensors()
-        xqkv = tensors["X"] @ tensors["WQKV"]
-        width = self.head_width
-        xq, xv, xk = xqkv[:, :width], xqkv[:, width:2 * width], xqkv[:, 2 * width:]
-        scores = xq @ xk.T
+        tensors["XQKV"][...] = tensors["X"] @ tensors["WQKV"]
+        scores = tensors["XQ"] @ tensors["Kall"]
         shifted = scores - scores.max(axis=1, keepdims=True)
         weights = np.exp(shifted)
         weights /= weights.sum(axis=1, keepdims=True)
         if self.dropout > 0.0:
             raise NotImplementedError("reference_output assumes dropout_probability == 0")
-        attended = weights @ xv
+        attended = weights @ tensors["Vall"]
         return attended @ tensors["W2"]

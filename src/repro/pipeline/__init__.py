@@ -52,7 +52,6 @@ from repro.pipeline.executors import (
     available_schemes,
     get_executor,
     policy_context,
-    register_executor,
     resolve_order,
     resolve_policy,
     summarize_stages,
@@ -89,7 +88,6 @@ __all__ = [
     "auto_flags",
     "available_schemes",
     "get_executor",
-    "register_executor",
     "resolve_policy",
     "resolve_order",
     "summarize_stages",

@@ -3,7 +3,7 @@
 An :class:`Executor` turns the immutable graph description into one concrete
 run: it binds per-execution state (semaphores, CuStage objects, stream
 assignment, the cost model) to the graph's kernels, builds the launches and
-simulates them.  Three backends are registered —
+simulates them.  There are three backends, one per scheme —
 
 * ``streamsync`` — the paper's baseline: every kernel stripped of
   fine-grained synchronization, serialized on one stream;
@@ -218,38 +218,12 @@ class ExecutionContext:
 class Executor(ABC):
     """One way of executing a :class:`PipelineGraph` (a *scheme*)."""
 
-    #: Registry key (``streamsync`` / ``streamk`` / ``cusync`` / ...).
+    #: Scheme name (``streamsync`` / ``streamk`` / ``cusync``).
     scheme: str = ""
 
     @abstractmethod
     def run(self, graph: PipelineGraph, ctx: ExecutionContext) -> PipelineResult:
         """Execute ``graph`` under this scheme and return the result."""
-
-
-_EXECUTORS: Dict[str, Type[Executor]] = {}
-
-
-def register_executor(cls: Type[Executor]) -> Type[Executor]:
-    """Register an executor class under its ``scheme`` name (decorator)."""
-    if not cls.scheme:
-        raise GraphValidationError(f"executor {cls.__name__} declares no scheme name")
-    _EXECUTORS[cls.scheme] = cls
-    return cls
-
-
-def get_executor(scheme: str) -> Executor:
-    """Instantiate the backend registered for ``scheme``."""
-    normalized = scheme.lower()
-    cls = _EXECUTORS.get(normalized)
-    if cls is None:
-        raise GraphValidationError(
-            f"unknown execution scheme {scheme!r}; available: {', '.join(available_schemes())}"
-        )
-    return cls()
-
-
-def available_schemes() -> List[str]:
-    return sorted(_EXECUTORS)
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +277,6 @@ def _serialized_launch(
     return kernel.build_launch(stream=stream)
 
 
-@register_executor
 class StreamSyncBackend(Executor):
     """CUDA stream synchronization: the paper's baseline.
 
@@ -323,7 +296,6 @@ class StreamSyncBackend(Executor):
         return _simulate(graph, ctx, cost_model, launches)
 
 
-@register_executor
 class StreamKBackend(Executor):
     """Stream-K GeMM decomposition under stream synchronization.
 
@@ -365,7 +337,6 @@ class StreamKBackend(Executor):
         return _simulate(graph, ctx, cost_model, launches)
 
 
-@register_executor
 class CuSyncBackend(Executor):
     """Fine-grained tile synchronization: the paper's cuSync pipelines.
 
@@ -451,6 +422,25 @@ class CuSyncBackend(Executor):
         if selected is None or isinstance(selected, SyncPolicy):
             return selected
         return resolve_policy(selected, graph.stage(edge.producer))
+
+
+_EXECUTORS: Dict[str, Type[Executor]] = {
+    backend.scheme: backend for backend in (StreamSyncBackend, StreamKBackend, CuSyncBackend)
+}
+
+
+def get_executor(scheme: str) -> Executor:
+    """Instantiate the backend for ``scheme``."""
+    cls = _EXECUTORS.get(scheme.lower())
+    if cls is None:
+        raise GraphValidationError(
+            f"unknown execution scheme {scheme!r}; available: {', '.join(available_schemes())}"
+        )
+    return cls()
+
+
+def available_schemes() -> List[str]:
+    return sorted(_EXECUTORS)
 
 
 def _wait_kernel_launch(stage: CuStage, stream: Stream, cost_model: CostModel) -> KernelLaunch:

@@ -56,6 +56,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
+from repro.common.registry import registry_generation
 from repro.errors import SimulationError, SweepPointError
 from repro.testing.faults import FaultPlan, active_fault_plan, run_point_with_faults
 from repro.gpu.arch import (
@@ -63,18 +64,13 @@ from repro.gpu.arch import (
     ArchSpec,
     GpuArchitecture,
     TESLA_V100,
-    arch_registry_generation,
     canonical_arch_key,
     resolve_arch,
 )
 from repro.gpu.costmodel import CostModel
 from repro.gpu.memory import GlobalMemory
 from repro.cusync.optimizations import OptimizationFlags
-from repro.cusync.policies import (
-    PolicyAssignment,
-    PolicySpec,
-    policy_registry_generation,
-)
+from repro.cusync.policies import PolicyAssignment, PolicySpec
 from repro.pipeline.executors import (
     ExecutionContext,
     PipelineResult,
@@ -669,12 +665,11 @@ class Session:
         self._session_cost_model: Optional[Tuple[ArchLike, CostModel]] = (
             (arch, cost_model) if cost_model is not None else None
         )
-        #: Registry state the spec-keyed caches were built against; when a
-        #: register_arch/unregister_arch call changes resolutions, the
-        #: derived caches are flushed so a run never pairs a new
+        #: Registry state the spec-keyed caches were built against; when an
+        #: architecture or policy registration changes what a spec resolves
+        #: to, the derived caches are flushed so a run never pairs a new
         #: architecture instance with a stale cost model.
-        self._registry_generation = arch_registry_generation()
-        self._policy_registry_generation = policy_registry_generation()
+        self._registry_generation = registry_generation()
         #: Sweep-result cache: trace key -> SweepResult (see class docs).
         self._sweep_cache_enabled = bool(sweep_cache)
         self._sweep_cache: Dict[Tuple, SweepResult] = {}
@@ -714,22 +709,15 @@ class Session:
         self._cost_models[canonical_arch_key(self.arch)] = entry
 
     def _check_registry_generation(self) -> None:
-        generation = arch_registry_generation()
+        generation = registry_generation()
         if generation != self._registry_generation:
             self._registry_generation = generation
             self._cost_models.clear()
             self._stage_summaries.clear()
-            # Arch keys may resolve differently now; cached sweep results
-            # keyed on the old resolutions must not be replayed.
+            # Arch and policy keys may resolve differently now; cached sweep
+            # results keyed on the old resolutions must not be replayed.
             self._sweep_cache.clear()
             self._pin_session_cost_model()
-        # Policy specs also resolve through a mutable registry: a
-        # re-registered family changes what a cached point's policy key
-        # *means*, so registry mutations flush the result cache too.
-        policy_generation = policy_registry_generation()
-        if policy_generation != self._policy_registry_generation:
-            self._policy_registry_generation = policy_generation
-            self._sweep_cache.clear()
 
     # ------------------------------------------------------------------
     # Sweep-result cache
@@ -834,8 +822,8 @@ class Session:
 
         Two points with equal trace keys replay the same result; service
         fronts use this as the identity under which duplicate in-flight
-        points coalesce.  Registry generations are checked first, so a key
-        handed out is valid against the current registries.  Unlike
+        points coalesce.  The registry generation is checked first, so a
+        key handed out is valid against the current registries.  Unlike
         :meth:`sweep_store_key` the trace key exists for most points (it
         falls back to per-process graph tokens and arch identities) —
         ``None`` means the point is uncacheable and every submission must

@@ -27,6 +27,8 @@ import hashlib
 from dataclasses import fields, is_dataclass
 from typing import Any, Tuple
 
+from repro.common.registry import Spec
+
 __all__ = [
     "UnportableValueError",
     "canonicalize",
@@ -96,29 +98,18 @@ def canonicalize(value: Any, depth: int = 0) -> Tuple:
         return ("str", value)
     if isinstance(value, bytes):
         return ("bytes", value.hex())
-    # Registry-addressed spec types carry explicit case-insensitive
-    # equality; mirror it so equal specs fingerprint equally.
-    from repro.cusync.policies import PolicyAssignment, PolicySpec
-    from repro.gpu.arch import ArchSpec
+    # Registry-addressed specs compare case-insensitively by name; mirror
+    # it so equal specs fingerprint equally.
+    if isinstance(value, Spec):
+        return (value.tag, value.name.lower(), canonicalize(value.params, depth + 1))
+    from repro.cusync.policies import PolicyAssignment
 
-    if isinstance(value, PolicySpec):
-        return (
-            "policy-spec",
-            value.family.lower(),
-            canonicalize(value.params, depth + 1),
-        )
     if isinstance(value, PolicyAssignment):
         return (
             "policy-assignment",
             canonicalize(value.default, depth + 1),
             canonicalize(value.stages, depth + 1),
             canonicalize(value.edges, depth + 1),
-        )
-    if isinstance(value, ArchSpec):
-        return (
-            "arch-spec",
-            value.name.lower(),
-            canonicalize(value.overrides, depth + 1),
         )
     if isinstance(value, tuple) and hasattr(value, "_fields"):  # NamedTuple
         return (

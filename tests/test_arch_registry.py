@@ -122,6 +122,13 @@ class TestRegistry:
             unregister_arch("Reg-B")
             unregister_arch("Reg-A")
 
+    @pytest.mark.parametrize("name,aliases", [("", ()), ("Empty-Alias-GPU", ("",)), (None, ())])
+    def test_empty_names_rejected(self, name, aliases):
+        before = registered_archs()
+        with pytest.raises(ModelConfigError, match="non-empty"):
+            register_arch(name, TESLA_V100, aliases=aliases)
+        assert registered_archs() == before
+
     def test_canonical_key_coalesces_instance_and_name_paths(self):
         assert canonical_arch_key(TESLA_V100) == ArchSpec("V100")
         assert canonical_arch_key("v100") == ArchSpec("V100")

@@ -12,11 +12,13 @@ import pickle
 import pytest
 
 from repro.cusync.policies import PolicyAssignment, PolicySpec
-from repro.gpu.arch import ArchSpec
+from repro.gpu.arch import ArchSpec, TESLA_V100
+from repro.models.attention import Attention
 from repro.models.config import TransformerConfig
 from repro.models.mlp import GptMlp
 from repro.pipeline import Edge, PipelineGraph, Session, SweepPoint
 from repro.pipeline.structural import UnportableValueError, canonicalize, fingerprint
+from repro.service import content_address
 
 TINY = TransformerConfig(name="tiny-fp", hidden=256, layers=2, tensor_parallel=8)
 
@@ -133,6 +135,35 @@ class TestStoreKeys:
         # And therefore picklable/hashable and equal across a round trip.
         assert pickle.loads(pickle.dumps(key)) == key
         hash(key)
+
+
+    def test_store_keys_are_pinned(self):
+        """A change to any of these content addresses re-keys persisted
+        stores: none of their entries would be hit again."""
+        mlp = GptMlp(batch_seq=64).to_graph()
+        attention = Attention(batch=1, seq=512).to_graph()
+        qkv_edge = ("attn_qkv", "attn_scores", "XQ")
+        points = [
+            (mlp, SweepPoint("cusync", "TileSync", "V100"),
+             "3e4acdb5bac20bb39c05445c93fbcd220fc98ebf31b5e49acde18df5c1423e83"),
+            (mlp, SweepPoint("cusync", PolicySpec("StridedSync", stride=4), "A100"),
+             "2dfe6d9d787ca34db4266cb470f80232a3ac8a9eff61d421097fdd4b929ccd06"),
+            (mlp, SweepPoint("streamsync", None, ArchSpec("A100").scaled(sms=0.5, bandwidth=2.0)),
+             "9f711fcc696e0104f577f3eba31dfe1a663109c83568b3d858728533513290d2"),
+            (mlp, SweepPoint("cusync", "RowSync", TESLA_V100),
+             "5c24cb9f5889fba83b07ae786f8a1c956598b43761010b49700ead4b9813d4f6"),
+            (attention, SweepPoint("cusync", "StridedTileSync", "h100"),
+             "696122671ae8de0b6e781cefa38b2c326e91053f2b28ead1e432e11ec6da1c0c"),
+            (attention, SweepPoint("cusync", PolicySpec("StridedSync", groups=3), ArchSpec("V100", num_sms=40)),
+             "86a12930deee388cebb53db1cb7dcfd8a862ac45b96261da218638ade3e41d3f"),
+            (attention, SweepPoint("cusync", PolicyAssignment(default="RowSync", edges={qkv_edge: "StridedTileSync"}), "RTX-4090"),
+             "0d65a06cfff2154b57e5a9b40e284fca12df4c6036f0d135b8f9a910238f1e63"),
+            (attention, SweepPoint("streamk", None, TESLA_V100),
+             "ae5e50cb3b7f497a9fc8fcd187f3748ad6f398935ddd1fb12a8b7e8bf3a22173"),
+        ]
+        session = Session()
+        for graph, point, address in points:
+            assert content_address(session.sweep_store_key(graph, point)) == address, point.label()
 
 
 class TestCanonicalize:

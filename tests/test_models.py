@@ -215,6 +215,11 @@ class TestLlamaMlp:
         assert workload.improvement_over_streamsync(policy="TileSync") > 0.05
 
 
+#: Attention ``(seq, cached)`` shapes run functionally: a prompt, and token
+#: generation of one or four new tokens over a KV cache.
+ATTENTION_SHAPES = [(64, 0), (1, 32), (4, 16), (1, 100)]
+
+
 class TestAttention:
     def test_build_has_five_kernels_and_strided_hint(self):
         graph = Attention(config=TINY, batch=1, seq=64).to_graph()
@@ -227,19 +232,30 @@ class TestAttention:
         assert attention.rows == 8
         assert attention.keys == 20
 
-    @pytest.mark.parametrize("policy", ["TileSync", "RowSync", "StridedTileSync"])
-    def test_functional_correctness(self, policy, run_functional):
-        workload = Attention(config=TINY, batch=1, seq=64, cached=0, dropout=0.0)
+    @pytest.mark.parametrize(
+        "policy,seq,cached",
+        [
+            pytest.param(
+                policy, seq, cached,
+                id=f"{policy}-seq{seq}-cached{cached}" if cached else policy,
+            )
+            for seq, cached in ATTENTION_SHAPES
+            for policy in ("TileSync", "RowSync", "StridedTileSync")
+        ],
+    )
+    def test_functional_correctness(self, policy, seq, cached, run_functional):
+        workload = Attention(config=TINY, batch=1, seq=seq, cached=cached, dropout=0.0)
         result = run_functional(workload, policy=policy)
         np.testing.assert_allclose(
-            result.tensor("XW12"), workload.reference_output(), rtol=1e-2, atol=1e-2
+            result.tensor("XW12"), workload.reference_output(), rtol=1e-4, atol=1e-4
         )
 
-    def test_streamsync_functional(self, run_functional):
-        workload = Attention(config=TINY, batch=1, seq=64, cached=0, dropout=0.0)
+    @pytest.mark.parametrize("seq,cached", ATTENTION_SHAPES)
+    def test_streamsync_functional(self, seq, cached, run_functional):
+        workload = Attention(config=TINY, batch=1, seq=seq, cached=cached, dropout=0.0)
         result = run_functional(workload, scheme="streamsync")
         np.testing.assert_allclose(
-            result.tensor("XW12"), workload.reference_output(), rtol=1e-2, atol=1e-2
+            result.tensor("XW12"), workload.reference_output(), rtol=1e-4, atol=1e-4
         )
 
     def test_kv_cache_changes_key_count(self):

@@ -8,6 +8,7 @@ bit-identical to a run on a freshly built graph.
 
 import pytest
 
+from repro.errors import GraphValidationError
 from repro.gpu.arch import TESLA_V100
 from repro.models import Attention, GptMlp, LlamaMlp, TransformerConfig
 from repro.pipeline import Session, run
@@ -103,6 +104,10 @@ class TestGraphReuseAcrossSchemes:
         assert first == second
         one_shot = run(graph, scheme="cusync", policy="TileSync", arch=workload.arch)
         assert one_shot.total_time_us == first
+
+    def test_unknown_scheme_rejected(self, workload):
+        with pytest.raises(GraphValidationError, match="available: cusync, streamk, streamsync"):
+            run(workload.to_graph(), scheme="bogus")
 
 
 class TestSweep:

@@ -32,7 +32,7 @@ from repro.cusync.policies import (
     resolve_policy,
     unregister_policy,
 )
-from repro.gpu.arch import TESLA_V100
+from repro.gpu.arch import ArchSpec, TESLA_V100
 from repro.kernels.gemm import GemmConfig, GemmKernel, GemmProblem
 from repro.models.config import TransformerConfig
 from repro.models.mlp import GptMlp
@@ -48,6 +48,7 @@ class TestPolicySpec:
         assert PolicySpec("StridedSync", stride=4) == PolicySpec("StridedSync", stride=4)
         assert PolicySpec("StridedSync", stride=4) != PolicySpec("StridedSync", stride=8)
         assert PolicySpec("TileSync") != PolicySpec("RowSync")
+        assert ArchSpec("RowSync") != PolicySpec("RowSync")  # specs of other kinds differ
 
     def test_usable_as_dict_key(self):
         table = {PolicySpec("StridedSync", stride=4): "a"}
@@ -60,7 +61,7 @@ class TestPolicySpec:
     def test_immutable(self):
         spec = PolicySpec("TileSync")
         with pytest.raises(AttributeError):
-            spec.family = "RowSync"
+            spec.name = "RowSync"
 
     def test_label(self):
         assert PolicySpec("RowSync").label() == "RowSync"
@@ -155,6 +156,47 @@ class TestRegistry:
         assert "FreshSync" not in registered_policies()
         register_policy("FreshSync", lambda params, ctx: TileSync())  # retry works
         unregister_policy("FreshSync")
+
+    def test_overwrite_replaces_and_cleans_aliases(self):
+        register_policy("StaleSync", lambda params, ctx: TileSync(), aliases=("stale",))
+        try:
+            register_policy("StaleSync", lambda params, ctx: RowSync(), overwrite=True)
+            assert isinstance(resolve_policy("StaleSync"), RowSync)
+            # The whole previous registration is replaced: the old alias
+            # does not keep resolving to the stale factory.
+            with pytest.raises(ModelConfigError, match="unknown synchronization policy family"):
+                resolve_policy("stale")
+            register_policy(
+                "StaleSync", lambda params, ctx: RowSync(), aliases=("stale",), overwrite=True
+            )
+            assert isinstance(resolve_policy("stale"), RowSync)
+        finally:
+            unregister_policy("StaleSync")
+        with pytest.raises(ModelConfigError):
+            resolve_policy("stale")
+
+    def test_overwrite_cannot_hijack_other_registrations(self):
+        with pytest.raises(ModelConfigError, match="already registered"):
+            register_policy(
+                "HijackSync", lambda params, ctx: TileSync(), aliases=("row",), overwrite=True
+            )
+        assert "HijackSync" not in registered_policies()
+        assert isinstance(resolve_policy("row"), RowSync)
+
+    def test_overwrite_cannot_steal_a_canonical_name(self):
+        with pytest.raises(ModelConfigError, match="already registered"):
+            register_policy(
+                "MineSync", lambda params, ctx: RowSync(), aliases=("TileSync",), overwrite=True
+            )
+        assert "MineSync" not in registered_policies()
+        assert isinstance(resolve_policy("TileSync"), TileSync)
+
+    @pytest.mark.parametrize("name,aliases", [("", ()), ("EmptyAliasSync", ("",)), (None, ())])
+    def test_empty_names_rejected(self, name, aliases):
+        before = registered_policies()
+        with pytest.raises(ModelConfigError, match="non-empty"):
+            register_policy(name, lambda params, ctx: TileSync(), aliases=aliases)
+        assert registered_policies() == before
 
     def test_custom_family_runs_end_to_end(self):
         class WholeGridSync(SyncPolicy):
