@@ -8,6 +8,17 @@ All experiments run on the declarative :mod:`repro.pipeline` API: each
 workload's graph is built **once** and re-run under every scheme, policy
 family and optimization setting — the kernels are bound per execution,
 never rebuilt, which is what makes multi-point comparisons cheap.
+
+The paper's tables and figures time every point through one process-wide
+:class:`~repro.pipeline.Session`, :data:`SESSION`, whose sweep cache is
+on.  A point that an earlier table or figure of this process already
+simulated replays its deterministic result instead of re-simulating:
+Figure 8's per-block points are those of Figures 6 and 7, Figure 7's VGG
+shares layers with ResNet, Figure 6's GPT-3 MLP shares sizes with
+Table IV, and a second regeneration replays everything whose graph has a
+structural fingerprint.  ``SESSION.clear_sweep_cache()`` forgets the
+results.  :func:`arch_comparison` and :func:`policy_ablation` batch
+their grids into one ``Session.sweep`` on a session of their own.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ModelConfigError
-from repro.gpu.arch import GpuArchitecture, TESLA_V100
+from repro.gpu.arch import ArchLike, TESLA_V100, resolve_arch
 from repro.gpu.costmodel import CostModel
 from repro.gpu.occupancy import OccupancyCalculator
 from repro.gpu.trace import analytic_utilization, wave_count
@@ -52,6 +63,23 @@ CONV_MODELS = {
 }
 
 
+#: The process-wide session the tables and figures time their points
+#: through (see the module docstring).
+SESSION = Session()
+
+
+def _time_us(
+    graph: PipelineGraph,
+    scheme: str,
+    arch: ArchLike,
+    policy: Optional[str] = None,
+    optimizations: Optional[OptimizationFlags] = None,
+) -> float:
+    """Simulated time of one point, through :data:`SESSION`."""
+    point = SweepPoint(scheme=scheme, policy=policy, arch=arch, optimizations=optimizations)
+    return SESSION.sweep_point(graph, point).total_time_us
+
+
 def _lookup(kind: str, name, table: Dict[object, object]):
     """``table[name]``, a string name matched case-insensitively, or
     :class:`ModelConfigError` naming the choices."""
@@ -66,9 +94,10 @@ def _lookup(kind: str, name, table: Dict[object, object]):
 # ----------------------------------------------------------------------
 def table1_utilization(
     batch_sizes: Sequence[int] = (256, 512, 1024),
-    arch: GpuArchitecture = TESLA_V100,
+    arch: ArchLike = TESLA_V100,
 ) -> List[Dict[str, object]]:
     """Reproduce Table I: grid, blocks/wave, waves and utilization."""
+    arch = resolve_arch(arch)
     rows: List[Dict[str, object]] = []
     for batch in batch_sizes:
         workload = GptMlp(batch_seq=batch, arch=arch)
@@ -130,21 +159,18 @@ def table3_lines_changed() -> List[Dict[str, object]]:
 # ----------------------------------------------------------------------
 def table4_mlp(
     batch_sizes: Sequence[int] = (64, 128, 256, 512, 1024, 2048),
-    arch: GpuArchitecture = TESLA_V100,
+    arch: ArchLike = TESLA_V100,
     policies: Sequence[str] = ("TileSync", "RowSync"),
 ) -> List[Dict[str, object]]:
     """Reproduce Table IV: grids, waves, times and the best policy."""
-    session = Session(arch=arch)
+    arch = resolve_arch(arch)
     rows: List[Dict[str, object]] = []
     for batch in batch_sizes:
         workload = GptMlp(batch_seq=batch, arch=arch)
         graph = workload.to_graph()
         first, second = graph.kernels
-        streamsync = session.run(graph, scheme="streamsync").total_time_us
-        policy_times = {
-            name: session.run(graph, scheme="cusync", policy=name).total_time_us
-            for name in policies
-        }
+        streamsync = _time_us(graph, "streamsync", arch)
+        policy_times = {name: _time_us(graph, "cusync", arch, name) for name in policies}
         best_policy = min(policy_times, key=policy_times.get)
         best_time = policy_times[best_policy]
 
@@ -180,20 +206,18 @@ _OPTIMIZATION_LADDER: Tuple[Tuple[str, OptimizationFlags], ...] = (
 
 
 def _optimization_ladder(workload: Workload, policy: str) -> Dict[str, float]:
-    session = Session(arch=workload.arch, cost_model=workload.cost_model)
     graph = workload.to_graph()
     return {
-        label: session.run(
-            graph, scheme="cusync", policy=policy, optimizations=flags
-        ).total_time_us
+        label: _time_us(graph, "cusync", workload.arch, policy, flags)
         for label, flags in _OPTIMIZATION_LADDER
     }
 
 
 def table5_mlp_optimizations(
-    batch_seq: int = 64, arch: GpuArchitecture = TESLA_V100
+    batch_seq: int = 64, arch: ArchLike = TESLA_V100
 ) -> List[Dict[str, object]]:
     """Reproduce Table V(a): TileSync + optimizations for GPT-3's MLP."""
+    arch = resolve_arch(arch)
     workload = GptMlp(batch_seq=batch_seq, arch=arch)
     ladder = _optimization_ladder(workload, "TileSync")
     return [{"batch": batch_seq, "policy": "TileSync", **ladder}]
@@ -202,9 +226,10 @@ def table5_mlp_optimizations(
 def table5_conv_optimizations(
     channels: Sequence[int] = (64, 128, 256, 512),
     batches: Sequence[int] = (1,),
-    arch: GpuArchitecture = TESLA_V100,
+    arch: ArchLike = TESLA_V100,
 ) -> List[Dict[str, object]]:
     """Reproduce Table V(b): Conv2DTileSync + optimizations for ResNet."""
+    arch = resolve_arch(arch)
     rows = []
     for channel in channels:
         spec = _lookup("channel count", channel, CONV_MODELS["resnet"])
@@ -219,15 +244,14 @@ def table5_conv_optimizations(
 # Figure 6 — MLP and Attention improvements for GPT-3 and LLaMA
 # ----------------------------------------------------------------------
 def _improvements(workload: Workload, policies: Sequence[str], include_streamk: bool) -> Dict[str, float]:
-    session = Session(arch=workload.arch, cost_model=workload.cost_model)
     graph = workload.to_graph()
-    baseline = session.run(graph, scheme="streamsync").total_time_us
+    baseline = _time_us(graph, "streamsync", workload.arch)
     result: Dict[str, float] = {"streamsync_us": baseline}
     for family in policies:
-        time_us = session.run(graph, scheme="cusync", policy=family).total_time_us
+        time_us = _time_us(graph, "cusync", workload.arch, family)
         result[family] = (baseline - time_us) / baseline
     if include_streamk:
-        streamk = session.run(graph, scheme="streamk").total_time_us
+        streamk = _time_us(graph, "streamk", workload.arch)
         result["StreamK"] = (baseline - streamk) / baseline
     result["best"] = max(result[family] for family in policies)
     return result
@@ -238,7 +262,7 @@ def figure6_llm(
     block: str = "mlp",
     prompt_sizes: Sequence[int] = (256, 512, 1024, 2048),
     token_configs: Sequence[Tuple[int, int]] = ((1, 512), (2, 1024), (4, 2048)),
-    arch: GpuArchitecture = TESLA_V100,
+    arch: ArchLike = TESLA_V100,
     include_streamk: bool = True,
 ) -> List[Dict[str, object]]:
     """Reproduce Figure 6: improvement over StreamSync per size and policy.
@@ -247,6 +271,7 @@ def figure6_llm(
     ``"attention"``.  Prompt-processing rows use ``B*S = size, S' = 0``;
     token-generation rows (attention only) use ``(B, S')`` pairs with S = 1.
     """
+    arch = resolve_arch(arch)
     config = _lookup("model", model, LLM_MODELS)
     block_label = _lookup("block", block, LLM_BLOCKS)
     rows: List[Dict[str, object]] = []
@@ -282,9 +307,10 @@ def figure7_conv(
     model: str = "resnet",
     channels: Sequence[int] = (64, 128, 256, 512),
     batches: Sequence[int] = (1, 4, 8, 16, 32),
-    arch: GpuArchitecture = TESLA_V100,
+    arch: ArchLike = TESLA_V100,
 ) -> List[Dict[str, object]]:
     """Reproduce Figure 7: Conv2D-chain improvement per channel count and batch."""
+    arch = resolve_arch(arch)
     layers = _lookup("model", model, CONV_MODELS)
     rows: List[Dict[str, object]] = []
     for channel in channels:
@@ -310,21 +336,24 @@ def figure7_conv(
 def figure8_end_to_end(
     llm_configs: Sequence[Tuple[int, int, int]] = ((1, 512, 0), (1, 1024, 0), (1, 512, 512)),
     vision_batches: Sequence[int] = (1, 8),
-    arch: GpuArchitecture = TESLA_V100,
+    arch: ArchLike = TESLA_V100,
     include_llama: bool = True,
     include_vision: bool = True,
 ) -> List[Dict[str, object]]:
     """Reproduce Figure 8: end-to-end inference-time reduction per model.
 
     ``llm_configs`` lists ``(batch, seq, cached)`` triples; vision models run
-    over ``vision_batches``.
+    over ``vision_batches``.  The per-block points are those of Figures 6
+    and 7, timed through :data:`SESSION`, so a block those figures already
+    timed in this process replays instead of re-simulating.
     """
+    arch = resolve_arch(arch)
     rows: List[Dict[str, object]] = []
     llm_models = [GPT3_145B] + ([LLAMA_65B] if include_llama else [])
     for config in llm_models:
         for batch, seq, cached in llm_configs:
             layer = TransformerLayer(config=config, batch=batch, seq=seq, cached=cached, arch=arch)
-            estimate = layer.estimate()
+            estimate = layer.estimate(session=SESSION)
             rows.append(
                 {
                     "model": config.name,
@@ -340,7 +369,7 @@ def figure8_end_to_end(
         for vision_config in (resnet38_config(), vgg19_config()):
             for batch in vision_batches:
                 model = VisionModel(config=vision_config, batch=batch, arch=arch)
-                estimate = model.estimate()
+                estimate = model.estimate(session=SESSION)
                 rows.append(
                     {
                         "model": vision_config.name,
@@ -363,7 +392,7 @@ def _model_workloads(
     seq: int,
     conv_batch: int,
     conv_channels: int,
-    arch: Optional[GpuArchitecture] = None,
+    arch: Optional[ArchLike] = None,
 ) -> List[Tuple[Workload, Tuple[str, ...]]]:
     """The five model workloads paired with their policy families.
 
@@ -391,7 +420,7 @@ def _model_workloads(
 # Policy-space ablation — uniform families vs mixed per-edge assignments
 # ----------------------------------------------------------------------
 def policy_ablation(
-    arch: GpuArchitecture = TESLA_V100,
+    arch: ArchLike = TESLA_V100,
     batch_seq: int = 512,
     seq: int = 512,
     conv_batch: int = 1,
@@ -413,6 +442,7 @@ def policy_ablation(
     Returns one row per (workload, policy) with the improvement over that
     workload's StreamSync baseline.
     """
+    arch = resolve_arch(arch)
     workloads = _model_workloads(batch_seq, seq, conv_batch, conv_channels, arch=arch)
 
     def mixed_assignment(graph: PipelineGraph) -> Optional[PolicyAssignment]:
@@ -525,7 +555,6 @@ def arch_comparison(
     per-arch graphs report under the workload's base name — so tuned and
     untuned records are row-for-row comparable.
     """
-    from repro.gpu.arch import resolve_arch
     from repro.pipeline import sweep_archs
 
     workloads = _model_workloads(batch_seq, seq, conv_batch, conv_channels)
@@ -609,7 +638,7 @@ def arch_comparison(
                 config=GPT3_145B, batch=1, seq=seq, cached=0, arch=resolved,
                 tuned=tuned,
             )
-            estimate = layer.estimate()
+            estimate = layer.estimate(session=session)
             rows.append(
                 {
                     "workload": "end_to_end_gpt3_layer",
@@ -628,7 +657,7 @@ def arch_comparison(
 # Section V-D — maximum synchronization overhead
 # ----------------------------------------------------------------------
 def overhead_experiment(
-    arch: GpuArchitecture = TESLA_V100,
+    arch: ArchLike = TESLA_V100,
     blocks: Optional[int] = None,
 ) -> Dict[str, float]:
     """Reproduce the worst-case overhead study (Section V-D).
@@ -637,6 +666,7 @@ def overhead_experiment(
     consumer block *i* depends on producer block *i*.  The paper measures
     2–3% overhead of cuSync over StreamSync.
     """
+    arch = resolve_arch(arch)
     cost_model = CostModel(arch=arch)
     copy_problem = CopyProblem.for_block_count(1, source="input", destination="mid")
     occupancy = CopyKernel("probe", copy_problem, cost_model=cost_model).occupancy()
@@ -662,9 +692,8 @@ def overhead_experiment(
         ],
         edges=[Edge("copy_producer", "copy_consumer", tensor="mid")],
     )
-    session = Session(arch=arch, cost_model=cost_model)
-    streamsync_us = session.run(graph, scheme="streamsync").total_time_us
-    cusync_us = session.run(graph, scheme="cusync").total_time_us
+    streamsync_us = _time_us(graph, "streamsync", arch)
+    cusync_us = _time_us(graph, "cusync", arch, "TileSync")
     return {
         "blocks_per_kernel": float(blocks),
         "occupancy": float(occupancy),

@@ -14,6 +14,14 @@ Communication time is identical for StreamSync and cuSync (cuSync does not
 change the collectives), so it dilutes the relative improvement — exactly
 the effect that makes Figure 8's end-to-end percentages smaller than the
 per-block percentages of Figures 6 and 7.
+
+The simulated blocks are the same points Figures 6 and 7 time, so
+``estimate(session=...)`` times them through a given
+:class:`~repro.pipeline.Session` and replays a block that session already
+simulated; :func:`repro.bench.figure8_end_to_end` passes the experiments'
+shared session.  Without one, each block is timed on a fresh session over
+the model's own cost model; a session with another cost model is refused
+(see :meth:`~repro.models.workload.Workload.best_policy`).
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from repro.models.conv_layers import ConvChain
 from repro.models.llama_mlp import LlamaMlp
 from repro.models.mlp import GptMlp
 from repro.models.workload import Workload
+from repro.pipeline.session import Session
 
 #: Bytes per fp16 element, used for all-reduce volume estimates.
 FP16_BYTES = 2
@@ -57,9 +66,11 @@ class InferenceEstimate:
         return (self.streamsync_us - self.cusync_us) / self.streamsync_us
 
 
-def _block_times(workload: Workload, policies: List[str]) -> Dict[str, float]:
+def _block_times(
+    workload: Workload, policies: List[str], session: Optional[Session]
+) -> Dict[str, float]:
     """StreamSync time plus the best cuSync time over ``policies``, as the paper reports."""
-    times = workload.best_policy(policies)
+    times = workload.best_policy(policies, session)
     streamsync = times.pop("StreamSync")
     return {"StreamSync": streamsync, "cuSync": min(times.values())}
 
@@ -130,16 +141,21 @@ class TransformerLayer:
         self,
         policies: Optional[List[str]] = None,
         attention_policies: Optional[List[str]] = None,
+        session: Optional[Session] = None,
     ) -> InferenceEstimate:
-        """Full-model inference estimate for this layer's configuration."""
+        """Full-model inference estimate for this layer's configuration.
+
+        Block times go through ``session`` (see :meth:`Workload.best_policy`):
+        points it already timed replay from its sweep cache.
+        """
         policies = policies if policies is not None else ["TileSync", "RowSync"]
         attention_policies = (
             attention_policies
             if attention_policies is not None
             else policies + ["StridedTileSync"]
         )
-        attention_times = _block_times(self.attention(), attention_policies)
-        mlp_times = _block_times(self.mlp(), policies)
+        attention_times = _block_times(self.attention(), attention_policies, session)
+        mlp_times = _block_times(self.mlp(), policies, session)
 
         layers = self.config.layers
         common = self.allreduce_time_us() * layers
@@ -175,14 +191,17 @@ class VisionModel:
             spec=spec, batch=self.batch, arch=self.arch, cost_model=self.cost_model
         )
 
-    def estimate(self, policies: Optional[List[str]] = None) -> InferenceEstimate:
-        """Full-network inference estimate for this batch size."""
+    def estimate(
+        self, policies: Optional[List[str]] = None, session: Optional[Session] = None
+    ) -> InferenceEstimate:
+        """Full-network inference estimate for this batch size (block times
+        through ``session`` as in :meth:`TransformerLayer.estimate`)."""
         policies = policies if policies is not None else ["RowSync", "Conv2DTileSync"]
         streamsync = 0.0
         cusync = 0.0
         per_block: Dict[str, Dict[str, float]] = {}
         for index, spec in enumerate(self.config.stages):
-            times = _block_times(self.stage_chain(index), policies)
+            times = _block_times(self.stage_chain(index), policies, session)
             streamsync += times["StreamSync"] * spec.layers
             cusync += times["cuSync"] * spec.layers
             per_block[f"stage{index}_c{spec.channels}"] = times

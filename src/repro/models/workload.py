@@ -18,12 +18,13 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.errors import ModelConfigError
 from repro.gpu.arch import ArchLike, TESLA_V100, resolve_arch
 from repro.gpu.costmodel import CostModel
 from repro.cusync.optimizations import OptimizationFlags
 from repro.pipeline import graph as pipeline_graph
 from repro.pipeline.executors import PipelineResult, PolicyLike
-from repro.pipeline.session import run as run_graph
+from repro.pipeline.session import Session, SweepPoint, run as run_graph
 
 
 def _resolve_tuned_pair(workload_key: str, arch: ArchLike, stage1: str, stage2: str):
@@ -117,12 +118,33 @@ class Workload(ABC):
         return (baseline - synced) / baseline
 
     def best_policy(
-        self, policies: Optional[List[str]] = None
+        self, policies: Optional[List[str]] = None, session: Optional[Session] = None
     ) -> Dict[str, float]:
-        """Run every policy family and report times (plus the baselines)."""
+        """Time every policy family and report times (plus the baselines).
+
+        Points go through ``session``'s sweep cache, so a point the session
+        already timed replays instead of re-simulating.  Without a session
+        they are timed on a fresh ``Session`` over the workload's own cost
+        model.  A session whose cost model for the workload's architecture
+        differs from the workload's is refused with
+        :class:`~repro.errors.ModelConfigError`: its cached results were
+        computed under another calibration.
+        """
         policies = policies if policies is not None else ["TileSync", "RowSync"]
+        if session is None:
+            session = Session(arch=self.arch, cost_model=self.cost_model)
+        elif session.cost_model(self.arch) != self.cost_model:
+            raise ModelConfigError(
+                f"{self.name}: the session's cost model for {self.arch.name} differs "
+                "from the workload's; time it on a session built with that cost model"
+            )
         graph = self.to_graph()
-        results = {"StreamSync": self._run(graph, "streamsync").total_time_us}
+
+        def time_us(scheme: str, policy: Optional[str] = None) -> float:
+            point = SweepPoint(scheme=scheme, policy=policy, arch=self.arch)
+            return session.sweep_point(graph, point).total_time_us
+
+        results = {"StreamSync": time_us("streamsync")}
         for family in policies:
-            results[family] = self._run(graph, "cusync", policy=family).total_time_us
+            results[family] = time_us("cusync", family)
         return results

@@ -429,14 +429,20 @@ _EXECUTORS: Dict[str, Type[Executor]] = {
 }
 
 
-def get_executor(scheme: str) -> Executor:
-    """Instantiate the backend for ``scheme``."""
-    cls = _EXECUTORS.get(scheme.lower())
-    if cls is None:
+def scheme_name(scheme: str) -> str:
+    """``scheme`` in its backend's lower-case spelling; an unknown scheme
+    raises :class:`GraphValidationError` naming the available ones."""
+    name = scheme.lower() if isinstance(scheme, str) else None
+    if name not in _EXECUTORS:
         raise GraphValidationError(
             f"unknown execution scheme {scheme!r}; available: {', '.join(available_schemes())}"
         )
-    return cls()
+    return name
+
+
+def get_executor(scheme: str) -> Executor:
+    """Instantiate the backend for ``scheme``."""
+    return _EXECUTORS[scheme_name(scheme)]()
 
 
 def available_schemes() -> List[str]:

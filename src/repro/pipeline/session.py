@@ -77,6 +77,7 @@ from repro.pipeline.executors import (
     PolicyLike,
     StageSummary,
     get_executor,
+    scheme_name,
     summarize_stages,
 )
 from repro.pipeline.graph import PipelineGraph
@@ -139,7 +140,10 @@ class SweepPoint:
     registered architecture name, an :class:`~repro.gpu.arch.ArchSpec` or
     a :class:`~repro.gpu.arch.GpuArchitecture` instance (specs and names
     are the picklable, registry-resolved forms); non-cusync schemes use
-    ``policy=None``.
+    ``policy=None``.  ``scheme`` is stored in its backend's lower-case
+    spelling (``"CuSync"`` becomes ``"cusync"``, so both spellings share
+    one cache and store key); an unknown scheme raises
+    :class:`~repro.errors.GraphValidationError` here.
 
     ``optimizations`` optionally pins the cusync W/R/T flags instead of
     the automatic per-arch selection (``None``).  It only applies to the
@@ -152,6 +156,9 @@ class SweepPoint:
     policy: SweepPolicy
     arch: ArchLike
     optimizations: Optional[OptimizationFlags] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "scheme", scheme_name(self.scheme))
 
     def resolved_arch(self) -> GpuArchitecture:
         """The concrete architecture this point runs on."""
@@ -554,7 +561,7 @@ def sweep_archs(
     work: List[Tuple[PipelineGraph, SweepPoint]] = []
     for graph in graph_list:
         for arch in arch_axis:
-            for scheme in schemes:
+            for scheme in map(scheme_name, schemes):
                 if scheme == "cusync":
                     for policy in policies:
                         work.append(

@@ -50,6 +50,7 @@ from repro.errors import ServingError, ServingStallError
 from repro.gpu.arch import ArchLike, TESLA_V100, resolve_arch
 from repro.models.config import GPT3_145B, TransformerConfig
 from repro.models.serving import ServingGraphCache
+from repro.pipeline.executors import scheme_name
 from repro.pipeline.session import Session, SweepPoint, SweepPolicy
 from repro.serving.arrivals import ArrivalProcess, InferenceRequest
 from repro.serving.batcher import ContinuousBatcher, PREFILL, ShedRecord
@@ -172,9 +173,9 @@ class ServingSimulator:
         arch: ArchLike = TESLA_V100,
         session: Optional[Session] = None,
     ) -> None:
-        self.scheme = scheme
+        self.scheme = scheme_name(scheme)
         #: Non-cusync schemes have no policy axis.
-        self.policy = policy if scheme == "cusync" else None
+        self.policy = policy if self.scheme == "cusync" else None
         self.arch = resolve_arch(arch)
         self.session = session if session is not None else Session(arch=arch)
 

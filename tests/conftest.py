@@ -11,6 +11,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.bench.experiments import SESSION
 from repro.gpu.arch import TESLA_V100
 from repro.gpu.costmodel import CostModel
 from repro.pipeline import run
@@ -70,6 +71,15 @@ def _hang_watchdog(request):
         yield
     finally:
         timer.cancel()
+
+
+@pytest.fixture(autouse=True)
+def _clear_experiment_session():
+    """Forget the paper experiments' shared session results around every
+    test, so no result or simulation count depends on test order."""
+    SESSION.clear_sweep_cache()
+    yield
+    SESSION.clear_sweep_cache()
 
 
 @pytest.fixture

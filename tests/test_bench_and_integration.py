@@ -13,21 +13,53 @@ from repro.bench import (
     table3_lines_changed,
 )
 from repro.bench.experiments import (
+    SESSION,
+    _OPTIMIZATION_LADDER,
     arch_comparison,
     figure6_llm,
     figure7_conv,
+    figure8_end_to_end,
     policy_ablation,
+    table4_mlp,
     table5_conv_optimizations,
+    table5_mlp_optimizations,
 )
 from repro.errors import DataRaceError, ModelConfigError
 from repro.gpu.arch import AMPERE_A100, TESLA_V100, ArchSpec
+from repro.gpu.costmodel import CostModel
+from repro.gpu.simulator import GpuSimulator
 from repro.models import Attention, ConvChain, GptMlp, TransformerConfig
-from repro.models.config import RESNET38_LAYERS, ConvLayerSpec, VisionModelConfig, resnet38_config
+from repro.models.config import (
+    GPT3_145B,
+    LLAMA_65B,
+    RESNET38_LAYERS,
+    ConvLayerSpec,
+    VisionModelConfig,
+    resnet38_config,
+)
 from repro.models.inference import TransformerLayer, VisionModel
 from repro.pipeline import PipelineGraph, Session, run
 from repro.tune import SearchSpace, Tuner
 
 TINY = TransformerConfig(name="tiny", hidden=256, layers=2, tensor_parallel=8)
+TINY_VISION = VisionModelConfig(
+    name="tiny-vision",
+    stages=(ConvLayerSpec(image=8, channels=16, kernel=3, convs_per_layer=2, layers=1),),
+)
+
+
+@pytest.fixture
+def simulations(monkeypatch):
+    """A list that grows by one entry per ``GpuSimulator.run`` call."""
+    calls = []
+    original = GpuSimulator.run
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(GpuSimulator, "run", counted)
+    return calls
 
 
 class TestReporting:
@@ -80,6 +112,91 @@ class TestExperiments:
         row = rows[0]
         assert row["+WRT"] <= row["Vanilla"] + 1e-6
 
+    @pytest.mark.parametrize("arch", ["A100", ArchSpec("A100")], ids=["name", "spec"])
+    def test_experiments_accept_arch_names_and_specs(self, arch):
+        def rows(arch):
+            SESSION.clear_sweep_cache()
+            return (
+                table1_utilization(batch_sizes=(256,), arch=arch),
+                table4_mlp(batch_sizes=(64,), arch=arch),
+                overhead_experiment(arch=arch, blocks=64),
+            )
+
+        assert rows(arch) == rows(AMPERE_A100)
+
+
+class TestSharedSession:
+    """The paper's tables and figures time every point through one session."""
+
+    def test_second_table4_simulates_nothing(self, simulations):
+        first = table4_mlp()
+        assert len(simulations) == 18  # 6 batch sizes x (StreamSync + 2 policies)
+        assert table4_mlp() == first
+        assert len(simulations) == 18
+
+    def test_figure8_simulates_only_blocks_figures_6_and_7_did_not_time(self, simulations):
+        for model in ("gpt3", "llama"):
+            for block in ("mlp", "attention"):
+                figure6_llm(model=model, block=block, prompt_sizes=(512,), token_configs=())
+        for model in ("resnet", "vgg"):
+            figure7_conv(model=model, batches=(1,))
+        before = len(simulations)
+        llm_configs = ((1, 512, 0), (1, 512, 512))
+        rows = figure8_end_to_end(llm_configs=llm_configs, vision_batches=(1,))
+        # New to the session: attention over a 512-token KV cache (4 points
+        # per model) and every LLaMA MLP point (3 per layer: its graphs
+        # have no structural fingerprint, so they never replay).  The
+        # GPT-3 MLP, the prompt attention and all 24 conv points replay.
+        assert len(simulations) - before == 2 * 4 + 2 * 3
+        fresh = [
+            TransformerLayer(config=config, batch=batch, seq=seq, cached=cached).estimate()
+            for config in (GPT3_145B, LLAMA_65B)
+            for batch, seq, cached in llm_configs
+        ]
+        assert [row["cusync_us"] for row in rows[:4]] == [estimate.cusync_us for estimate in fresh]
+        assert [row["streamsync_us"] for row in rows[:4]] == [
+            estimate.streamsync_us for estimate in fresh
+        ]
+
+    def test_rows_equal_a_fresh_session_run(self):
+        session = Session()
+        graph = GptMlp(batch_seq=64).to_graph()
+        [table4] = table4_mlp(batch_sizes=(64,))
+        assert table4["streamsync_us"] == session.run(graph, scheme="streamsync").total_time_us
+        assert table4["cusync_us"] == min(
+            session.run(graph, scheme="cusync", policy=policy).total_time_us
+            for policy in ("TileSync", "RowSync")
+        )
+        [table5] = table5_mlp_optimizations()
+        for label, flags in _OPTIMIZATION_LADDER:
+            fresh = session.run(graph, scheme="cusync", policy="TileSync", optimizations=flags)
+            assert table5[label] == fresh.total_time_us, label
+        conv = ConvChain(RESNET38_LAYERS[1], batch=4).to_graph()
+        [figure7] = figure7_conv(model="resnet", channels=(128,), batches=(4,))
+        baseline = session.run(conv, scheme="streamsync").total_time_us
+        assert figure7["streamsync_us"] == baseline
+        for policy in ("RowSync", "Conv2DTileSync"):
+            fresh = session.run(conv, scheme="cusync", policy=policy).total_time_us
+            assert figure7[policy] == (baseline - fresh) / baseline, policy
+
+    def test_another_calibration_is_refused(self):
+        calibrated = CostModel(arch=TESLA_V100, duration_jitter=0.0)
+        layer = TransformerLayer(config=TINY, batch=1, seq=64, cost_model=calibrated)
+        vision = VisionModel(config=TINY_VISION, cost_model=calibrated)
+        with pytest.raises(ModelConfigError, match="cost model"):
+            layer.estimate(session=SESSION)
+        with pytest.raises(ModelConfigError, match="cost model"):
+            vision.estimate(session=SESSION)
+        assert layer.estimate(session=Session(cost_model=calibrated)) == layer.estimate()
+
+    def test_arch_comparison_end_to_end_replays_its_grid(self, simulations):
+        rows = arch_comparison(arches=("V100", "A100"))
+        grid_points = sum(row["workload"] != "end_to_end_gpt3_layer" for row in rows)
+        # 14 end-to-end points: V100's 7 and A100's 3 GPT-3 MLP points are
+        # grid points; A100's attention is built with A100 tiles, not the
+        # grid's V100 tiles, so its 4 points simulate.
+        assert len(simulations) - grid_points == 4
+
 
 class TestTuner:
     def test_tuner_reports_best(self):
@@ -125,13 +242,8 @@ class TestEndToEndEstimates:
                 policies=["TileSync"], attention_policies=["TileSync"]
             )
 
-        vision_config = VisionModelConfig(
-            name="tiny-vision",
-            stages=(ConvLayerSpec(image=8, channels=16, kernel=3, convs_per_layer=2, layers=1),),
-        )
-
         def vision(arch):
-            return VisionModel(config=vision_config, arch=arch).estimate(policies=["RowSync"])
+            return VisionModel(config=TINY_VISION, arch=arch).estimate(policies=["RowSync"])
 
         assert layer(arch) == layer(AMPERE_A100)
         assert vision(arch) == vision(AMPERE_A100)

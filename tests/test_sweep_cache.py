@@ -20,9 +20,11 @@ from dataclasses import replace
 import pytest
 
 from repro.cusync.policies import PolicyAssignment, PolicySpec
+from repro.errors import GraphValidationError
 from repro.models.config import TransformerConfig
 from repro.models.mlp import GptMlp
-from repro.pipeline import Session, SweepPoint, sweep_archs
+from repro.pipeline import Session, SweepPoint, run, sweep_archs
+from repro.serving import ServingSimulator
 
 TINY = TransformerConfig(name="tiny-cache", hidden=256, layers=2, tensor_parallel=8)
 
@@ -154,6 +156,38 @@ class TestCacheKeying:
         assert session.sweep_cache_misses == 1
         assert session.sweep_cache_hits == 1
         assert results[0] == results[1]
+
+    def test_scheme_spelling_keeps_the_policy_axis(self):
+        # A capitalised scheme runs under cuSync, so it must key like one:
+        # one entry per policy, in memory and in the store.
+        graph = GptMlp(config=TINY, batch_seq=512).to_graph()
+        policies = ("TileSync", "RowSync", "BatchSync")
+        points = [SweepPoint("CuSync", policy, "V100") for policy in policies]
+        assert {point.scheme for point in points} == {"cusync"}
+        session = Session()
+        results = session.sweep([(graph, point) for point in points], mode="serial")
+        assert [result.cached for result in results] == [False, False, False]
+        for policy, result in zip(policies, results):
+            fresh = run(graph, scheme="cusync", policy=policy, arch="V100")
+            assert result.total_time_us == fresh.total_time_us, policy
+        store_keys = {session.sweep_store_key(graph, point) for point in points}
+        assert len(store_keys) == len(policies)
+        assert session.sweep_store_key(graph, points[0]) == session.sweep_store_key(
+            graph, SweepPoint("cusync", "TileSync", "V100")
+        )
+
+    def test_grid_and_serving_points_keep_the_policy_axis_of_any_spelling(self):
+        work = sweep_archs(GptMlp(config=TINY, batch_seq=96).to_graph(), ("V100",),
+                           policies=("TileSync", "RowSync"), schemes=("StreamSync", "CuSync"))
+        assert [(point.scheme, point.policy) for _, point in work] == [
+            ("streamsync", None), ("cusync", "TileSync"), ("cusync", "RowSync")
+        ]
+        simulator = ServingSimulator(scheme="CuSync", policy="RowSync")
+        assert (simulator.scheme, simulator.policy) == ("cusync", "RowSync")
+
+    def test_unknown_scheme_rejected_when_the_point_is_built(self):
+        with pytest.raises(GraphValidationError, match="available: cusync, streamk, streamsync"):
+            SweepPoint("bogus", None, "V100")
 
 
 class TestOptOut:
