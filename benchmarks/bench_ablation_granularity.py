@@ -16,19 +16,17 @@ isolating on the simulator:
 from repro.bench import format_percent, format_table
 from repro.gpu.costmodel import CostModel
 from repro.models import GptMlp
-from repro.pipeline import run
+from repro.pipeline import Session
 
 POLICIES = ("TileSync", "RowSync", "BatchSync")
 
 
 def _sweep(batch_seq, cost_model=None):
-    workload = GptMlp(batch_seq=batch_seq, cost_model=cost_model)
-    baseline = run(
-        workload.to_graph(), scheme="streamsync", arch=workload.arch, cost_model=workload.cost_model
-    ).total_time_us
+    times = GptMlp(batch_seq=batch_seq).best_policy(POLICIES, Session(cost_model=cost_model))
+    baseline = times["StreamSync"]
     results = {"streamsync_us": baseline}
     for name in POLICIES:
-        results[name] = workload.improvement_over_streamsync(policy=name)
+        results[name] = (baseline - times[name]) / baseline
     return results
 
 

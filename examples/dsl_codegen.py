@@ -76,7 +76,7 @@ def main():
         policies=("TileSync", "RowSync"),
         arches=(workload.arch,),
     )
-    tuner = Tuner(session=Session(arch=workload.arch, cost_model=workload.cost_model))
+    tuner = Tuner(session=Session(arch=workload.arch))
     report = tuner.tune(space)
     print(report.summary())
 

@@ -48,8 +48,8 @@ type and registry of :mod:`repro.common.registry`:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Union
 
 from repro.common.dim3 import Dim3
 from repro.common.registry import Registry, Spec
@@ -463,6 +463,7 @@ def _normalize_edge_key(key) -> Tuple[str, str, Optional[str]]:
     )
 
 
+@dataclass(frozen=True, repr=False)
 class PolicyAssignment:
     """Per-edge policy specs over a pipeline graph, with a run-wide default.
 
@@ -485,31 +486,30 @@ class PolicyAssignment:
             default="RowSync",
             edges={("attn_qkv", "attn_scores", "XQ"): "StridedTileSync"},
         )
+
+    ``stages`` and ``edges`` accept mappings (or ``(key, spec)`` pairs) and
+    are stored as sorted ``(key, PolicySpec)`` tuples; edge keys normalize
+    to ``(producer, consumer, tensor-or-None)``.
     """
 
-    __slots__ = ("default", "stages", "edges")
+    default: PolicySpec = "TileSync"
+    stages: Tuple[Tuple[str, PolicySpec], ...] = ()
+    edges: Tuple[Tuple[Tuple[str, str, Optional[str]], PolicySpec], ...] = ()
 
-    def __init__(
-        self,
-        default: Union[str, PolicySpec] = "TileSync",
-        stages: Optional[Mapping[str, Union[str, PolicySpec]]] = None,
-        edges: Optional[Mapping[EdgeKey, Union[str, PolicySpec]]] = None,
-    ) -> None:
-        object.__setattr__(self, "default", PolicySpec.coerce(default))
-        object.__setattr__(
-            self,
-            "stages",
-            tuple(
-                sorted((name, PolicySpec.coerce(spec)) for name, spec in (stages or {}).items())
-            ),
+    def __post_init__(self) -> None:
+        stages = sorted(
+            (name, PolicySpec.coerce(spec)) for name, spec in dict(self.stages or ()).items()
         )
-        normalized = {}
-        for key, spec in (edges or {}).items():
-            normalized[_normalize_edge_key(key)] = PolicySpec.coerce(spec)
+        edges = {
+            _normalize_edge_key(key): PolicySpec.coerce(spec)
+            for key, spec in dict(self.edges or ()).items()
+        }
+        object.__setattr__(self, "default", PolicySpec.coerce(self.default))
+        object.__setattr__(self, "stages", tuple(stages))
         object.__setattr__(
             self,
             "edges",
-            tuple(sorted(normalized.items(), key=lambda item: (item[0][0], item[0][1], item[0][2] or ""))),
+            tuple(sorted(edges.items(), key=lambda item: (item[0][0], item[0][1], item[0][2] or ""))),
         )
 
     # ------------------------------------------------------------------
@@ -548,14 +548,10 @@ class PolicyAssignment:
 
     # ------------------------------------------------------------------
     def with_stage(self, name: str, spec: Union[str, PolicySpec]) -> "PolicyAssignment":
-        stages = dict(self.stages)
-        stages[name] = PolicySpec.coerce(spec)
-        return PolicyAssignment(default=self.default, stages=stages, edges=dict(self.edges))
+        return replace(self, stages={**dict(self.stages), name: spec})
 
     def with_edge(self, key: EdgeKey, spec: Union[str, PolicySpec]) -> "PolicyAssignment":
-        edges = dict(self.edges)
-        edges[_normalize_edge_key(key)] = PolicySpec.coerce(spec)
-        return PolicyAssignment(default=self.default, stages=dict(self.stages), edges=edges)
+        return replace(self, edges={**dict(self.edges), _normalize_edge_key(key): spec})
 
     # ------------------------------------------------------------------
     def label(self) -> str:
@@ -565,23 +561,6 @@ class PolicyAssignment:
             edge = f"{producer}->{consumer}" + (f":{tensor}" if tensor else "")
             parts.append(f"{edge}={spec.label()}")
         return "+".join(parts) if len(parts) > 1 else parts[0]
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("PolicyAssignment is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PolicyAssignment):
-            return NotImplemented
-        return (self.default, self.stages, self.edges) == (other.default, other.stages, other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.default, self.stages, self.edges))
-
-    def __reduce__(self):
-        return (
-            PolicyAssignment,
-            (self.default, dict(self.stages), {key: spec for key, spec in self.edges}),
-        )
 
     def __repr__(self) -> str:
         return f"PolicyAssignment({self.label()})"

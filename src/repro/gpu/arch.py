@@ -125,6 +125,12 @@ class GpuArchitecture:
         if not (0.0 < self.memory_efficiency <= 1.0):
             raise ValueError(f"memory_efficiency must be in (0, 1], got {self.memory_efficiency}")
 
+    def __hash__(self) -> int:
+        # A value hash, so an instance can key caches itself; the generated
+        # one would fail on the ``extras`` dict.
+        state = dict(vars(self), extras=tuple(sorted(self.extras.items())))
+        return hash(tuple(state.values()))
+
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
@@ -321,8 +327,8 @@ class ArchSpec(Spec):
 
 _ARCHS = Registry(ArchSpec.kind)
 #: Memoized spec resolutions: equal specs resolve to the *same* instance,
-#: so identity-keyed caches downstream (sessions) coalesce naturally.
-#: Cleared whenever the architecture registry changes.
+#: so repeated resolution of a sweep axis is free.  Cleared whenever the
+#: architecture registry changes.
 _RESOLVE_CACHE: Dict[ArchSpec, GpuArchitecture] = {}
 
 
@@ -368,8 +374,7 @@ def resolve_arch(value: ArchLike) -> GpuArchitecture:
 
     :class:`GpuArchitecture` instances pass through unchanged (the legacy
     path); strings lower to override-free specs.  Equal specs resolve to
-    the same memoized instance, so repeated resolution is free and
-    identity-keyed caches coalesce.
+    the same memoized instance, so repeated resolution is free.
     """
     if isinstance(value, GpuArchitecture):
         return value
@@ -394,21 +399,20 @@ def resolve_arch(value: ArchLike) -> GpuArchitecture:
     return resolved
 
 
-def canonical_arch_key(value: ArchLike):
+def canonical_arch_key(value: ArchLike) -> Union["ArchSpec", GpuArchitecture]:
     """A hashable cache key identifying ``value``'s architecture.
 
     Names and specs key by the spec itself, so two equal specs (even across
-    pickling) share cached cost models and stage geometry.  A raw instance
-    that is value-equal to a registered preset keys as that preset's spec —
-    the historical ``Session(arch=TESLA_V100)`` path lands on the same
-    entry as ``Session(arch="V100")``.  Anything else keys by object
-    identity, preserving the legacy instance-path semantics (the caller
-    must keep the instance alive, which sessions do by storing it in the
-    cache value).
+    pickling) share cached results.  A raw instance that is value-equal to
+    a registered preset keys as that preset's spec — the historical
+    ``Session(arch=TESLA_V100)`` path lands on the same entry as
+    ``Session(arch="V100")``.  Any other instance is its own key, by value:
+    equal what-if instances share entries, and none is kept alive by
+    identity.  Only spec keys are portable (store keys need one).
     """
     if isinstance(value, GpuArchitecture):
         name = _ARCHS.name_of(value)
-        return ArchSpec(name) if name is not None else ("arch-instance", id(value))
+        return ArchSpec(name) if name is not None else value
     return ArchSpec.coerce(value)
 
 

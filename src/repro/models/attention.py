@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.common.validation import check_non_negative, check_positive
 from repro.gpu.arch import GpuArchitecture, TESLA_V100
-from repro.gpu.costmodel import CostModel
 from repro.kernels.gemm import GemmKernel, GemmProblem, choose_gemm_config
 from repro.kernels.softmax_dropout import SoftmaxDropoutKernel, SoftmaxDropoutProblem
 from repro.models.config import GPT3_145B, TransformerConfig
@@ -92,11 +91,10 @@ class Attention(Workload):
         seq: int = 512,
         cached: int = 0,
         arch: GpuArchitecture = TESLA_V100,
-        cost_model: Optional[CostModel] = None,
         dropout: float = 0.0,
         seed: int = 0,
     ) -> None:
-        super().__init__(arch=arch, cost_model=cost_model)
+        super().__init__(arch=arch)
         check_positive("batch", batch)
         check_positive("seq", seq)
         check_non_negative("cached", cached)

@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.common.validation import check_positive
 from repro.gpu.arch import GpuArchitecture, TESLA_V100
-from repro.gpu.costmodel import CostModel
 from repro.kernels.conv2d import Conv2dConfig, Conv2dKernel, Conv2dProblem, choose_conv2d_config
 from repro.kernels.epilogue import ReLU
 from repro.models.config import ConvLayerSpec
@@ -31,12 +30,11 @@ class ConvChain(Workload):
         batch: int = 1,
         convs: Optional[int] = None,
         arch: GpuArchitecture = TESLA_V100,
-        cost_model: Optional[CostModel] = None,
         config: Optional[Conv2dConfig] = None,
         fuse_relu: bool = True,
         seed: int = 0,
     ) -> None:
-        super().__init__(arch=arch, cost_model=cost_model)
+        super().__init__(arch=arch)
         check_positive("batch", batch)
         self.spec = spec
         self.batch = batch

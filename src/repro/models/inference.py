@@ -17,11 +17,10 @@ per-block percentages of Figures 6 and 7.
 
 The simulated blocks are the same points Figures 6 and 7 time, so
 ``estimate(session=...)`` times them through a given
-:class:`~repro.pipeline.Session` and replays a block that session already
-simulated; :func:`repro.bench.figure8_end_to_end` passes the experiments'
-shared session.  Without one, each block is timed on a fresh session over
-the model's own cost model; a session with another cost model is refused
-(see :meth:`~repro.models.workload.Workload.best_policy`).
+:class:`~repro.pipeline.Session` (on its cost model) and replays a block
+that session already simulated; :func:`repro.bench.figure8_end_to_end`
+passes the experiments' shared session.  Without one, each block is timed
+on a fresh default session.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.gpu.arch import ArchLike, TESLA_V100, resolve_arch
-from repro.gpu.costmodel import CostModel
 from repro.models.attention import Attention
 from repro.models.config import (
     GPT3_145B,
@@ -85,7 +83,6 @@ class TransformerLayer:
         seq: int = 512,
         cached: int = 0,
         arch: ArchLike = TESLA_V100,
-        cost_model: Optional[CostModel] = None,
         tuned: bool = False,
     ) -> None:
         self.config = config
@@ -93,7 +90,6 @@ class TransformerLayer:
         self.seq = seq
         self.cached = cached
         self.arch = resolve_arch(arch)
-        self.cost_model = cost_model if cost_model is not None else CostModel(arch=self.arch)
         #: Resolve MLP tile configs from the committed tuned-config table
         #: (per-arch) instead of the V100-tuned defaults.
         self.tuned = tuned
@@ -106,20 +102,15 @@ class TransformerLayer:
             seq=self.seq,
             cached=self.cached,
             arch=self.arch,
-            cost_model=self.cost_model,
         )
 
     def mlp(self) -> Workload:
         batch_seq = self.batch * self.seq
         if self.config.swiglu:
             return LlamaMlp(
-                config=self.config, batch_seq=batch_seq, arch=self.arch,
-                cost_model=self.cost_model, tuned=self.tuned,
+                config=self.config, batch_seq=batch_seq, arch=self.arch, tuned=self.tuned
             )
-        return GptMlp(
-            config=self.config, batch_seq=batch_seq, arch=self.arch,
-            cost_model=self.cost_model, tuned=self.tuned,
-        )
+        return GptMlp(config=self.config, batch_seq=batch_seq, arch=self.arch, tuned=self.tuned)
 
     def allreduce_time_us(self) -> float:
         """Per-layer all-reduce cost of Megatron-style model parallelism.
@@ -178,18 +169,13 @@ class VisionModel:
         config: VisionModelConfig,
         batch: int = 1,
         arch: ArchLike = TESLA_V100,
-        cost_model: Optional[CostModel] = None,
     ) -> None:
         self.config = config
         self.batch = batch
         self.arch = resolve_arch(arch)
-        self.cost_model = cost_model if cost_model is not None else CostModel(arch=self.arch)
 
     def stage_chain(self, stage_index: int) -> ConvChain:
-        spec = self.config.stages[stage_index]
-        return ConvChain(
-            spec=spec, batch=self.batch, arch=self.arch, cost_model=self.cost_model
-        )
+        return ConvChain(spec=self.config.stages[stage_index], batch=self.batch, arch=self.arch)
 
     def estimate(
         self, policies: Optional[List[str]] = None, session: Optional[Session] = None

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.common.validation import check_positive
 from repro.gpu.arch import GpuArchitecture, TESLA_V100
-from repro.gpu.costmodel import CostModel
 from repro.kernels.gemm import GemmConfig, GemmKernel, GemmProblem, choose_gemm_config
 from repro.models.config import LLAMA_65B, TransformerConfig
 from repro.models.workload import Workload, _resolve_tuned_pair
@@ -42,12 +41,11 @@ class LlamaMlp(Workload):
         config: TransformerConfig = LLAMA_65B,
         batch_seq: int = 512,
         arch: GpuArchitecture = TESLA_V100,
-        cost_model: Optional[CostModel] = None,
         gemm_configs: Optional[Tuple[GemmConfig, GemmConfig]] = None,
         seed: int = 0,
         tuned: bool = False,
     ) -> None:
-        super().__init__(arch=arch, cost_model=cost_model)
+        super().__init__(arch=arch)
         check_positive("batch_seq", batch_seq)
         self.config = config
         self.batch_seq = batch_seq

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.common.validation import check_positive
 from repro.gpu.arch import GpuArchitecture, TESLA_V100
-from repro.gpu.costmodel import CostModel
 from repro.kernels.epilogue import GeLU
 from repro.kernels.gemm import GemmConfig, GemmKernel, GemmProblem, choose_gemm_config
 from repro.models.config import GPT3_145B, TransformerConfig
@@ -66,12 +65,11 @@ class GptMlp(Workload):
         config: TransformerConfig = GPT3_145B,
         batch_seq: int = 512,
         arch: GpuArchitecture = TESLA_V100,
-        cost_model: Optional[CostModel] = None,
         gemm_configs: Optional[Tuple[GemmConfig, GemmConfig]] = None,
         seed: int = 0,
         tuned: bool = False,
     ) -> None:
-        super().__init__(arch=arch, cost_model=cost_model)
+        super().__init__(arch=arch)
         check_positive("batch_seq", batch_seq)
         self.config = config
         self.batch_seq = batch_seq

@@ -39,11 +39,10 @@ shapes reuse the same object *and* the same fingerprint.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.common.validation import check_positive
 from repro.gpu.arch import ArchLike, TESLA_V100
-from repro.gpu.costmodel import CostModel
 from repro.kernels.epilogue import GeLU
 from repro.kernels.gemm import GemmKernel, GemmProblem, choose_gemm_config
 from repro.kernels.softmax_dropout import SoftmaxDropoutKernel, SoftmaxDropoutProblem
@@ -82,10 +81,9 @@ class ServingLayer(Workload):
         rows: int = 64,
         keys: int = 64,
         arch: ArchLike = TESLA_V100,
-        cost_model: Optional[CostModel] = None,
         seed: int = 0,
     ) -> None:
-        super().__init__(arch=arch, cost_model=cost_model)
+        super().__init__(arch=arch)
         check_positive("rows", rows)
         check_positive("keys", keys)
         self.config = config

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.errors import ModelConfigError
 from repro.gpu.arch import ArchLike, TESLA_V100, resolve_arch
 from repro.gpu.costmodel import CostModel
 from repro.cusync.optimizations import OptimizationFlags
@@ -53,19 +52,22 @@ def _resolve_tuned_pair(workload_key: str, arch: ArchLike, stage1: str, stage2: 
 class Workload(ABC):
     """A chain of dependent kernels, described once and run under any scheme.
 
-    Whether a run is functional is a property of the run: the timing graph
-    runs functionally with ``functional=True, tensors=workload.input_tensors()``.
+    Whether a run is functional, and how it is calibrated, are properties of
+    the run: the timing graph runs functionally with ``functional=True,
+    tensors=workload.input_tensors()``, and on a custom cost model with
+    ``run(cost_model=)`` or ``Session(cost_model=)``.
     """
 
-    def __init__(
-        self,
-        arch: ArchLike = TESLA_V100,
-        cost_model: Optional[CostModel] = None,
-    ) -> None:
+    def __init__(self, arch: ArchLike = TESLA_V100) -> None:
         #: Always a resolved instance: registered names and
         #: :class:`~repro.gpu.arch.ArchSpec` values are accepted too.
         self.arch = resolve_arch(arch)
-        self.cost_model = cost_model if cost_model is not None else CostModel(arch=self.arch)
+
+    @property
+    def cost_model(self) -> CostModel:
+        """The default model of :attr:`arch`, which :meth:`to_graph` builds
+        kernels over (so their occupancy reads right before a run)."""
+        return CostModel(arch=self.arch)
 
     # ------------------------------------------------------------------
     # Subclass responsibility: the graph description
@@ -98,12 +100,7 @@ class Workload(ABC):
         optimizations: Optional[OptimizationFlags] = None,
     ) -> PipelineResult:
         return run_graph(
-            graph,
-            scheme=scheme,
-            policy=policy,
-            optimizations=optimizations,
-            arch=self.arch,
-            cost_model=self.cost_model,
+            graph, scheme=scheme, policy=policy, optimizations=optimizations, arch=self.arch
         )
 
     def improvement_over_streamsync(
@@ -123,21 +120,13 @@ class Workload(ABC):
         """Time every policy family and report times (plus the baselines).
 
         Points go through ``session``'s sweep cache, so a point the session
-        already timed replays instead of re-simulating.  Without a session
-        they are timed on a fresh ``Session`` over the workload's own cost
-        model.  A session whose cost model for the workload's architecture
-        differs from the workload's is refused with
-        :class:`~repro.errors.ModelConfigError`: its cached results were
-        computed under another calibration.
+        already timed replays instead of re-simulating, and run on its cost
+        model for the workload's architecture.  Without a session they are
+        timed on a fresh default ``Session``.
         """
         policies = policies if policies is not None else ["TileSync", "RowSync"]
         if session is None:
-            session = Session(arch=self.arch, cost_model=self.cost_model)
-        elif session.cost_model(self.arch) != self.cost_model:
-            raise ModelConfigError(
-                f"{self.name}: the session's cost model for {self.arch.name} differs "
-                "from the workload's; time it on a session built with that cost model"
-            )
+            session = Session(arch=self.arch)
         graph = self.to_graph()
 
         def time_us(scheme: str, policy: Optional[str] = None) -> float:

@@ -45,7 +45,6 @@ from repro.pipeline.executors import (
     Executor,
     PipelineResult,
     PolicyLike,
-    StageSummary,
     StreamKBackend,
     StreamSyncBackend,
     auto_flags,
@@ -54,7 +53,6 @@ from repro.pipeline.executors import (
     policy_context,
     resolve_order,
     resolve_policy,
-    summarize_stages,
 )
 from repro.pipeline.session import (
     Session,
@@ -84,13 +82,11 @@ __all__ = [
     "register_policy",
     "registered_policies",
     "policy_context",
-    "StageSummary",
     "auto_flags",
     "available_schemes",
     "get_executor",
     "resolve_policy",
     "resolve_order",
-    "summarize_stages",
     "ArchLike",
     "ArchSpec",
     "register_arch",

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Type, Union
 import numpy as np
 
 from repro.common.dim3 import Dim3
-from repro.errors import GraphValidationError, SimulationError
+from repro.errors import GraphValidationError, ModelConfigError, SimulationError
 from repro.gpu.arch import GpuArchitecture, TESLA_V100
 from repro.gpu.costmodel import CostModel
 from repro.gpu.kernel import KernelLaunch, Segment, ThreadBlockProgram
@@ -125,11 +125,7 @@ def resolve_order(family: Union[str, PolicySpec], stage: StageSpec) -> TileOrder
     return order if order is not None else RowMajorOrder()
 
 
-def auto_flags(
-    graph: PipelineGraph,
-    arch: GpuArchitecture,
-    stage_summaries: Optional[Dict[str, "StageSummary"]] = None,
-) -> Dict[str, OptimizationFlags]:
+def auto_flags(graph: PipelineGraph, arch: GpuArchitecture) -> Dict[str, OptimizationFlags]:
     """The automatic W/R/T choice of Section IV-C, one flag set per stage.
 
     Flags are derived per dependency edge from the *actual* producer and
@@ -137,19 +133,21 @@ def auto_flags(
     than two waves.  A consumer may elide its wait-kernel (W) only when
     every edge into it is small; a stage may skip the custom tile order (T)
     only when every incident edge is small; reordering tile loads (R) never
-    hurts in this model and is always enabled.
+    hurts in this model and is always enabled.  Kernels report occupancy
+    through their bound cost model, so bind ``arch``'s model first, as
+    the cuSync backend does.
     """
-    summaries = stage_summaries if stage_summaries is not None else summarize_stages(graph)
 
     def edge_is_small(producer: str, consumer: str) -> bool:
         # Delegate the Section IV-C rule to the one canonical implementation;
         # auto_optimizations elides the wait-kernel exactly when both
         # endpoints fit in fewer than two waves.
+        first, second = graph.stage(producer).kernel, graph.stage(consumer).kernel
         return auto_optimizations(
-            producer_blocks=summaries[producer].blocks,
-            consumer_blocks=summaries[consumer].blocks,
-            producer_occupancy=summaries[producer].occupancy,
-            consumer_occupancy=summaries[consumer].occupancy,
+            producer_blocks=first.grid.volume,
+            consumer_blocks=second.grid.volume,
+            producer_occupancy=first.occupancy(),
+            consumer_occupancy=second.occupancy(),
             arch=arch,
         ).avoid_wait_kernel
 
@@ -163,31 +161,6 @@ def auto_flags(
             avoid_custom_tile_order=all(incoming) and all(outgoing),
         )
     return flags
-
-
-@dataclass(frozen=True)
-class StageSummary:
-    """Arch-dependent launch geometry of one stage, memoized by ``Session``."""
-
-    blocks: int
-    occupancy: int
-
-
-def summarize_stages(graph: PipelineGraph) -> Dict[str, StageSummary]:
-    """Per-stage block counts and occupancies.
-
-    Kernels report occupancy through their *bound* cost model, so the
-    caller must bind the target architecture's cost model first —
-    executors do this before calling,
-    :class:`~repro.pipeline.session.Session` memoizes the result per
-    ``(graph, arch)``.
-    """
-    summaries: Dict[str, StageSummary] = {}
-    for stage in graph.topological_order:
-        summaries[stage.name] = StageSummary(
-            blocks=stage.kernel.grid.volume, occupancy=stage.kernel.occupancy()
-        )
-    return summaries
 
 
 # ----------------------------------------------------------------------
@@ -208,11 +181,27 @@ class ExecutionContext:
     optimizations: Optional[OptimizationFlags] = None
     memory: Optional[GlobalMemory] = None
     tensors: Optional[Dict[str, np.ndarray]] = None
-    #: Memoized per-arch stage geometry (filled by ``Session``).
-    stage_summaries: Optional[Dict[str, StageSummary]] = None
 
     def resolved_cost_model(self) -> CostModel:
-        return self.cost_model if self.cost_model is not None else CostModel(arch=self.arch)
+        """The run's cost model: ``cost_model``, or ``arch``'s default.
+
+        A model calibrated for another architecture raises
+        :class:`~repro.errors.ModelConfigError` naming both: its results
+        would be labelled with ``arch`` but priced on the other GPU.
+        """
+        if self.cost_model is None:
+            return CostModel(arch=self.arch)
+        check_calibrated_for(self.cost_model, self.arch)
+        return self.cost_model
+
+
+def check_calibrated_for(cost_model: CostModel, arch: GpuArchitecture) -> None:
+    """Raise :class:`ModelConfigError` unless ``cost_model`` prices ``arch``."""
+    if cost_model.arch != arch:
+        raise ModelConfigError(
+            f"the cost model is calibrated for {cost_model.arch.name!r}, "
+            f"but the run is on {arch.name!r}"
+        )
 
 
 class Executor(ABC):
@@ -362,7 +351,7 @@ class CuSyncBackend(Executor):
 
         per_stage_flags: Optional[Dict[str, OptimizationFlags]] = None
         if ctx.optimizations is None:
-            per_stage_flags = auto_flags(graph, ctx.arch, ctx.stage_summaries)
+            per_stage_flags = auto_flags(graph, ctx.arch)
         assignment = PolicyAssignment.coerce(ctx.policy)
         _check_assignment(assignment, graph)
 

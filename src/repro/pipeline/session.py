@@ -2,12 +2,11 @@
 
 ``run(graph, scheme=..., policy=...)`` executes an immutable
 :class:`~repro.pipeline.graph.PipelineGraph` once.  A :class:`Session` is
-the stateful companion for repeated execution: it caches one
-:class:`~repro.gpu.costmodel.CostModel` per architecture and memoizes the
-per-arch stage geometry (block counts and occupancies) that the automatic
-W/R/T flag selection needs, so sweeping a graph over many
-``(scheme, policy, arch)`` points re-derives nothing per point and never
-rebuilds a kernel.
+the stateful companion for repeated execution: it memoizes sweep
+*results*, so sweeping a graph over many ``(scheme, policy, arch)``
+points simulates each distinct point once and never rebuilds a kernel.
+A calibration (a custom :class:`~repro.gpu.costmodel.CostModel`) is a
+property of the run: ``run(cost_model=)`` or ``Session(cost_model=)``.
 
 :meth:`Session.sweep` evaluates a grid of :class:`SweepPoint` work — either
 the classic ``(scheme, policy, arch)`` product over one graph, or an
@@ -75,10 +74,9 @@ from repro.pipeline.executors import (
     ExecutionContext,
     PipelineResult,
     PolicyLike,
-    StageSummary,
+    check_calibrated_for,
     get_executor,
     scheme_name,
-    summarize_stages,
 )
 from repro.pipeline.graph import PipelineGraph
 
@@ -252,17 +250,13 @@ class SweepFailure:
 def _sweep_point_result(
     graph: PipelineGraph,
     point: SweepPoint,
-    cost_model: Optional[CostModel] = None,
-    stage_summaries: Optional[Dict[str, StageSummary]] = None,
+    cost_model: CostModel,
     graph_label: str = "",
 ) -> SweepResult:
     """Evaluate one sweep point (always timing-only, never functional).
 
-    ``cost_model`` / ``stage_summaries`` are optional memoized inputs the
-    serial path passes from the session's caches; workers pass neither and
-    derive both fresh.  Either way the values are identical (cost models
-    for one arch are equal-valued, stage summaries are deterministic), so
-    parallel and serial sweeps agree bit for bit.
+    ``cost_model`` is the session's model for the point's arch; serial
+    and process sweeps pass the same one, so they agree bit for bit.
     """
     arch = resolve_arch(point.arch)
     ctx = ExecutionContext(
@@ -271,7 +265,6 @@ def _sweep_point_result(
         functional=False,
         policy=point.policy if point.policy is not None else "TileSync",
         optimizations=point.optimizations if point.scheme == "cusync" else None,
-        stage_summaries=stage_summaries if point.scheme == "cusync" else None,
     )
     result = get_executor(point.scheme).run(graph, ctx)
     trace = result.simulation.trace
@@ -599,20 +592,19 @@ def graph_labels(work: Iterable[Tuple[PipelineGraph, object]]) -> Dict[int, str]
 
 
 class Session:
-    """Reusable execution context: cached cost models, memoized geometry.
+    """Reusable execution context that memoizes sweep results.
 
-    A session binds no state to any graph; it only remembers derived,
-    read-only facts (one cost model per architecture, per-arch stage
-    summaries per graph) so repeated :meth:`run` calls and :meth:`sweep`
-    points skip redundant derivation.  Each :meth:`run` call chooses
+    A session binds no state to any graph.  Each :meth:`run` call chooses
     whether it is functional, so one session may alternate functional and
-    timing runs of the same graph.
+    timing runs of the same graph.  ``cost_model`` calibrates the runs on
+    the session's architecture (:meth:`cost_model`); it must be priced for
+    that architecture (:class:`~repro.errors.ModelConfigError` otherwise),
+    and every other architecture runs on its default model.
 
-    On top of the derivation caches, :meth:`sweep` keeps a **result cache**:
-    the simulator is deterministic and sweep points are timing only (no
-    per-run memory or tensors), so a point's
-    :class:`SweepResult` is fully determined by its trace key — the tuple
-    ``(graph, resolved arch key, scheme, resolved policy assignment)``,
+    :meth:`sweep` keeps a **result cache**: the simulator is deterministic
+    and sweep points are timing only (no per-run memory or tensors), so a
+    point's :class:`SweepResult` is fully determined by its trace key —
+    the tuple ``(graph, resolved arch key, scheme, resolved policy assignment)``,
     where the graph is identified by its **structural fingerprint**
     (:meth:`~repro.pipeline.graph.PipelineGraph.structural_fingerprint`),
     so equal graphs — rebuilt in this process or built in another one —
@@ -635,9 +627,12 @@ class Session:
     process replays a previously swept grid bit-identically with zero
     simulations.  Service fronts walk the same two tiers through
     :meth:`recall` and :meth:`resolve`; a session holds one store
-    (:meth:`attach_store`).  Store hits count in :attr:`sweep_store_hits`;
-    failures are never persisted, and store errors (corrupt entries, I/O)
-    degrade to simulation, counted in :attr:`sweep_store_errors`.
+    (:meth:`attach_store`), and a session with its own ``cost_model``
+    holds none: store keys carry no calibration, so its results would
+    replay as default-calibration ones.  Store hits count in
+    :attr:`sweep_store_hits`; failures are never persisted, and store
+    errors (corrupt entries, I/O) degrade to simulation, counted in
+    :attr:`sweep_store_errors`.
     """
 
     def __init__(
@@ -651,31 +646,13 @@ class Session:
         #: instance (names and :class:`~repro.gpu.arch.ArchSpec` values are
         #: accepted and looked up in the registry).
         self.arch = resolve_arch(arch)
-        #: One cost model per architecture, keyed by the *resolved*
-        #: :class:`~repro.gpu.arch.ArchSpec` when the architecture is
-        #: registry-addressable (names, specs, and instances value-equal to
-        #: a registered preset all share one entry) and by object identity
-        #: for unregistered instances (the legacy shim path).  The arch
-        #: objects are stored in the values: holding them alive guarantees
-        #: an id() key is never recycled while its entry exists.
-        self._cost_models: Dict[object, Tuple[GpuArchitecture, CostModel]] = {}
-        #: Memoized stage geometry: graph -> {arch key: (arch, summaries)},
-        #: with the same arch keying as the cost models.  Weakly keyed so a
-        #: session that churns through many graphs (an autotuning loop, the
-        #: bench harness) does not pin every dead graph and its kernels in
-        #: memory.
-        self._stage_summaries: "weakref.WeakKeyDictionary[PipelineGraph, Dict[object, Tuple[GpuArchitecture, Dict[str, StageSummary]]]]" = (
-            weakref.WeakKeyDictionary()
-        )
-        #: The session's own (original arch argument, custom cost model),
-        #: re-pinned into the cache whenever a registry change flushes it.
-        self._session_cost_model: Optional[Tuple[ArchLike, CostModel]] = (
-            (arch, cost_model) if cost_model is not None else None
-        )
-        #: Registry state the spec-keyed caches were built against; when an
+        if cost_model is not None:
+            check_calibrated_for(cost_model, self.arch)
+        #: The session's own calibration for :attr:`arch` (``None``: default).
+        self._cost_model = cost_model
+        #: Registry state the cached results were keyed against; when an
         #: architecture or policy registration changes what a spec resolves
-        #: to, the derived caches are flushed so a run never pairs a new
-        #: architecture instance with a stale cost model.
+        #: to, the results are flushed so none replays for a new meaning.
         self._registry_generation = registry_generation()
         #: Sweep-result cache: trace key -> SweepResult (see class docs).
         self._sweep_cache_enabled = bool(sweep_cache)
@@ -686,7 +663,8 @@ class Session:
         #: Only points with a fully portable trace key (structural graph
         #: fingerprint + registry-addressed arch) use it; lookups and
         #: writes are best-effort and never fail a sweep.
-        self.result_store = result_store
+        self.result_store: Optional["SweepResultStoreLike"] = None
+        self.attach_store(result_store)
         #: Fallback per-graph tokens for graphs *without* a structural
         #: fingerprint (closure range maps).  Weakly keyed, and tokens are
         #: never reused, so a dead graph's stale cache entries can never
@@ -702,35 +680,20 @@ class Session:
         self.sweep_cache_misses = 0
         self.sweep_store_hits = 0
         self.sweep_store_errors = 0
-        self._pin_session_cost_model()
-
-    def _pin_session_cost_model(self) -> None:
-        if self._session_cost_model is None:
-            return
-        # Stored under both the key of the *original* arch argument (a
-        # spec, when one was passed) and of the resolved instance, so
-        # explicit lookups by either form hit the calibrated model.
-        arch_arg, cost_model = self._session_cost_model
-        entry = (self.arch, cost_model)
-        self._cost_models[canonical_arch_key(arch_arg)] = entry
-        self._cost_models[canonical_arch_key(self.arch)] = entry
 
     def _check_registry_generation(self) -> None:
         generation = registry_generation()
         if generation != self._registry_generation:
             self._registry_generation = generation
-            self._cost_models.clear()
-            self._stage_summaries.clear()
             # Arch and policy keys may resolve differently now; cached sweep
             # results keyed on the old resolutions must not be replayed.
             self._sweep_cache.clear()
-            self._pin_session_cost_model()
 
     # ------------------------------------------------------------------
     # Sweep-result cache
     # ------------------------------------------------------------------
     def clear_sweep_cache(self) -> None:
-        """Drop every cached sweep result (the derivation caches survive)."""
+        """Drop every cached sweep result."""
         self._sweep_cache.clear()
 
     @property
@@ -767,10 +730,8 @@ class Session:
 
         The graph axis keys by structural fingerprint when it has one
         (see :meth:`_graph_key`); the arch axis keys through
-        :func:`canonical_arch_key` (the same keying as the cost-model
-        cache, whose entries keep unregistered instances alive so an
-        id-based key is never recycled while cache entries exist); the
-        policy axis lowers to a
+        :func:`canonical_arch_key` (a registered spec, else the instance
+        itself by value); the policy axis lowers to a
         :class:`~repro.cusync.policies.PolicyAssignment` so equivalent
         spellings share an entry.  Non-cusync schemes have no policy axis.
         """
@@ -832,9 +793,9 @@ class Session:
         points coalesce.  The registry generation is checked first, so a
         key handed out is valid against the current registries.  Unlike
         :meth:`sweep_store_key` the trace key exists for most points (it
-        falls back to per-process graph tokens and arch identities) —
-        ``None`` means the point is uncacheable and every submission must
-        evaluate independently.
+        falls back to per-process graph tokens and to unregistered arch
+        instances) — ``None`` means the point is uncacheable and every
+        submission must evaluate independently.
         """
         self._check_registry_generation()
         return self._sweep_cache_key(graph, point)
@@ -904,10 +865,20 @@ class Session:
                 self.sweep_store_errors += 1
 
     def attach_store(self, store: Optional["SweepResultStoreLike"]) -> None:
-        """Attach ``store``; ``None`` or the session's own store is a no-op,
-        and a different store raises :class:`SimulationError` naming both."""
+        """Attach ``store``; ``None`` or the session's own store is a no-op.
+
+        A different store raises :class:`SimulationError` naming both, and
+        so does any store on a session with its own ``cost_model``: store
+        keys carry no calibration.
+        """
         if store is None or store is self.result_store:
             return
+        if self._cost_model is not None:
+            raise SimulationError(
+                f"a session with its own cost model cannot hold result store {store!r}: "
+                "store keys carry no calibration, so its results would replay "
+                "as default-calibration ones"
+            )
         if self.result_store is not None:
             raise SimulationError(
                 f"session already holds result store {self.result_store!r}; "
@@ -916,36 +887,15 @@ class Session:
         self.result_store = store
 
     # ------------------------------------------------------------------
-    def _arch_entry(self, arch: Optional[ArchLike]) -> Tuple[object, GpuArchitecture]:
-        """Resolve an architecture axis value to its (cache key, instance)."""
-        self._check_registry_generation()
-        if arch is None:
-            return canonical_arch_key(self.arch), self.arch
-        return canonical_arch_key(arch), resolve_arch(arch)
-
     def cost_model(self, arch: Optional[ArchLike] = None) -> CostModel:
-        """The session's cached cost model for ``arch`` (default: session arch)."""
-        key, resolved = self._arch_entry(arch)
-        entry = self._cost_models.get(key)
-        if entry is None:
-            entry = (resolved, CostModel(arch=resolved))
-            self._cost_models[key] = entry
-        return entry[1]
+        """The cost model runs on ``arch`` use (default: the session arch).
 
-    def stage_summaries(
-        self, graph: PipelineGraph, arch: Optional[ArchLike] = None
-    ) -> Dict[str, StageSummary]:
-        """Memoized per-arch block counts / occupancies for ``graph``."""
-        key, resolved = self._arch_entry(arch)
-        per_arch = self._stage_summaries.setdefault(graph, {})
-        entry = per_arch.get(key)
-        if entry is None:
-            cost_model = self.cost_model(arch)
-            for stage in graph.topological_order:
-                stage.kernel.cost_model = cost_model
-            entry = (resolved, summarize_stages(graph))
-            per_arch[key] = entry
-        return entry[1]
+        The session's own model for its arch, else ``arch``'s default.
+        """
+        resolved = self.arch if arch is None else resolve_arch(arch)
+        if self._cost_model is not None and resolved == self.arch:
+            return self._cost_model
+        return CostModel(arch=resolved)
 
     # ------------------------------------------------------------------
     def run(
@@ -959,30 +909,24 @@ class Session:
         memory: Optional[GlobalMemory] = None,
         tensors: Optional[Dict[str, np.ndarray]] = None,
     ) -> PipelineResult:
-        """Execute ``graph`` once, reusing the session's cached state.
+        """Execute ``graph`` once on :meth:`cost_model` for ``arch``.
 
         ``functional=True`` (inputs in ``tensors=``) holds for this run only.
         """
         resolved = resolve_arch(arch) if arch is not None else self.arch
         ctx = ExecutionContext(
             arch=resolved,
-            cost_model=self.cost_model(arch),
+            cost_model=self.cost_model(resolved),
             functional=functional,
             policy=policy,
             optimizations=optimizations,
             memory=memory,
             tensors=tensors,
-            stage_summaries=self.stage_summaries(graph, arch) if scheme == "cusync" else None,
         )
         return get_executor(scheme).run(graph, ctx)
 
     # ------------------------------------------------------------------
-    def sweep_point(
-        self,
-        graph: PipelineGraph,
-        point: SweepPoint,
-        cache: Optional[bool] = None,
-    ) -> SweepResult:
+    def sweep_point(self, graph: PipelineGraph, point: SweepPoint) -> SweepResult:
         """Evaluate one ``(graph, point)`` through the sweep caches.
 
         The single-point form of :meth:`sweep` (serial mode,
@@ -993,7 +937,7 @@ class Session:
         session returns it from its cache, then charges the shape's later
         iterations from a per-run memo.
         """
-        return self.sweep([(graph, point)], mode="serial", cache=cache)[0]
+        return self.sweep([(graph, point)], mode="serial")[0]
 
     # ------------------------------------------------------------------
     def sweep(
@@ -1275,17 +1219,10 @@ class Session:
         raised.
         """
         cost_model = self.cost_model(point.arch)
-        stage_summaries = (
-            self.stage_summaries(graph, point.arch) if point.scheme == "cusync" else None
-        )
 
         def evaluate_once() -> SweepResult:
             return _sweep_point_result(
-                graph,
-                point,
-                cost_model=cost_model,
-                stage_summaries=stage_summaries,
-                graph_label=graph_label,
+                graph, point, cost_model=cost_model, graph_label=graph_label
             )
 
         started = time.monotonic()

@@ -1,5 +1,7 @@
 """Tests for the experiment harness plus end-to-end integration checks."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -179,15 +181,33 @@ class TestSharedSession:
             fresh = session.run(conv, scheme="cusync", policy=policy).total_time_us
             assert figure7[policy] == (baseline - fresh) / baseline, policy
 
-    def test_another_calibration_is_refused(self):
+    def test_estimates_follow_the_session_calibration(self):
         calibrated = CostModel(arch=TESLA_V100, duration_jitter=0.0)
-        layer = TransformerLayer(config=TINY, batch=1, seq=64, cost_model=calibrated)
-        vision = VisionModel(config=TINY_VISION, cost_model=calibrated)
-        with pytest.raises(ModelConfigError, match="cost model"):
-            layer.estimate(session=SESSION)
-        with pytest.raises(ModelConfigError, match="cost model"):
-            vision.estimate(session=SESSION)
-        assert layer.estimate(session=Session(cost_model=calibrated)) == layer.estimate()
+        layer = TransformerLayer(config=TINY, batch=1, seq=64)
+        flat = layer.estimate(session=Session(cost_model=calibrated))
+        mlp = layer.mlp().to_graph()
+        assert flat.per_block_us["mlp"]["StreamSync"] == (
+            run(mlp, scheme="streamsync", cost_model=calibrated).total_time_us
+        )
+        assert flat != layer.estimate() == layer.estimate(session=SESSION)
+        vision = VisionModel(config=TINY_VISION)
+        flat = vision.estimate(session=Session(cost_model=calibrated))
+        chain = vision.stage_chain(0).to_graph()
+        assert flat.per_block_us["stage0_c16"]["StreamSync"] == (
+            run(chain, scheme="streamsync", cost_model=calibrated).total_time_us
+        )
+        assert flat != vision.estimate() == vision.estimate(session=SESSION)
+
+    def test_cleared_results_keep_no_what_if_arch_alive(self):
+        alive = []
+        for index in range(5):
+            arch = TESLA_V100.with_overrides(name=f"what-if-{index}", num_sms=40)
+            table4_mlp(batch_sizes=(64,), arch=arch)
+            alive.append(weakref.ref(arch))
+            del arch
+            SESSION.clear_sweep_cache()
+            gc.collect()
+        assert [ref() for ref in alive] == [None] * 5
 
     def test_arch_comparison_end_to_end_replays_its_grid(self, simulations):
         rows = arch_comparison(arches=("V100", "A100"))

@@ -8,8 +8,9 @@ bit-identical to a run on a freshly built graph.
 
 import pytest
 
-from repro.errors import GraphValidationError
-from repro.gpu.arch import TESLA_V100
+from repro.errors import GraphValidationError, ModelConfigError
+from repro.gpu.arch import AMPERE_A100, TESLA_V100
+from repro.gpu.costmodel import CostModel
 from repro.models import Attention, GptMlp, LlamaMlp, TransformerConfig
 from repro.pipeline import Session, run
 
@@ -98,8 +99,6 @@ class TestGraphReuseAcrossSchemes:
         session = Session(arch=workload.arch)
         graph = workload.to_graph()
         first = session.run(graph, scheme="cusync", policy="TileSync").total_time_us
-        # Memoized stage summaries are reused on the second run.
-        assert graph in session._stage_summaries
         second = session.run(graph, scheme="cusync", policy="TileSync").total_time_us
         assert first == second
         one_shot = run(graph, scheme="cusync", policy="TileSync", arch=workload.arch)
@@ -108,6 +107,20 @@ class TestGraphReuseAcrossSchemes:
     def test_unknown_scheme_rejected(self, workload):
         with pytest.raises(GraphValidationError, match="available: cusync, streamk, streamsync"):
             run(workload.to_graph(), scheme="bogus")
+
+    def test_cost_model_must_price_the_run_arch(self, workload):
+        v100 = CostModel(arch=TESLA_V100)
+        both = "'Tesla V100'.*'A100'"
+        with pytest.raises(ModelConfigError, match=both):
+            Session(arch="A100", cost_model=v100)
+        for scheme in ("streamsync", "streamk", "cusync"):
+            with pytest.raises(ModelConfigError, match=both):
+                run(workload.to_graph(), scheme=scheme, arch="A100", cost_model=v100)
+        # A calibrated session runs every other arch on its default model.
+        graph = workload.to_graph()
+        assert Session(cost_model=v100).run(graph, arch="A100").total_time_us == (
+            run(graph, arch=AMPERE_A100).total_time_us
+        )
 
 
 class TestSweep:

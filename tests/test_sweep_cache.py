@@ -157,6 +157,15 @@ class TestCacheKeying:
         assert session.sweep_cache_hits == 1
         assert results[0] == results[1]
 
+    def test_equal_what_if_instances_share_an_entry(self, graph):
+        from repro.gpu.arch import TESLA_V100
+
+        session = Session()
+        for _ in range(3):
+            arch = TESLA_V100.with_overrides(name="what-if", num_sms=40)
+            session.sweep_point(graph, SweepPoint(scheme="cusync", policy="TileSync", arch=arch))
+        assert (session.sweep_cache_misses, session.sweep_cache_hits) == (1, 2)
+
     def test_scheme_spelling_keeps_the_policy_axis(self):
         # A capitalised scheme runs under cuSync, so it must key like one:
         # one entry per policy, in memory and in the store.

@@ -18,17 +18,21 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import SimulationError
+from repro.gpu.costmodel import CostModel
 from repro.models.config import TransformerConfig
 from repro.models.mlp import GptMlp
 from repro.pipeline import Session, SweepPoint, sweep_archs
 from repro.service import (
     STORE_VERSION,
     SweepResultStore,
+    SweepService,
     content_address,
     decode_result,
     encode_result,
     normalize_key,
 )
+from repro.tune import Tuner
 
 TINY = TransformerConfig(name="tiny-store", hidden=256, layers=2, tensor_parallel=8)
 
@@ -232,6 +236,30 @@ class TestRobustness:
         result = session.sweep([(closure, point)], mode="serial")[0]
         assert result.ok
         assert store.writes == 0 and len(store) == 0
+
+
+class TestCalibration:
+    """Store keys carry no calibration, so a calibrated session holds no store."""
+
+    def test_a_calibrated_session_cannot_reach_a_store(self, graph, store):
+        calibrated = Session(cost_model=CostModel(duration_jitter=0.0))
+        with pytest.raises(SimulationError, match="own cost model"):
+            Session(cost_model=CostModel(duration_jitter=0.0), result_store=store)
+        for attach in (
+            calibrated.attach_store,
+            lambda store: SweepService(session=calibrated, store=store),
+            lambda store: Tuner(session=calibrated, result_store=store),
+        ):
+            with pytest.raises(SimulationError, match="own cost model"):
+                attach(store)
+        assert calibrated.result_store is None
+
+        point = SweepPoint(scheme="cusync", policy="TileSync", arch="V100")
+        flat = calibrated.sweep_point(graph, point)
+        default = Session(result_store=store).sweep_point(graph, point)
+        replay = Session(result_store=store)
+        assert replay.sweep_point(graph, point) == default != flat
+        assert replay.sweep_store_hits == 1
 
 
 class TestFreshProcessReplay:
