@@ -233,6 +233,28 @@ class GlobalMemory:
         self.atomic_operations = 0
         self.semaphore_reads = 0
 
+    def checkpoint(self) -> tuple:
+        """Copy the state a timing run mutates, for :meth:`restore`.
+
+        That is the semaphore values, the written-tile sets and the two
+        statistics counters; tensors are left out (only functional runs
+        write them).
+        """
+        return (
+            {name: list(values) for name, values in self._semaphore_values.items()},
+            {name: set(tiles) for name, tiles in self._written_tiles.items()},
+            self.semaphore_reads,
+            self.atomic_operations,
+        )
+
+    def restore(self, checkpoint: tuple) -> None:
+        """Return to a :meth:`checkpoint`, keeping the backing lists in place."""
+        values, written, self.semaphore_reads, self.atomic_operations = checkpoint
+        for name, saved in values.items():
+            self._semaphore_values[name][:] = saved
+        self._written_tiles.clear()
+        self._written_tiles.update((name, set(tiles)) for name, tiles in written.items())
+
     def snapshot_semaphores(self) -> Dict[str, Tuple[int, ...]]:
         """Return a copy of all semaphore values (useful in tests)."""
         return {name: tuple(array.values) for name, array in self._semaphores.items()}

@@ -69,6 +69,33 @@ Hot-path structure (the invariants the fast paths preserve exactly):
 * **Event coalescing.**  Events within ``_EPSILON`` of the current time are
   drained before dispatching, so a whole wave frees its slots before the
   next wave is placed.
+* **Fused wait-free segment runs.**  When a block's segment posts (and
+  writes) nothing, its completion would only start the next segment, and
+  if that segment's waits already hold they hold at that later instant
+  too (semaphores only rise).  The block therefore walks forward through
+  such segments at once, charging each exactly as the skipped completion
+  would have (same clock additions in the same order, same polls,
+  overheads and work time), and pushes one event, for the run's last
+  segment.  Skipping an event is exact only when nothing could have
+  coalesced with it or ordered differently against it, so every fused
+  run is audited as the loop pops events.  No processed event may lie
+  within ``2 * _EPSILON`` of a skipped completion, nor two skipped
+  completions of each other, unless exactly at the same time: unfused,
+  both would have been processed at that one instant.  An event exactly
+  at a run's last completion, whose sequence number was taken early, must
+  be the last event of a twin run, one that skipped exactly the same
+  completion times and so kept its order at every one of them.  The walk
+  itself keeps skipped completions more than that window past every
+  event already processed and apart from their neighbours in the run.
+  The audit keeps only the pending skipped times, in a heap, and each
+  run's first segment and first skipped time.  A run whose audit fails,
+  or that raises, is thrown away:
+  the memory's semaphores, written tiles and statistics return to their
+  state before the run, and the run is replayed unfused (Time Warp's
+  optimism with rollback, at the granularity of one run).  Functional
+  runs, runs with an armed post fault and ``wake_strategy="rescan"`` runs
+  never fuse; ``rescan`` is the unfused reference the differential tests
+  compare against.
 """
 
 from __future__ import annotations
@@ -112,6 +139,16 @@ _EPSILON = 1e-9
 _EV_SEGMENT_DONE = 0
 _EV_ELIGIBLE = 1
 _EV_EMPTY_BLOCK = 2
+#: The completion of a fused run's last segment (handled like
+#: ``_EV_SEGMENT_DONE`` after the audit's exact-tie check).
+_EV_RUN_DONE = 3
+
+#: A skipped completion within this distance of a processed event or of
+#: another skipped completion fails the fused run's audit.
+_FUSION_WINDOW = 2 * _EPSILON
+#: How far past ``now`` a run's first skipped completion must lie: every
+#: event processed so far lies within ``_EPSILON`` of ``now``.
+_FUSION_LEAD = _FUSION_WINDOW + _EPSILON
 
 #: The lazy SM max-heap is rebuilt from the live per-SM free values when it
 #: grows past ``max(_SM_HEAP_COMPACT_FACTOR * num_sms, _SM_HEAP_COMPACT_MIN)``
@@ -126,6 +163,10 @@ _DEADLOCK_REPORT_WAITERS = 16
 
 _entry_order = itemgetter(1)
 _entry_key = itemgetter(0)
+
+
+class _FusionCoincidence(Exception):
+    """A fused run's audit found an event a skipped completion could have moved."""
 
 
 @dataclass(slots=True)
@@ -201,12 +242,15 @@ class GpuSimulator:
         pipeline; reads of these are race-checked in functional mode.
     wake_strategy:
         ``"threshold"`` (the default) wakes blocked waiters through the
-        threshold index described in the module docstring; ``"rescan"``
-        keeps the brute-force reference behaviour — re-evaluating every
-        registered waiter's full wait set on each post — and exists for the
-        differential stress tests.  Both produce bit-identical traces; the
-        threshold index requires the CuSync invariant that semaphore values
-        are monotone non-decreasing within a run.
+        threshold index described in the module docstring and, in timing
+        runs, fuses wait-free segment runs.  ``"rescan"`` is the unfused
+        reference: it keeps the brute-force behaviour — re-evaluating every
+        registered waiter's full wait set on each post — processes every
+        segment completion as its own event, and exists for the
+        differential stress tests.  Both produce bit-identical traces and
+        statistics; the threshold index and the fusion require the CuSync
+        invariant that semaphore values are monotone non-decreasing within
+        a run.
     max_events / max_sim_time_us:
         Livelock watchdogs.  A run that processes more than ``max_events``
         events, or whose simulated clock passes ``max_sim_time_us``
@@ -254,10 +298,27 @@ class GpuSimulator:
     # Public API
     # ------------------------------------------------------------------
     def run(self, launches: Sequence[KernelLaunch]) -> SimulationResult:
-        """Simulate the given launches and return the execution trace."""
+        """Simulate the given launches and return the execution trace.
+
+        Timing runs with the threshold wake strategy and no armed post
+        fault fuse wait-free segment runs (see the module docstring).  A
+        fused run whose audit fails, or that raises, is thrown away: the
+        memory returns to its state before the run, and the run is
+        replayed unfused, which then decides the result or the error.
+        """
         if not launches:
             raise SimulationError("no kernels to simulate")
+        if self.functional or self.wake_strategy == "rescan" or current_post_fault() is not None:
+            return self._run(launches, fuse=False)
+        checkpoint = self.memory.checkpoint()
+        try:
+            return self._run(launches, fuse=True)
+        except Exception:
+            self.memory.restore(checkpoint)
+            return self._run(launches, fuse=False)
 
+    def _run(self, launches: Sequence[KernelLaunch], fuse: bool) -> SimulationResult:
+        """One simulation attempt; ``fuse`` turns on run fusion and its audit."""
         memory = self.memory
         functional = self.functional
         tracked_tensors = self.tracked_tensors
@@ -331,6 +392,10 @@ class GpuSimulator:
         blk_unsatisfied: List[int] = [0] * total_blocks
         #: Keys the block is registered on (rescan reference strategy only).
         blk_registered: List[Optional[Set[Tuple[str, int]]]] = [None] * total_blocks
+        #: The block's current fused run: the index of the segment it began
+        #: with and that segment's (skipped) completion time.
+        blk_run_from: List[int] = [0] * total_blocks
+        blk_run_at: List[float] = [0.0] * total_blocks
         # Residency is implicit: a dispatched block's ``blk_state`` slot is
         # cleared when it finishes, so the (cold) deadlock report can scan
         # for still-resident blocks without per-block set maintenance.
@@ -377,6 +442,12 @@ class GpuSimulator:
         now = 0.0
         processed = 0
         completed_blocks_total = 0
+        #: Busy-wait time of the finished blocks, summed in completion order.
+        wait_total = 0.0
+        # Fused segment runs: the completion times the run skipped, as a
+        # min-heap the audit drains in time order, and the last one drained.
+        skipped: List[float] = []
+        last_skipped = -math.inf
 
         # --------------------------------------------------------------
         # Inner helpers (closures over the run-local state)
@@ -428,6 +499,78 @@ class GpuSimulator:
                     when = max(time + dispatch_gap_us, successor.issue_time_us)
                     heappush(events, (when, next(sequence), _EV_ELIGIBLE, successor))
             stream_positions[stream_id] = position
+
+        def schedule_run(block_id: int, end: float, time: float) -> None:
+            """Push the completion of the block's wait-free segment run.
+
+            The block's current segment, begun at ``time`` (the current
+            ``now``), ends at ``end`` and posts nothing.  While the next
+            segment's waits already hold (semaphores only rise, so they
+            hold when the segment would start) and the completion between
+            them would do nothing else, that completion is skipped: the
+            next segment is charged here exactly as :func:`start_segment`
+            would charge it then, and its end time goes onto ``skipped``
+            for the audit.  One event is pushed, for the run's last
+            segment.  A skipped completion must lie more than
+            ``_FUSION_WINDOW`` beyond every event processed so far (all of
+            them lie within ``_EPSILON`` of ``now``) and from the run's
+            neighbouring completions; the walk stops short otherwise.
+            """
+            nonlocal polls, processed
+            segments = blk_segments[block_id]
+            index = blk_segment_index[block_id]
+            last = len(segments) - 1
+            if index < last and end - time > _FUSION_LEAD and not segments[index].writes:
+                first = index
+                start = end
+                factor = blk_factor[block_id]
+                work = blk_work_time[block_id]
+                reads = 0
+                while index < last:
+                    segment = segments[index + 1]
+                    waits = segment.waits
+                    count = len(waits)
+                    if count:
+                        met = True
+                        try:
+                            for array, sem, required in waits:
+                                if sem_values[array][sem] < required or sem < 0:
+                                    met = False
+                                    break
+                        except (KeyError, IndexError):
+                            # Left for the unfused start to report in turn.
+                            met = False
+                        if not met:
+                            break
+                        overhead = satisfied_wait_overhead_us * count
+                    else:
+                        overhead = 0.0
+                    posts = segment.posts
+                    if posts:
+                        overhead += post_overhead_us * len(posts)
+                    duration = segment.duration_us * factor + overhead
+                    following = end + duration
+                    if following - end <= _FUSION_WINDOW:
+                        break
+                    reads += count
+                    work += duration
+                    heappush(skipped, end)
+                    index += 1
+                    end = following
+                    if posts or segment.writes:
+                        break
+                if index > first:
+                    polls += reads
+                    # Each skipped completion counts against the watchdog
+                    # as the event it replaces would have.
+                    processed += index - first
+                    blk_work_time[block_id] = work
+                    blk_segment_index[block_id] = index
+                    blk_run_from[block_id] = first
+                    blk_run_at[block_id] = start
+                    heappush(events, (end, next(sequence), _EV_RUN_DONE, block_id))
+                    return
+            heappush(events, (end, next(sequence), _EV_SEGMENT_DONE, block_id))
 
         def start_segment(block_id: int, segment: Segment, time: float) -> None:
             """Begin the block's current segment, waiting if necessary.
@@ -496,7 +639,10 @@ class GpuSimulator:
                         reader=block_name(block_id),
                         tracked_tensors=tracked_tensors,
                     )
-            heappush(events, (time + duration, next(sequence), _EV_SEGMENT_DONE, block_id))
+            if fuse and not posts:
+                schedule_run(block_id, time + duration, time)
+            else:
+                heappush(events, (time + duration, next(sequence), _EV_SEGMENT_DONE, block_id))
 
         def resume_block(block_id: int, time: float) -> None:
             """Schedule the blocked segment's completion after its waits clear."""
@@ -531,7 +677,10 @@ class GpuSimulator:
                         reader=block_name(block_id),
                         tracked_tensors=tracked_tensors,
                     )
-            heappush(events, (time + duration, next(sequence), _EV_SEGMENT_DONE, block_id))
+            if fuse and not posts:
+                schedule_run(block_id, time + duration, time)
+            else:
+                heappush(events, (time + duration, next(sequence), _EV_SEGMENT_DONE, block_id))
 
         def wake_threshold(key: Tuple[str, int], value: int, time: float) -> None:
             """Pop the waiters whose thresholds ``value`` crossed; resume at zero."""
@@ -563,8 +712,12 @@ class GpuSimulator:
                     resume_block(block_id, time)
 
         def wake_rescan(key: Tuple[str, int], value: int, time: float) -> None:
-            """Reference strategy: re-evaluate every waiter registered on ``key``."""
-            nonlocal polls
+            """Reference strategy: re-evaluate every waiter registered on ``key``.
+
+            The re-evaluation is the reference's own bookkeeping, not a poll
+            a simulated block issues, so it charges no semaphore reads and
+            both strategies report the same ``semaphore_reads``.
+            """
             blocked = rescan_waiters.pop(key, None)
             if not blocked:
                 return
@@ -576,7 +729,6 @@ class GpuSimulator:
                 segment = blk_segments[block_id][blk_segment_index[block_id]]
                 satisfied = True
                 for wait in segment.waits:
-                    polls += 1
                     values = sem_values_get(wait.array)
                     if values is None:
                         _missing_array(wait.array)
@@ -623,7 +775,7 @@ class GpuSimulator:
 
         def finish_block(block_id: int, time: float) -> None:
             """Free the block's SM slot and record its trace row."""
-            nonlocal completed_blocks_total, dispatch_needed, sm_heap_peak
+            nonlocal completed_blocks_total, dispatch_needed, sm_heap_peak, wait_total
             state = blk_state[block_id]
             blk_state[block_id] = None  # no longer resident
             sm_id = blk_sm[block_id]
@@ -666,6 +818,7 @@ class GpuSimulator:
                 state.end_time_us = time
             state.wait_sum_us += wait_time
             state.work_sum_us += work_time
+            wait_total += wait_time
 
             if state.completed_blocks >= state.num_blocks:
                 stream_advance(state.stream_id, time)
@@ -824,6 +977,64 @@ class GpuSimulator:
                 limit=limit,
             )
 
+        def audit(time: float) -> None:
+            """Fail the fused run if a skipped completion could have mattered.
+
+            Called for a popped event at ``time`` when the earliest pending
+            skipped completion lies no later than ``time + _FUSION_WINDOW``;
+            retires every such one, in time order.  One more than the window
+            before ``now`` is behind every event still to come.  One exactly
+            at ``time``, or exactly at the completion retired before it, is
+            harmless: unfused, it would have been processed at that very
+            instant.  Any other lies within the window of this event, of the
+            one that set ``now`` or of the completion retired before it, and
+            could have coalesced with an event it does not meet fused.
+            """
+            nonlocal last_skipped
+            floor = now - _FUSION_WINDOW
+            limit = time + _FUSION_WINDOW
+            while skipped and skipped[0] <= limit:
+                done = heappop(skipped)
+                if done >= floor and done != time:
+                    raise _FusionCoincidence
+                if done != last_skipped and done - last_skipped <= _FUSION_WINDOW:
+                    raise _FusionCoincidence
+                last_skipped = done
+
+        def twin_runs(block_id: int, other: tuple) -> bool:
+            """Whether ``other``, a heap entry at the time of the fused run of
+            ``block_id`` that just ended, is a run that skipped exactly the
+            same completion times.
+
+            Unfused, two such runs' events meet at every skipped instant and
+            keep the order their first completions were pushed in, which is
+            the order their last events were pushed in fused.
+            """
+            _, _, kind, other_id = other
+            if kind != _EV_RUN_DONE:
+                return False
+            first = blk_run_from[block_id]
+            last = blk_segment_index[block_id]
+            if (
+                blk_run_from[other_id] != first
+                or blk_segment_index[other_id] != last
+                or blk_run_at[other_id] != blk_run_at[block_id]
+                or blk_factor[other_id] != blk_factor[block_id]
+            ):
+                return False
+            mine = blk_segments[block_id]
+            theirs = blk_segments[other_id]
+            for index in range(first + 1, last + 1):
+                a = mine[index]
+                b = theirs[index]
+                if a is not b and (
+                    a.duration_us != b.duration_us
+                    or len(a.waits) != len(b.waits)
+                    or len(a.posts) != len(b.posts)
+                ):
+                    return False
+            return True
+
         try:
             while events:
                 processed += 1
@@ -836,8 +1047,16 @@ class GpuSimulator:
                     now = time
                     if max_sim_time_us is not None and now > max_sim_time_us:
                         raise _livelock("max_sim_time_us", max_sim_time_us)
+                if skipped and skipped[0] <= time + _FUSION_WINDOW:
+                    audit(time)
 
                 if kind == _EV_SEGMENT_DONE:
+                    complete_segment(payload, now)
+                elif kind == _EV_RUN_DONE:
+                    # The run's last completion took its sequence number
+                    # early, so an exact tie could have ordered differently.
+                    if events and events[0][0] == time and not twin_runs(payload, events[0]):
+                        raise _FusionCoincidence
                     complete_segment(payload, now)
                 elif kind == _EV_ELIGIBLE:
                     mark_eligible(payload)
@@ -853,8 +1072,14 @@ class GpuSimulator:
                     processed += 1
                     if processed > max_events:
                         raise _livelock("max_events", max_events)
-                    _, _, kind, payload = heappop(events)
+                    time, _, kind, payload = heappop(events)
+                    if skipped and skipped[0] <= time + _FUSION_WINDOW:
+                        audit(time)
                     if kind == _EV_SEGMENT_DONE:
+                        complete_segment(payload, now)
+                    elif kind == _EV_RUN_DONE:
+                        if events and events[0][0] == time and not twin_runs(payload, events[0]):
+                            raise _FusionCoincidence
                         complete_segment(payload, now)
                     elif kind == _EV_ELIGIBLE:
                         mark_eligible(payload)
@@ -922,6 +1147,7 @@ class GpuSimulator:
             stats.total_work_time_us = state.work_sum_us
 
         trace.total_time_us = now
+        trace.wait_time_us = wait_total
         host_issue_time = max(state.issue_time_us for state in states)
         return SimulationResult(
             total_time_us=now,

@@ -104,6 +104,9 @@ class ExecutionTrace:
     arch: GpuArchitecture
     kernels: Dict[str, KernelStats] = field(default_factory=dict)
     total_time_us: float = 0.0
+    #: Busy-wait time summed over all blocks, in completion order (what
+    #: :meth:`total_wait_time_us` returns without materializing blocks).
+    wait_time_us: float = 0.0
     #: Raw block rows pending materialization (simulator-internal).
     deferred_blocks: List[tuple] = field(default_factory=list, repr=False)
     _blocks: List[BlockRecord] = field(default_factory=list, repr=False)
@@ -129,6 +132,7 @@ class ExecutionTrace:
 
     def add_block(self, record: BlockRecord) -> None:
         self.blocks.append(record)
+        self.wait_time_us += record.wait_time_us
         stats = self.kernels.get(record.kernel)
         if stats is not None:
             stats.start_time_us = min(stats.start_time_us, record.dispatch_time_us)
@@ -162,8 +166,8 @@ class ExecutionTrace:
         return busy / (horizon * self.arch.num_sms)
 
     def total_wait_time_us(self) -> float:
-        """Sum of busy-wait time over all blocks."""
-        return sum(record.wait_time_us for record in self.blocks)
+        """Sum of busy-wait time over all blocks, in completion order."""
+        return self.wait_time_us
 
     def summary(self) -> str:
         """Human-readable multi-line summary of the run."""

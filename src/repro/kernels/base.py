@@ -190,6 +190,9 @@ class TiledKernel(ABC):
     @cost_model.setter
     def cost_model(self, value: CostModel) -> None:
         self._cost_model = value
+        # Occupancy depends on the model's arch and the kernel's fixed
+        # resources only, so rebinding ``sync`` or ``functional`` keeps it.
+        self._occupancy_cache: Optional[int] = None
         self._invalidate_plan_caches()
 
     @property
@@ -203,7 +206,6 @@ class TiledKernel(ABC):
 
     def _invalidate_plan_caches(self) -> None:
         """Drop memoized plans/durations; caching kernels extend this."""
-        self._occupancy_cache: Optional[int] = None
         #: Per-launch geometry tables (see :meth:`_block_tables`).
         self._tables: Optional[tuple] = None
         #: Epilogue segment per tile shape (see :meth:`_epilogue_segment`).

@@ -84,7 +84,7 @@ class PipelineResult:
 
     def total_wait_time_us(self) -> float:
         """Total busy-wait time across all blocks (synchronization cost)."""
-        return self.simulation.trace.total_wait_time_us()
+        return self.simulation.trace.wait_time_us
 
     def tensor(self, name: str) -> np.ndarray:
         """Fetch a tensor from simulated global memory (functional mode)."""

@@ -94,3 +94,20 @@ class TestGlobalMemory:
         memory.alloc_semaphores("a", 2)
         memory.atomic_add("a", 1)
         assert memory.snapshot_semaphores() == {"a": (0, 1)}
+
+    def test_restore_returns_to_the_checkpoint_in_place(self):
+        memory = GlobalMemory()
+        backing = memory.alloc_semaphores("a", 2).values
+        memory.atomic_add("a", 0)
+        memory.mark_tile_written("C", (0, 0))
+        checkpoint = memory.checkpoint()
+        memory.atomic_add("a", 1, 3)
+        memory.semaphore_value("a", 1)
+        memory.mark_tile_written("C", (1, 0))
+        memory.mark_tile_written("D", (0, 0))
+        memory.restore(checkpoint)
+        assert memory.snapshot_semaphores() == {"a": (1, 0)}
+        assert memory.semaphore_backing("a") is backing
+        assert memory.written_tiles("C") == {(0, 0)}
+        assert memory.written_tiles("D") == set()
+        assert (memory.semaphore_reads, memory.atomic_operations) == (0, 1)

@@ -128,6 +128,23 @@ class TestFineGrainedSync:
         )
         assert result.trace.total_wait_time_us() > 0.0
 
+    def test_wait_total_sums_blocks_in_completion_order(self, small_arch, small_cost_model):
+        """The run keeps the total as blocks finish: reading it builds no
+        block records, and it equals the in-order float sum of theirs."""
+        memory = GlobalMemory()
+        producer, consumer = self._dependent_pair(Dim3(3, 2, 1), 10.0, memory)
+        trace = (
+            GpuSimulator(small_arch, memory=memory, cost_model=small_cost_model)
+            .run([producer, consumer])
+            .trace
+        )
+        total = trace.total_wait_time_us()
+        assert trace.deferred_blocks, "reading the total built the block records"
+        in_order = 0.0
+        for record in trace.blocks:
+            in_order += record.wait_time_us
+        assert total == in_order > 0.0
+
     def test_deadlock_when_consumer_launched_first(self, small_arch, small_cost_model):
         memory = GlobalMemory()
         grid = Dim3(4, 2, 1)

@@ -9,6 +9,9 @@ detector checks.  Neither may show in a trace:
 * a graph run under every scheme, policy, architecture and mode in an
   interleaved order traces each point exactly as a freshly built graph
   does, so no table outlives the binding it was built for.
+
+Occupancy is the exception that outlives ``sync`` and ``functional``
+rebinding: only a cost model (its arch) can move it.
 """
 
 import random
@@ -17,6 +20,7 @@ import pytest
 
 from golden_trace_utils import _serialize_result
 from repro.gpu.arch import AMPERE_A100, TESLA_V100
+from repro.gpu.occupancy import OccupancyCalculator
 from repro.kernels.gemm import GemmConfig
 from repro.models import RESNET38_LAYERS, Attention, ConvChain, GptMlp, TransformerConfig
 from repro.pipeline import run
@@ -99,3 +103,24 @@ def test_tables_follow_every_rebinding(name, schemes):
         reused = _trace(graph, workload, scheme, functional, arch)
         fresh = _trace(workload.to_graph(), workload, scheme, functional, arch)
         assert reused == fresh, (scheme, arch.name, functional)
+
+
+@pytest.mark.parametrize("scheme", ["streamsync", "cusync"])
+def test_a_run_computes_each_kernels_occupancy_once(monkeypatch, scheme):
+    """The run binds a cost model, then sync and functional: one occupancy
+    computation per kernel, however many rebindings follow."""
+    calls = []
+    original = OccupancyCalculator.blocks_per_sm
+
+    def counted(self, resources):
+        calls.append(resources)
+        return original(self, resources)
+
+    monkeypatch.setattr(OccupancyCalculator, "blocks_per_sm", counted)
+    graph = GptMlp(batch_seq=512).to_graph()
+    calls.clear()
+    run(graph, scheme=scheme, policy="TileSync")
+    assert len(calls) == 2
+    # A new cost model is the one rebinding that recomputes it.
+    run(graph, scheme=scheme, policy="TileSync", arch=AMPERE_A100)
+    assert len(calls) == 4

@@ -13,6 +13,13 @@ with multi-key and duplicate-key conditions, unsatisfiable waits that
 deadlock) through both strategies and asserts identical outcomes — the
 traces when the pipeline completes, the deadlocked block set when it does
 not.  The targeted tests pin the corner cases the index must get right.
+
+``rescan`` is also the reference for fused segment runs: the threshold
+path skips the completion events of wait-free chunk runs and audits each
+fused run, replaying it unfused on any coincidence.  A second Hypothesis
+generator builds multi-chunk block programs on a jitter-free cost model,
+so exact ties and near-ties within the simulator's epsilon occur, and the
+targeted audit tests build one coincidence of each kind the audit checks.
 """
 
 from __future__ import annotations
@@ -23,8 +30,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.dim3 import Dim3
-from repro.errors import DeadlockError
-from repro.gpu.kernel import SemPost, SemWait, simple_kernel
+from repro.errors import DeadlockError, LivelockError
+from repro.gpu.costmodel import CostModel
+from repro.gpu.kernel import (
+    KernelLaunch,
+    Segment,
+    SemPost,
+    SemWait,
+    ThreadBlockProgram,
+    row_major_tiles,
+    simple_kernel,
+)
 from repro.gpu.memory import GlobalMemory
 from repro.gpu.simulator import GpuSimulator
 from repro.gpu.stream import Stream
@@ -33,35 +49,46 @@ ARRAY = "stress_sems"
 ARRAY_B = "stress_sems_b"
 
 
+def _launch(spec: dict) -> KernelLaunch:
+    """A spec's launch: its ``programs`` if it has them, else one segment per block."""
+    programs = spec.get("programs")
+    if programs is not None:
+        return KernelLaunch(
+            name=spec["name"],
+            grid=spec["grid"],
+            program_builder=programs.__getitem__,
+            occupancy=spec["occupancy"],
+            stream=spec["stream"],
+        )
+    posts = spec["posts"]
+    waits = spec["waits"]
+    return simple_kernel(
+        name=spec["name"],
+        grid=spec["grid"],
+        block_duration_us=spec["duration"],
+        occupancy=spec["occupancy"],
+        stream=spec["stream"],
+        posts_per_block=(lambda tile, p=posts: p.get((tile.x, tile.y, tile.z), []))
+        if posts
+        else None,
+        waits_per_block=(lambda tile, w=waits: w.get((tile.x, tile.y, tile.z), []))
+        if waits
+        else None,
+    )
+
+
 def _run(
     strategy: str,
     kernel_specs: List[dict],
     array_sizes: Dict[str, int],
+    cost_model: Optional[CostModel] = None,
 ) -> Tuple[Optional[dict], Optional[List[str]]]:
     """Simulate one pipeline; return (trace payload, deadlocked blocks)."""
     memory = GlobalMemory()
     for name, size in array_sizes.items():
         memory.alloc_semaphores(name, size)
-    launches = []
-    for spec in kernel_specs:
-        posts = spec["posts"]
-        waits = spec["waits"]
-        launches.append(
-            simple_kernel(
-                name=spec["name"],
-                grid=spec["grid"],
-                block_duration_us=spec["duration"],
-                occupancy=spec["occupancy"],
-                stream=spec["stream"],
-                posts_per_block=(lambda tile, p=posts: p.get((tile.x, tile.y, tile.z), []))
-                if posts
-                else None,
-                waits_per_block=(lambda tile, w=waits: w.get((tile.x, tile.y, tile.z), []))
-                if waits
-                else None,
-            )
-        )
-    simulator = GpuSimulator(memory=memory, wake_strategy=strategy)
+    launches = [_launch(spec) for spec in kernel_specs]
+    simulator = GpuSimulator(memory=memory, cost_model=cost_model, wake_strategy=strategy)
     try:
         result = simulator.run(launches)
     except DeadlockError as error:
@@ -92,6 +119,8 @@ def _run(
             for name, stats in sorted(trace.kernels.items())
         },
         "semaphores": memory.snapshot_semaphores(),
+        "semaphore_reads": memory.semaphore_reads,
+        "atomic_operations": memory.atomic_operations,
     }
     return payload, None
 
@@ -364,3 +393,264 @@ class TestSmHeapCompaction:
         # releases (compaction runs on the release path), never monotonically.
         per_wave = sim.arch.num_sms * 2
         assert sim.sm_heap_peak <= limit + per_wave + 1
+
+
+# ----------------------------------------------------------------------
+# Fused segment runs against the rescan reference
+# ----------------------------------------------------------------------
+#: Round durations make exact ties, the pair 4e-10 us either side of 1.0
+#: lands within the simulator's 1e-9 us coalescing epsilon of it, and 0.0
+#: puts two completions of one block at one instant.
+DURATIONS = (0.0, 0.5, 1.0, 1.0 - 4e-10, 1.0 + 4e-10, 2.0)
+#: No per-block jitter, so blocks running equal chunks collide.
+FLAT = CostModel(duration_jitter=0.0)
+
+
+@st.composite
+def _segmented_pipelines(draw):
+    """Kernels whose blocks run one to four chunks, posting after the last.
+
+    Waits target semaphores an earlier kernel posts, at values those posts
+    reach; about one wait in ten is raised by one, which may put it out of
+    reach, so some pipelines deadlock.
+    """
+    array_sizes = {
+        ARRAY: draw(st.integers(min_value=1, max_value=4)),
+        ARRAY_B: draw(st.integers(min_value=1, max_value=3)),
+    }
+    semaphore = st.tuples(
+        st.sampled_from([ARRAY, ARRAY_B]), st.integers(min_value=0, max_value=3)
+    ).map(lambda key: (key[0], min(key[1], array_sizes[key[0]] - 1)))
+    #: Total increments the kernels generated so far post, per semaphore.
+    posted: Dict[Tuple[str, int], int] = {}
+    specs = []
+    for index in range(draw(st.integers(min_value=2, max_value=3))):
+        grid = Dim3(
+            draw(st.integers(min_value=1, max_value=3)),
+            draw(st.integers(min_value=1, max_value=2)),
+            1,
+        )
+        available = sorted(posted.items())
+        kernel_posts: Dict[Tuple[str, int], int] = {}
+        programs = {}
+        for tile in row_major_tiles(grid):
+            count = draw(st.integers(min_value=1, max_value=4))
+            segments = []
+            for position in range(count):
+                waits = []
+                if available:
+                    for key, total in draw(st.lists(st.sampled_from(available), max_size=2)):
+                        required = draw(st.integers(min_value=1, max_value=total))
+                        required += draw(st.sampled_from((0,) * 9 + (1,)))
+                        waits.append(SemWait(key[0], key[1], required))
+                posts = []
+                if position == count - 1:
+                    for key in draw(st.lists(semaphore, min_size=0 if index else 1, max_size=2)):
+                        increment = draw(st.integers(min_value=1, max_value=2))
+                        posts.append(SemPost(key[0], key[1], increment))
+                        kernel_posts[key] = kernel_posts.get(key, 0) + increment
+                segments.append(
+                    Segment(
+                        label=f"chunk {position}",
+                        waits=waits,
+                        duration_us=draw(st.sampled_from(DURATIONS)),
+                        posts=posts,
+                    )
+                )
+            programs[tile] = ThreadBlockProgram(tile=tile, segments=segments)
+        for key, increments in kernel_posts.items():
+            posted[key] = posted.get(key, 0) + increments
+        specs.append(
+            {
+                "name": f"k{index}",
+                "grid": grid,
+                "occupancy": draw(st.integers(min_value=1, max_value=2)),
+                "stream": Stream(
+                    stream_id=draw(st.integers(min_value=0, max_value=1)),
+                    priority=draw(st.integers(min_value=0, max_value=1)),
+                    name=f"s{index}",
+                ),
+                "programs": programs,
+            }
+        )
+    return specs, array_sizes
+
+
+def _assert_fusion_matches_rescan(kernel_specs: List[dict], array_sizes: Dict[str, int]) -> None:
+    fused = _run("threshold", kernel_specs, array_sizes, FLAT)
+    rescan = _run("rescan", kernel_specs, array_sizes, FLAT)
+    assert fused == rescan, (
+        "fused segment runs diverged from the unfused rescan reference\n"
+        f"fused:  {fused}\nrescan: {rescan}"
+    )
+
+
+class TestFusedRunsMatchRescan:
+    @settings(max_examples=80, deadline=None)
+    @given(_segmented_pipelines())
+    def test_fused_runs_match_rescan(self, pipeline):
+        _assert_fusion_matches_rescan(*pipeline)
+
+    @pytest.mark.slow
+    @settings(max_examples=500, deadline=None)
+    @given(_segmented_pipelines())
+    def test_fused_runs_match_rescan_at_length(self, pipeline):
+        _assert_fusion_matches_rescan(*pipeline)
+
+
+@pytest.fixture
+def attempts(monkeypatch) -> List[bool]:
+    """Whether each simulation attempt fused, in order."""
+    flags: List[bool] = []
+    original = GpuSimulator._run
+
+    def spy(self, launches, fuse):
+        flags.append(fuse)
+        return original(self, launches, fuse)
+
+    monkeypatch.setattr(GpuSimulator, "_run", spy)
+    return flags
+
+
+def _chains(*chunks: Tuple[object, ...]) -> List[dict]:
+    """One kernel whose block ``x`` runs ``chunks[x]``: segments, or durations
+    of plain chunks.
+
+    Every block sits on its own SM and starts at 6 us, the V100 launch cost.
+    """
+    grid = Dim3(len(chunks), 1, 1)
+    programs = {
+        tile: ThreadBlockProgram(
+            tile=tile,
+            segments=[
+                chunk
+                if isinstance(chunk, Segment)
+                else Segment(label=f"chunk {position}", duration_us=chunk)
+                for position, chunk in enumerate(block)
+            ],
+        )
+        for tile, block in zip(row_major_tiles(grid), chunks)
+    }
+    return [
+        {
+            "name": "chains",
+            "grid": grid,
+            "occupancy": 4,
+            "stream": PRODUCER_STREAM,
+            "programs": programs,
+        }
+    ]
+
+
+class TestFusionAudit:
+    """One coincidence per audit rule, each replayed unfused (without the
+    rule, the fused run differs from ``rescan``), and the exact meetings
+    the audit lets through, which fuse without a replay.
+    """
+
+    def _fused_and_reference(self, specs, attempts):
+        fused = _run("threshold", specs, {ARRAY: 1}, FLAT)
+        fused_attempts = list(attempts)
+        assert fused == _run("rescan", specs, {ARRAY: 1}, FLAT)
+        return fused, fused_attempts
+
+    def test_wait_free_chain_fuses_without_replay(self, attempts):
+        fused, fused_attempts = self._fused_and_reference(_chains((1.0, 1.0, 1.0)), attempts)
+        assert fused_attempts == [True]
+        assert fused[0]["total_time_us"] == 9.0
+
+    def test_event_near_a_skipped_completion_replays(self, attempts):
+        """Unfused, block 0's first completion (7 us) leads the instant and
+        block 1's end, 4e-10 us later, coalesces into it: block 1 ends at
+        7 us, not at its own event's time."""
+        fused, fused_attempts = self._fused_and_reference(
+            _chains((1.0, 1.0), (1.0 + 4e-10,)), attempts
+        )
+        assert fused_attempts == [True, False]
+        assert fused[0]["blocks"][0][:2] == ("chains", (1, 0, 0))
+        assert fused[0]["blocks"][0][5] == 7.0
+
+    def test_skipped_completions_within_the_window_replay(self, attempts):
+        """Unfused, block 1's first completion coalesces into block 0's at
+        7 us, so block 1's last chunk starts 4e-10 us early.  No processed
+        event lies near either skipped completion."""
+        fused, fused_attempts = self._fused_and_reference(
+            _chains((1.0, 2.0), (1.0 + 4e-10, 3.0)), attempts
+        )
+        assert fused_attempts == [True, False]
+        assert fused[0]["total_time_us"] == 10.0
+
+    def test_exact_tie_with_a_runs_last_completion_replays(self, attempts):
+        """Block 0's run and block 1 both end at exactly 8 us.  Unfused,
+        block 0's last event is pushed at 7 us, after block 1's, so block 1
+        finishes first; the fused run pushed it at 6 us."""
+        fused, fused_attempts = self._fused_and_reference(_chains((1.0, 1.0), (2.0,)), attempts)
+        assert fused_attempts == [True, False]
+        assert [row[1] for row in fused[0]["blocks"]] == [(1, 0, 0), (0, 0, 0)]
+
+    def test_tied_runs_that_skipped_different_times_replay(self, attempts):
+        """Both runs end at 9 us.  Unfused, block 1's last event is pushed
+        at its 7 us completion and block 0's at 8 us, so block 1 finishes
+        first; fused, block 0's run was pushed first."""
+        fused, fused_attempts = self._fused_and_reference(
+            _chains((2.0, 1.0), (1.0, 2.0)), attempts
+        )
+        assert fused_attempts == [True, False]
+        assert [row[1] for row in fused[0]["blocks"]] == [(1, 0, 0), (0, 0, 0)]
+
+    def test_identical_runs_fuse_without_replay(self, attempts):
+        """Equal skipped completions are processed at one instant unfused,
+        and twin runs keep their order at every instant, so their tied
+        last events order as they were pushed."""
+        fused, fused_attempts = self._fused_and_reference(
+            _chains((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), (1.0, 3.0)), attempts
+        )
+        assert fused_attempts == [True]
+        assert [row[1] for row in fused[0]["blocks"]] == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+
+    def test_event_exactly_at_a_skipped_completion_fuses(self, attempts):
+        """Block 1 ends at exactly block 0's skipped 7 us completion: the
+        instant is processed at 7 us either way."""
+        fused, fused_attempts = self._fused_and_reference(
+            _chains((1.0, 1.0), (1.0,)), attempts
+        )
+        assert fused_attempts == [True]
+        assert fused[0]["total_time_us"] == 8.0
+
+    def test_completion_within_epsilon_of_now_is_not_skipped(self, attempts):
+        """The first chunk posts at 7.7 us (0.7 us of it is the post); the
+        4e-10 us chunk after it ends inside that instant.  Unfused, its
+        completion coalesces into 7.7 us, and no later event lies near it
+        for the audit to notice, so the walk must not skip it."""
+        posting = Segment(label="chunk 0", duration_us=1.0, posts=[SemPost(ARRAY, 0, 1)])
+        fused, fused_attempts = self._fused_and_reference(
+            _chains((posting, 4e-10, 1.0)), attempts
+        )
+        assert fused_attempts == [True]
+        assert fused[0]["total_time_us"] == 8.7
+
+    def test_chunk_shorter_than_the_window_stops_the_walk(self, attempts):
+        """Skipping the completions on both sides of a 4e-10 us chunk would
+        put them within the window of each other: the walk stops short
+        instead of failing the audit."""
+        fused, fused_attempts = self._fused_and_reference(_chains((1.0, 4e-10, 1.0)), attempts)
+        assert fused_attempts == [True]
+        assert fused[0]["total_time_us"] == 8.0
+
+    def test_watchdog_counts_skipped_completions(self, attempts):
+        """Four events unfused (eligibility, three chunks): a three-event
+        limit trips fused or not, and reports the unfused count."""
+        launches = [_launch(spec) for spec in _chains((1.0, 1.0, 1.0))]
+        with pytest.raises(LivelockError) as caught:
+            GpuSimulator(cost_model=FLAT, max_events=3).run(launches)
+        assert caught.value.events_processed == 4
+        assert attempts == [True, False]
+        attempts.clear()
+        assert GpuSimulator(cost_model=FLAT, max_events=4).run(launches).total_time_us == 9.0
+        assert attempts == [True]
+
+    def test_functional_and_rescan_runs_stay_unfused(self, attempts):
+        launches = [_launch(spec) for spec in _chains((1.0, 1.0, 1.0))]
+        GpuSimulator(cost_model=FLAT, functional=True).run(launches)
+        GpuSimulator(cost_model=FLAT, wake_strategy="rescan").run(launches)
+        assert attempts == [False, False]
