@@ -18,6 +18,11 @@ a trajectory to defend.  The record holds:
   synchronize *both* operands, added to defend the shared body-segment
   cache (waits are composed per distinct plan pair, no longer rebuilt per
   column tile).
+* ``tune_points_s`` — wall time of six GPT-3 MLP tune points on A100
+  (tiles 128x128/k2.2, 128x128/k4.2 and 256x128/k2.2 under TileSync and
+  RowSync) on a fresh session: consumer blocks that walk 24-48 K chunks,
+  so block-program build, the fused walk and its audit do the work, which
+  the synthetic kernel's one-segment blocks never reach.
 * ``sweep_cache_hit_rate`` (plus ``sweep_cache_cold_s`` /
   ``sweep_cache_replay_s``) — a small arch×policy grid swept twice through
   one :class:`~repro.pipeline.Session`: the second pass must replay every
@@ -63,6 +68,7 @@ TIMING = (
     "blocks_per_sec",
     "table4_mlp_s",
     "attention_sweep_s",
+    "tune_points_s",
     "sweep_cache_cold_s",
     "sweep_cache_replay_s",
 )
@@ -146,6 +152,33 @@ def measure_attention(repeats: int = REPEATS) -> float:
     return best
 
 
+#: The tune points ``tune_points_s`` times (``mlp_tile_grid`` labels).
+TUNE_TILES = ("128x128/k2.2", "128x128/k4.2", "256x128/k2.2")
+
+
+def measure_tune_points(repeats: int = REPEATS) -> float:
+    """Best-of-``repeats`` wall time of the :data:`TUNE_TILES` GPT-3 MLP
+    points under TileSync and RowSync on A100."""
+    from repro.pipeline import Session
+    from repro.tune import gpt3_mlp_space
+    from repro.tune.presets import mlp_tile_grid
+
+    tiles = [tile for tile in mlp_tile_grid("mlp_gemm1", "mlp_gemm2") if tile.label in TUNE_TILES]
+    space = gpt3_mlp_space(arches=("A100",), tile_choices=tiles)
+    graphs = [space.graph_for(tile) for tile in tiles]
+    policies = ("TileSync", "RowSync")
+    Session(arch="A100").run(graphs[0], scheme="cusync", policy=policies[0])  # warm
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        session = Session(arch="A100")
+        for graph in graphs:
+            for policy in policies:
+                session.run(graph, scheme="cusync", policy=policy)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def measure_sweep_cache() -> Dict[str, float]:
     """Sweep one small grid twice through a session; the replay must hit.
 
@@ -180,6 +213,7 @@ def run_experiment() -> Dict[str, float]:
     record = measure_throughput()
     record["table4_mlp_s"] = measure_table4()
     record["attention_sweep_s"] = measure_attention()
+    record["tune_points_s"] = measure_tune_points()
     record.update(measure_sweep_cache())
     return record
 
@@ -193,6 +227,7 @@ def _print(record: Dict[str, float]) -> None:
                 ["simulator throughput (blocks/s)", f"{record['blocks_per_sec']:,.0f}"],
                 ["table4_mlp regeneration (s)", f"{record['table4_mlp_s']:.3f}"],
                 ["attention sweep (s)", f"{record['attention_sweep_s']:.3f}"],
+                ["A100 MLP tune points (s)", f"{record['tune_points_s']:.3f}"],
                 ["sweep cache hit rate", f"{record['sweep_cache_hit_rate']:.2f}"],
             ],
             title="Simulator throughput",

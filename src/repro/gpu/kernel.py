@@ -116,7 +116,15 @@ class Segment:
 
 @dataclass(slots=True)
 class ThreadBlockProgram:
-    """The full behaviour of one thread block: an ordered list of segments."""
+    """The full behaviour of one thread block: an ordered list of segments.
+
+    A kernel may hand one program to every block that behaves identically
+    (a GeMM does so for the blocks that post, gate and compute nothing),
+    so the simulator treats programs, like their segments, as immutable.
+    ``tile`` is then the tile of the block the program was first built
+    for; the simulator takes each block's tile from its launch, never
+    from the program.
+    """
 
     tile: Dim3
     segments: List[Segment] = field(default_factory=list)

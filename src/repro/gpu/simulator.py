@@ -78,24 +78,28 @@ Hot-path structure (the invariants the fast paths preserve exactly):
   overheads and work time), and pushes one event, for the run's last
   segment.  Skipping an event is exact only when nothing could have
   coalesced with it or ordered differently against it, so every fused
-  run is audited as the loop pops events.  No processed event may lie
-  within ``2 * _EPSILON`` of a skipped completion, nor two skipped
-  completions of each other, unless exactly at the same time: unfused,
-  both would have been processed at that one instant.  An event exactly
-  at a run's last completion, whose sequence number was taken early, must
-  be the last event of a twin run, one that skipped exactly the same
-  completion times and so kept its order at every one of them.  The walk
-  itself keeps skipped completions more than that window past every
-  event already processed and apart from their neighbours in the run.
-  The audit keeps only the pending skipped times, in a heap, and each
-  run's first segment and first skipped time.  A run whose audit fails,
-  or that raises, is thrown away:
-  the memory's semaphores, written tiles and statistics return to their
-  state before the run, and the run is replayed unfused (Time Warp's
-  optimism with rollback, at the granularity of one run).  Functional
-  runs, runs with an armed post fault and ``wake_strategy="rescan"`` runs
-  never fuse; ``rescan`` is the unfused reference the differential tests
-  compare against.
+  attempt is audited.  No processed event may lie within
+  ``2 * _EPSILON`` of a skipped completion, nor two skipped completions
+  of each other, unless exactly at the same time: unfused, both would
+  have been processed at that one instant.  An event exactly at a run's
+  last completion, whose sequence number was taken early, must be the
+  last event of a twin run, one that skipped exactly the same completion
+  times and so kept its order at every one of them; this check runs as
+  that event pops.  The walk itself keeps skipped completions more than
+  that window past every event already processed and apart from their
+  neighbours in the run.  The rest of the audit is batched: the loop
+  records the skipped times and each popped event's time in flat buffers
+  (8 bytes an entry, held until the attempt ends), and
+  :func:`_fusion_audit_passes` decides once the attempt has run to its
+  end, in a few numpy passes, with the decisions of an audit that retires
+  each skipped time as events pop.  A failing attempt therefore runs to
+  its end before it is replayed.  An attempt whose audit fails, or that
+  raises, is thrown away: the memory's semaphores, written tiles and
+  statistics return to their state before the attempt, and the run is
+  replayed unfused (Time Warp's optimism with rollback, at the
+  granularity of one run).  Functional runs, runs with an armed post
+  fault and ``wake_strategy="rescan"`` runs never fuse; ``rescan`` is the
+  unfused reference the differential tests compare against.
 """
 
 from __future__ import annotations
@@ -103,10 +107,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from array import array
 from bisect import insort
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.common.dim3 import Dim3
 from repro.errors import (
@@ -149,6 +156,8 @@ _FUSION_WINDOW = 2 * _EPSILON
 #: How far past ``now`` a run's first skipped completion must lie: every
 #: event processed so far lies within ``_EPSILON`` of ``now``.
 _FUSION_LEAD = _FUSION_WINDOW + _EPSILON
+#: Skip-log entries the audit checks per numpy pass.
+_AUDIT_CHUNK = 4096
 
 #: The lazy SM max-heap is rebuilt from the live per-SM free values when it
 #: grows past ``max(_SM_HEAP_COMPACT_FACTOR * num_sms, _SM_HEAP_COMPACT_MIN)``
@@ -167,6 +176,80 @@ _entry_key = itemgetter(0)
 
 class _FusionCoincidence(Exception):
     """A fused run's audit found an event a skipped completion could have moved."""
+
+
+def _fusion_audit_passes(skip_log: array, pop_times: array) -> bool:
+    """Whether a completed fused attempt skipped only completions that could
+    not have coalesced or ordered differently with anything it processed.
+
+    ``skip_log`` holds, per walk that skipped something, the skipped
+    completion times in the order the walk reached them, then a marker:
+    minus the index of the first event popped after the walk.
+    ``pop_times`` holds each popped event's time.
+
+    The attempt fails when two distinct skipped times lie within
+    ``_FUSION_WINDOW`` of each other, or when a skipped time ``S`` lies
+    within the window of, but not exactly at, the time of the first event
+    popped after its walk whose ``time + _FUSION_WINDOW`` reaches ``S``:
+    unfused, the two would have met within one coalescing instant.  These
+    are the decisions of an audit that retires the pending skipped times
+    in time order as each event pops, failing a time unless it lies more
+    than the window before that event's ``now`` or exactly at its time.
+    The walk keeps every skipped time more than ``_FUSION_LEAD`` past the
+    events already processed, so such an audit retires them in sorted
+    order (where float rounding reorders two of them they lie within the
+    window of each other, which fails both), and every ``now`` that could
+    differ from the retiring event's time lies more than the window below
+    the skipped time, so the event's time alone decides.
+
+    Markers pass both checks: they are negative integers, more than the
+    window below every skipped time and from each other unless equal.
+    The log is checked ``_AUDIT_CHUNK`` entries at a time and sorted in
+    place, which keeps the temporaries, and so the run's peak memory,
+    small.
+    """
+    if not skip_log:
+        return True
+    log = np.frombuffer(skip_log, dtype=np.float64)
+    times = np.frombuffer(pop_times, dtype=np.float64)
+    reach = times + _FUSION_WINDOW
+    np.maximum.accumulate(reach, out=reach)
+    for low in range(0, log.size, _AUDIT_CHUNK):
+        chunk = log[low:low + _AUDIT_CHUNK]
+        at = np.searchsorted(reach, chunk)
+        if at.max() >= times.size:
+            return False  # no event reached the time: the run never finished
+        met = times[at]
+        near = (chunk >= met - _FUSION_WINDOW) & (chunk != met)
+        if near.any() and not _pass_after_their_walks(log, low + np.flatnonzero(near), times):
+            return False
+    log.sort()
+    for low in range(0, log.size - 1, _AUDIT_CHUNK):
+        high = min(low + _AUDIT_CHUNK, log.size - 1)
+        gaps = log[low + 1:high + 1] - log[low:high]
+        if ((gaps <= _FUSION_WINDOW) & (gaps != 0.0)).any():
+            return False
+    return True
+
+
+def _pass_after_their_walks(log, positions, times) -> bool:
+    """Whether the skipped times at ``positions`` of the log pass against
+    the first event popped after their walk that reaches them.
+
+    :func:`_fusion_audit_passes` first checks each time against the first
+    event popped at all whose ``time + _FUSION_WINDOW`` reaches it, which
+    is the same event unless float rounding let an event popped before
+    the walk reach the walk's first time.
+    """
+    markers = np.flatnonzero(log < 0.0)
+    for position in positions:
+        done = log[position]
+        event = int(-log[markers[np.searchsorted(markers, position)]])
+        while event < times.size and times[event] + _FUSION_WINDOW < done:
+            event += 1
+        if event == times.size or not (done < times[event] - _FUSION_WINDOW or done == times[event]):
+            return False
+    return True
 
 
 @dataclass(slots=True)
@@ -302,9 +385,10 @@ class GpuSimulator:
 
         Timing runs with the threshold wake strategy and no armed post
         fault fuse wait-free segment runs (see the module docstring).  A
-        fused run whose audit fails, or that raises, is thrown away: the
-        memory returns to its state before the run, and the run is
-        replayed unfused, which then decides the result or the error.
+        fused attempt whose audit fails once it has run to its end, or
+        that raises, is thrown away: the memory returns to its state
+        before the attempt, and the run is replayed unfused, which then
+        decides the result or the error.
         """
         if not launches:
             raise SimulationError("no kernels to simulate")
@@ -444,10 +528,14 @@ class GpuSimulator:
         completed_blocks_total = 0
         #: Busy-wait time of the finished blocks, summed in completion order.
         wait_total = 0.0
-        # Fused segment runs: the completion times the run skipped, as a
-        # min-heap the audit drains in time order, and the last one drained.
-        skipped: List[float] = []
-        last_skipped = -math.inf
+        # Fused segment runs, audited once the attempt ends (see
+        # :func:`_fusion_audit_passes`): each walk's skipped completion
+        # times and its marker, and every popped event's time (8 bytes per
+        # entry, held until the attempt ends).
+        skip_log = array("d")
+        skip_append = skip_log.append
+        pop_times = array("d")
+        pop_time_append = pop_times.append
 
         # --------------------------------------------------------------
         # Inner helpers (closures over the run-local state)
@@ -509,7 +597,7 @@ class GpuSimulator:
             hold when the segment would start) and the completion between
             them would do nothing else, that completion is skipped: the
             next segment is charged here exactly as :func:`start_segment`
-            would charge it then, and its end time goes onto ``skipped``
+            would charge it then, and its end time goes into ``skip_log``
             for the audit.  One event is pushed, for the run's last
             segment.  A skipped completion must lie more than
             ``_FUSION_WINDOW`` beyond every event processed so far (all of
@@ -533,8 +621,8 @@ class GpuSimulator:
                     if count:
                         met = True
                         try:
-                            for array, sem, required in waits:
-                                if sem_values[array][sem] < required or sem < 0:
+                            for name, sem, required in waits:
+                                if sem_values[name][sem] < required or sem < 0:
                                     met = False
                                     break
                         except (KeyError, IndexError):
@@ -554,12 +642,13 @@ class GpuSimulator:
                         break
                     reads += count
                     work += duration
-                    heappush(skipped, end)
+                    skip_append(end)
                     index += 1
                     end = following
                     if posts or segment.writes:
                         break
                 if index > first:
+                    skip_append(-len(pop_times))
                     polls += reads
                     # Each skipped completion counts against the watchdog
                     # as the event it replaces would have.
@@ -977,30 +1066,6 @@ class GpuSimulator:
                 limit=limit,
             )
 
-        def audit(time: float) -> None:
-            """Fail the fused run if a skipped completion could have mattered.
-
-            Called for a popped event at ``time`` when the earliest pending
-            skipped completion lies no later than ``time + _FUSION_WINDOW``;
-            retires every such one, in time order.  One more than the window
-            before ``now`` is behind every event still to come.  One exactly
-            at ``time``, or exactly at the completion retired before it, is
-            harmless: unfused, it would have been processed at that very
-            instant.  Any other lies within the window of this event, of the
-            one that set ``now`` or of the completion retired before it, and
-            could have coalesced with an event it does not meet fused.
-            """
-            nonlocal last_skipped
-            floor = now - _FUSION_WINDOW
-            limit = time + _FUSION_WINDOW
-            while skipped and skipped[0] <= limit:
-                done = heappop(skipped)
-                if done >= floor and done != time:
-                    raise _FusionCoincidence
-                if done != last_skipped and done - last_skipped <= _FUSION_WINDOW:
-                    raise _FusionCoincidence
-                last_skipped = done
-
         def twin_runs(block_id: int, other: tuple) -> bool:
             """Whether ``other``, a heap entry at the time of the fused run of
             ``block_id`` that just ended, is a run that skipped exactly the
@@ -1047,8 +1112,8 @@ class GpuSimulator:
                     now = time
                     if max_sim_time_us is not None and now > max_sim_time_us:
                         raise _livelock("max_sim_time_us", max_sim_time_us)
-                if skipped and skipped[0] <= time + _FUSION_WINDOW:
-                    audit(time)
+                if fuse:
+                    pop_time_append(time)
 
                 if kind == _EV_SEGMENT_DONE:
                     complete_segment(payload, now)
@@ -1073,8 +1138,8 @@ class GpuSimulator:
                     if processed > max_events:
                         raise _livelock("max_events", max_events)
                     time, _, kind, payload = heappop(events)
-                    if skipped and skipped[0] <= time + _FUSION_WINDOW:
-                        audit(time)
+                    if fuse:
+                        pop_time_append(time)
                     if kind == _EV_SEGMENT_DONE:
                         complete_segment(payload, now)
                     elif kind == _EV_RUN_DONE:
@@ -1126,6 +1191,8 @@ class GpuSimulator:
                         waiters=waiter_records,
                         cycle=cycle,
                     )
+            if not _fusion_audit_passes(skip_log, pop_times):
+                raise _FusionCoincidence
         finally:
             # Flush the run-local statistics into the memory object (the
             # raw-list fast paths bypass the counting accessors).

@@ -369,32 +369,34 @@ class TiledKernel(ABC):
         tile: Dim3,
         shape: Tuple[int, int],
         output: str,
+        posts: List[SemPost],
         compute=None,
         plan: Sequence[ReadPlanStep] = (),
     ) -> Segment:
         """The final segment: fused epilogue, output store and ``post``.
 
-        ``plan`` is the read plan of an input the epilogue itself reads; its
-        waits guard the segment.  Blocks that read, post and compute nothing
-        share one segment per tile ``shape``; in functional runs the segment
-        also marks the ``output`` tile written.
+        ``posts`` are the block's ``posts_for`` its tile; ``plan`` is the
+        read plan of an input the epilogue itself reads, whose waits guard
+        the segment.  Blocks that read, post and compute nothing share one
+        segment per tile ``shape``; in functional runs the segment also
+        marks the ``output`` tile written.
         """
         shared = self._epilogue_cache.get(shape)
         if shared is None:
             duration = self._epilogue_duration_us(shape[0], shape[1], self.occupancy())
             shared = self._epilogue_cache[shape] = Segment(label="epilogue", duration_us=duration)
-        posts = self.sync.posts_for(tile, self.grid)
-        if not (posts or plan or self.functional):
+        functional = self._functional
+        if not (posts or plan or functional):
             return shared
         writes = []
-        if self.functional:
+        if functional:
             writes = [TensorAccess(output, self.sync.output_tile_key(tile, self.grid))]
         return Segment(
             label="epilogue",
-            waits=[wait for step in plan for wait in step.waits],
+            waits=[wait for step in plan for wait in step.waits] if plan else [],
             duration_us=shared.duration_us,
             posts=posts,
-            reads=[read for step in plan for read in step.reads],
+            reads=[read for step in plan for read in step.reads] if plan else [],
             writes=writes,
             compute=compute,
         )

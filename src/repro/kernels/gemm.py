@@ -239,6 +239,10 @@ class GemmKernel(TiledKernel):
         #: Shared main-loop segment lists, keyed by the ranges that actually
         #: influence them (see :meth:`build_block_program`).
         self._body_segment_cache: dict = {}
+        #: The one program of the blocks that post, gate and compute
+        #: nothing, per body (keyed by the id of a list the body caches
+        #: hold, so the key is unique while this dict lives).
+        self._shared_programs: dict = {}
         #: Base main-loop segments *without* the B operand's waits, keyed by
         #: the A-side plan and the B step's span.  When both operands are
         #: synchronized the full body differs per column tile solely in the
@@ -271,30 +275,42 @@ class GemmKernel(TiledKernel):
         rows, tile_m_actual = row_spans[tile.y]
         cols, tile_n_actual = col_spans[tile.x]
         batch_index, k_range = z_spans[tile.z]
+        shape = (tile_m_actual, tile_n_actual)
+        functional = self._functional
+        sync = self._sync
 
-        # Main-loop segments carry no per-tile state beyond what their read
-        # plans dictate.  Outside functional mode (whose compute closures
-        # capture absolute ranges) the immutable segment list is therefore
-        # shared by every block whose operand plans are identical.
-        if self.functional:
+        if functional:
+            # Compute closures capture absolute ranges: every block builds
+            # its own segments.
             segments, _ = self._body_segments_indexed(
                 rows, cols, k_range, batch_index, tile_m_actual, tile_n_actual, self.occupancy()
             )
         else:
-            segments = list(
-                self._cached_body(tile, rows, cols, k_range, batch_index, tile_m_actual, tile_n_actual)
-            )
+            # Main-loop segments carry no per-tile state beyond what their
+            # read plans dictate, so the immutable body is shared by every
+            # block whose operand plans are identical.
+            segments = self._cached_body(tile, rows, cols, k_range, batch_index, tile_m_actual, tile_n_actual)
 
         gate = ()
         if self.gate_input is not None and self.gate_input in self.sync_inputs:
-            gate = self.sync.plan_reads(self.gate_input, rows, cols, batch_index)
-        compute = None
-        if self.functional:
+            gate = sync.plan_reads(self.gate_input, rows, cols, batch_index)
+        posts = sync.posts_for(tile, self.grid)
+        if functional:
             compute = self._make_epilogue_compute(tile, batch_index, rows, cols)
-        segments.append(
-            self._epilogue_segment(tile, (tile_m_actual, tile_n_actual), problem.c, compute, gate)
-        )
-        return ThreadBlockProgram(tile, segments)
+            segments.append(self._epilogue_segment(tile, shape, problem.c, posts, compute, gate))
+            return ThreadBlockProgram(tile, segments)
+        if posts or gate:
+            return ThreadBlockProgram(
+                tile, segments + [self._epilogue_segment(tile, shape, problem.c, posts, None, gate)]
+            )
+        # A block that posts, gates and computes nothing runs its body and
+        # the shared epilogue of its shape: one program serves them all.
+        program = self._shared_programs.get(id(segments))
+        if program is None:
+            program = self._shared_programs[id(segments)] = ThreadBlockProgram(
+                tile, segments + [self._epilogue_segment(tile, shape, problem.c, posts)]
+            )
+        return program
 
     def _cached_body(
         self,

@@ -59,9 +59,14 @@ __all__ = [
 
 
 def bucketed(value: int, bucket: int) -> int:
-    """``value`` rounded up to a multiple of ``bucket`` (minimum one bucket)."""
-    check_positive("bucket", bucket)
-    check_positive("value", value)
+    """``value`` rounded up to a multiple of ``bucket`` (minimum one bucket).
+
+    Serving rounds every iteration's shape, so the checks, which raise,
+    run only when an argument is not positive.
+    """
+    if not (value > 0 and bucket > 0):
+        check_positive("bucket", bucket)
+        check_positive("value", value)
     return ((value + bucket - 1) // bucket) * bucket
 
 

@@ -21,7 +21,7 @@ import pytest
 from golden_trace_utils import _serialize_result
 from repro.gpu.arch import AMPERE_A100, TESLA_V100
 from repro.gpu.occupancy import OccupancyCalculator
-from repro.kernels.gemm import GemmConfig
+from repro.kernels.gemm import GemmConfig, GemmKernel
 from repro.models import RESNET38_LAYERS, Attention, ConvChain, GptMlp, TransformerConfig
 from repro.pipeline import run
 
@@ -124,3 +124,45 @@ def test_a_run_computes_each_kernels_occupancy_once(monkeypatch, scheme):
     # A new cost model is the one rebinding that recomputes it.
     run(graph, scheme=scheme, policy="TileSync", arch=AMPERE_A100)
     assert len(calls) == 4
+
+
+def _snapshot(program) -> tuple:
+    return (
+        program.tile,
+        id(program.segments),
+        tuple(
+            (s.label, tuple(s.waits), s.duration_us, s.overlappable_us, tuple(s.posts), tuple(s.writes))
+            for s in program.segments
+        ),
+    )
+
+
+def test_blocks_that_post_nothing_share_one_unmutated_program(monkeypatch):
+    """In one binding, the consumer blocks of a tile row run one program,
+    which the run leaves as built; every producer block has a program of
+    its own that ends in its tile's posts."""
+    built = []
+    original = GemmKernel.build_block_program
+
+    def recorded(self, tile):
+        program = original(self, tile)
+        built.append((self.name, tile, program, _snapshot(program), list(self.sync.posts_for(tile, self.grid))))
+        return program
+
+    monkeypatch.setattr(GemmKernel, "build_block_program", recorded)
+    graph = GptMlp(batch_seq=512).to_graph()
+    run(graph, scheme="cusync", policy="TileSync")
+    producer, consumer = (kernel.name for kernel in graph.kernels)
+
+    rows = {}
+    for name, tile, program, snapshot, posts in built:
+        assert _snapshot(program) == snapshot
+        if name == consumer:
+            assert posts == []
+            rows.setdefault((tile.y, tile.z), set()).add(id(program))
+    assert len(rows) > 1 and all(len(ids) == 1 for ids in rows.values())
+    assert len(set.union(*rows.values())) == len(rows)
+
+    producers = [(program, posts) for name, _, program, _, posts in built if name == producer]
+    assert len({id(program) for program, _ in producers}) == len(producers)
+    assert all(posts and program.segments[-1].posts == posts for program, posts in producers)

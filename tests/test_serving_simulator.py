@@ -92,6 +92,21 @@ class TestGraphCacheBucketing:
         assert bucketed(8, 8) == 8
         assert bucketed(9, 8) == 16
 
+    @pytest.mark.parametrize(
+        "value, bucket, message",
+        [(0, 8, "value must be positive, got 0"), (5, -8, "bucket must be positive, got -8"),
+         (-1, 0, "bucket must be positive, got 0"), (float("nan"), 8, "value must be positive, got nan")],
+    )
+    def test_bucketed_rejects_non_positive_arguments(self, value, bucket, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            bucketed(value, bucket)
+
+    @pytest.mark.parametrize("rows, keys, bad", [(0, 5, 0), (-3, 5, -3), (5, 0, 0), (2, -1, -1)])
+    def test_bucket_of_rejects_non_positive_shapes(self, rows, keys, bad):
+        cache = ServingGraphCache(config=TINY, row_bucket=8, kv_bucket=64)
+        with pytest.raises(ValueError, match=rf"^value must be positive, got {bad}$"):
+            cache.bucket_of(rows, keys)
+
     def test_shapes_collapse_onto_buckets(self):
         cache = ServingGraphCache(config=TINY, row_bucket=8, kv_bucket=64)
         g1 = cache.graph_for(3, 50)

@@ -24,13 +24,16 @@ targeted audit tests build one coincidence of each kind the audit checks.
 
 from __future__ import annotations
 
+import heapq
+import math
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.dim3 import Dim3
-from repro.errors import DeadlockError, LivelockError
+from repro.errors import DeadlockError, LivelockError, SimulationError
 from repro.gpu.costmodel import CostModel
 from repro.gpu.kernel import (
     KernelLaunch,
@@ -42,8 +45,17 @@ from repro.gpu.kernel import (
     simple_kernel,
 )
 from repro.gpu.memory import GlobalMemory
-from repro.gpu.simulator import GpuSimulator
+from repro.gpu.simulator import (
+    _EPSILON,
+    _FUSION_LEAD,
+    _FUSION_WINDOW,
+    GpuSimulator,
+    _fusion_audit_passes,
+)
 from repro.gpu.stream import Stream
+from repro.models import RESNET38_LAYERS, Attention, ConvChain, GptMlp, LlamaMlp
+from repro.models.config import GPT3_145B, LLAMA_65B
+from repro.pipeline import run
 
 ARRAY = "stress_sems"
 ARRAY_B = "stress_sems_b"
@@ -412,7 +424,8 @@ def _segmented_pipelines(draw):
 
     Waits target semaphores an earlier kernel posts, at values those posts
     reach; about one wait in ten is raised by one, which may put it out of
-    reach, so some pipelines deadlock.
+    reach, so some pipelines deadlock.  About half the blocks after a
+    kernel's first run the program object of an earlier block.
     """
     array_sizes = {
         ARRAY: draw(st.integers(min_value=1, max_value=4)),
@@ -433,31 +446,41 @@ def _segmented_pipelines(draw):
         available = sorted(posted.items())
         kernel_posts: Dict[Tuple[str, int], int] = {}
         programs = {}
+        built: List[ThreadBlockProgram] = []
         for tile in row_major_tiles(grid):
-            count = draw(st.integers(min_value=1, max_value=4))
-            segments = []
-            for position in range(count):
-                waits = []
-                if available:
-                    for key, total in draw(st.lists(st.sampled_from(available), max_size=2)):
-                        required = draw(st.integers(min_value=1, max_value=total))
-                        required += draw(st.sampled_from((0,) * 9 + (1,)))
-                        waits.append(SemWait(key[0], key[1], required))
-                posts = []
-                if position == count - 1:
-                    for key in draw(st.lists(semaphore, min_size=0 if index else 1, max_size=2)):
-                        increment = draw(st.integers(min_value=1, max_value=2))
-                        posts.append(SemPost(key[0], key[1], increment))
-                        kernel_posts[key] = kernel_posts.get(key, 0) + increment
-                segments.append(
-                    Segment(
-                        label=f"chunk {position}",
-                        waits=waits,
-                        duration_us=draw(st.sampled_from(DURATIONS)),
-                        posts=posts,
+            if built and draw(st.booleans()):
+                # Blocks may run one program object, as a GeMM's blocks that
+                # post nothing do, so several blocks walk one segment list.
+                program = draw(st.sampled_from(built))
+            else:
+                count = draw(st.integers(min_value=1, max_value=4))
+                segments = []
+                for position in range(count):
+                    waits = []
+                    if available:
+                        for key, total in draw(st.lists(st.sampled_from(available), max_size=2)):
+                            required = draw(st.integers(min_value=1, max_value=total))
+                            required += draw(st.sampled_from((0,) * 9 + (1,)))
+                            waits.append(SemWait(key[0], key[1], required))
+                    posts = []
+                    if position == count - 1:
+                        for key in draw(st.lists(semaphore, min_size=0 if index else 1, max_size=2)):
+                            increment = draw(st.integers(min_value=1, max_value=2))
+                            posts.append(SemPost(key[0], key[1], increment))
+                    segments.append(
+                        Segment(
+                            label=f"chunk {position}",
+                            waits=waits,
+                            duration_us=draw(st.sampled_from(DURATIONS)),
+                            posts=posts,
+                        )
                     )
-                )
-            programs[tile] = ThreadBlockProgram(tile=tile, segments=segments)
+                program = ThreadBlockProgram(tile=tile, segments=segments)
+                built.append(program)
+            for post in program.segments[-1].posts:
+                key = (post.array, post.index)
+                kernel_posts[key] = kernel_posts.get(key, 0) + post.increment
+            programs[tile] = program
         for key, increments in kernel_posts.items():
             posted[key] = posted.get(key, 0) + increments
         specs.append(
@@ -649,8 +672,259 @@ class TestFusionAudit:
         assert GpuSimulator(cost_model=FLAT, max_events=4).run(launches).total_time_us == 9.0
         assert attempts == [True]
 
+    @pytest.mark.parametrize(
+        "wait, error",
+        [
+            (SemWait(ARRAY, 1, 0), IndexError),
+            (SemWait(ARRAY, -1, 0), IndexError),
+            (SemWait("never_allocated", 0, 0), SimulationError),
+        ],
+    )
+    def test_shared_program_leaves_a_bad_wait_to_the_unfused_start(self, attempts, wait, error):
+        """Two blocks run one program whose last chunk waits on a semaphore
+        that does not exist.  Each walk skips the second chunk, whose wait
+        holds, and must stop before the last, whose start raises fused and
+        unfused alike (a walk that read index -1 as the last semaphore
+        would skip it and finish)."""
+        segments = [
+            Segment(label="chunk 0", duration_us=1.0),
+            Segment(label="chunk 1", waits=[SemWait(ARRAY, 0, 0)], duration_us=1.0),
+            Segment(label="chunk 2", waits=[wait], duration_us=1.0),
+        ]
+        specs = _chains((), ())
+        program = ThreadBlockProgram(Dim3(0, 0, 0), segments)
+        specs[0]["programs"] = dict.fromkeys(specs[0]["programs"], program)
+        messages = []
+        for strategy in ("threshold", "rescan"):
+            with pytest.raises(error) as caught:
+                _run(strategy, specs, {ARRAY: 1}, FLAT)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert attempts == [True, False, False]
+
     def test_functional_and_rescan_runs_stay_unfused(self, attempts):
         launches = [_launch(spec) for spec in _chains((1.0, 1.0, 1.0))]
         GpuSimulator(cost_model=FLAT, functional=True).run(launches)
         GpuSimulator(cost_model=FLAT, wake_strategy="rescan").run(launches)
         assert attempts == [False, False]
+
+
+# ----------------------------------------------------------------------
+# The batched audit against the incremental one it replaced
+# ----------------------------------------------------------------------
+class _Coincidence(Exception):
+    pass
+
+
+def _incremental_audit(timeline: List[tuple]) -> bool:
+    """The audit the loop used to run as it popped events, kept verbatim as
+    the reference: pending skipped times in a min-heap, retired in time
+    order by each popped event they come within the window of."""
+    skipped: List[float] = []
+    last_skipped = -math.inf
+    now = 0.0
+
+    def audit(time: float) -> None:
+        nonlocal last_skipped
+        floor = now - _FUSION_WINDOW
+        limit = time + _FUSION_WINDOW
+        while skipped and skipped[0] <= limit:
+            done = heapq.heappop(skipped)
+            if done >= floor and done != time:
+                raise _Coincidence
+            if done != last_skipped and done - last_skipped <= _FUSION_WINDOW:
+                raise _Coincidence
+            last_skipped = done
+
+    try:
+        for kind, *values in timeline:
+            if kind == "walk":
+                for end in values:
+                    heapq.heappush(skipped, end)
+            else:
+                time, now = values
+                if skipped and skipped[0] <= time + _FUSION_WINDOW:
+                    audit(time)
+    except _Coincidence:
+        return False
+    return True
+
+
+def _batched_audit(timeline: List[tuple]) -> bool:
+    """The simulator's decision, from the buffers its loop records."""
+    skip_log, pop_times = array("d"), array("d")
+    for kind, *values in timeline:
+        if kind == "walk":
+            skip_log.extend(values)
+            skip_log.append(-len(pop_times))
+        else:
+            pop_times.append(values[0])
+    return _fusion_audit_passes(skip_log, pop_times)
+
+
+def _ulps(value: float, count: int) -> float:
+    """``value`` moved ``count`` representable doubles up (down if negative)."""
+    toward = math.inf if count > 0 else -math.inf
+    for _ in range(abs(count)):
+        value = math.nextafter(value, toward)
+    return value
+
+
+def _first_past(now: float, lead: float) -> float:
+    """The least double ``x`` with ``x - now > lead``."""
+    x = now + lead
+    while x - now > lead:
+        x = math.nextafter(x, -math.inf)
+    while not x - now > lead:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def _last_within(now: float, gap: float) -> float:
+    """The greatest double ``x`` with ``x - now <= gap``."""
+    x = now + gap
+    while x - now > gap:
+        x = math.nextafter(x, -math.inf)
+    while math.nextafter(x, math.inf) - now <= gap:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+#: Offsets from a recorded skipped time for events and for other walks:
+#: exact ties, the window's edges and an epsilon either side.
+_OFFSETS = (0.0, _FUSION_WINDOW, -_FUSION_WINDOW, _EPSILON, -_EPSILON, 3 * _EPSILON, 0.25)
+_ULPS = (-1, 0, 0, 1)
+
+
+@st.composite
+def _timelines(draw):
+    """Popped events and walks shaped like a fused attempt's.
+
+    Main pops never go back in time and set ``now``; coalesced pops lie
+    within ``_EPSILON`` of it.  A walk's first skipped time lies more than
+    ``_FUSION_LEAD`` past ``now`` and each next one more than the window
+    past the one before; walks may copy an earlier walk (twin runs), and
+    times are placed on, or one ulp either side of, exact ties and the
+    ``±_FUSION_WINDOW`` edges of recorded times.  A last pop at or past
+    every skipped time ends the attempt, as a run's last event does.
+    """
+    # At the last ``now``, rounding lets a coalesced event reach the first
+    # time a later walk may skip (see the targeted test below).
+    now = draw(st.sampled_from((6.0, 37.5, 1234.5678, 0.6699890387686736)))
+    timeline: List[tuple] = [("pop", now, now)]
+    walks: List[List[float]] = []
+    recorded: List[float] = []
+
+    def near_recorded() -> float:
+        base = draw(st.sampled_from(recorded))
+        return _ulps(base + draw(st.sampled_from(_OFFSETS)), draw(st.sampled_from(_ULPS)))
+
+    for _ in range(draw(st.integers(min_value=1, max_value=14))):
+        action = draw(st.sampled_from(("main", "coalesced", "walk", "walk", "twin")))
+        if action == "main":
+            if recorded and draw(st.booleans()):
+                time = near_recorded()
+            else:
+                time = now + draw(st.sampled_from((0.0, _EPSILON, 0.5, 1.0)))
+            if time >= now:
+                now = time
+                timeline.append(("pop", time, now))
+        elif action == "coalesced":
+            offset = draw(st.sampled_from((-_EPSILON, 0.0, 0.5 * _EPSILON, _EPSILON, None)))
+            if offset is None:
+                time = _last_within(now, _EPSILON)
+            else:
+                time = _ulps(now + offset, draw(st.sampled_from(_ULPS)))
+            if -_EPSILON <= time - now <= _EPSILON:
+                timeline.append(("pop", time, now))
+        elif action == "twin":
+            candidates = [walk for walk in walks if walk[0] - now > _FUSION_LEAD]
+            if candidates:
+                walk = draw(st.sampled_from(candidates))
+                timeline.append(("walk", *walk[: draw(st.integers(1, len(walk)))]))
+        else:
+            start = draw(st.sampled_from(("recorded", "edge", 0.0, _EPSILON, 0.5, 2.0)))
+            if start == "recorded" and recorded:
+                end = _ulps(near_recorded(), draw(st.sampled_from((1, 1, 2))))
+            elif start == "edge" or start == "recorded":
+                end = _first_past(now, _FUSION_LEAD)
+            else:
+                end = _ulps(now + _FUSION_LEAD + start, draw(st.sampled_from((1, 1, 2))))
+            if not end - now > _FUSION_LEAD:
+                continue
+            walk = [end]
+            for _ in range(draw(st.integers(min_value=0, max_value=3))):
+                gap = draw(st.sampled_from((_FUSION_WINDOW, 3 * _EPSILON, 0.5, 1.0)))
+                following = _ulps(end + gap, draw(st.sampled_from((1, 1, 2))))
+                if following - end <= _FUSION_WINDOW:
+                    break
+                walk.append(following)
+                end = following
+            walks.append(walk)
+            recorded.extend(walk)
+            timeline.append(("walk", *walk))
+    last = max(recorded + [now]) + draw(st.sampled_from((0.0, 1.0)))
+    timeline.append(("pop", last, last))
+    return timeline
+
+
+class TestBatchedAudit:
+    """The audit decided once per attempt makes the decisions the per-pop
+    audit made, on timelines built around its edge cases."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_timelines())
+    def test_batched_audit_matches_the_incremental_one(self, timeline):
+        assert _batched_audit(timeline) == _incremental_audit(timeline)
+
+    @pytest.mark.slow
+    @settings(max_examples=2000, deadline=None)
+    @given(_timelines())
+    def test_batched_audit_matches_the_incremental_one_at_length(self, timeline):
+        assert _batched_audit(timeline) == _incremental_audit(timeline)
+
+    def test_an_event_popped_before_the_walk_does_not_retire_its_time(self):
+        """At this ``now``, rounding puts a coalesced event's time plus the
+        window on the walk's first skipped time, though the walk came after
+        the event; the time is retired by the next event."""
+        now = 0.6699890387686736
+        coalesced = _last_within(now, _EPSILON)
+        end = _first_past(now, _FUSION_LEAD)
+        assert coalesced + _FUSION_WINDOW >= end
+        for last in (now + 5.0, end):
+            # The next event far past the time, or exactly at it.
+            timeline = [("pop", now, now), ("pop", coalesced, now), ("walk", end), ("pop", last, last)]
+            assert _incremental_audit(timeline)
+            assert _batched_audit(timeline)
+
+
+# ----------------------------------------------------------------------
+# Model runs fuse in one attempt
+# ----------------------------------------------------------------------
+def _fuses_once(attempts, graph, policy, arch="V100", cost_model=None) -> None:
+    run(graph, scheme="cusync", policy=policy, arch=arch, cost_model=cost_model)
+    assert attempts == [True]
+
+
+class TestModelRunsFuse:
+    """Full-size V100 runs of the paper's workloads fuse without a replay."""
+
+    @pytest.mark.parametrize("policy", ["TileSync", "RowSync"])
+    def test_gpt3_mlp(self, attempts, policy):
+        _fuses_once(attempts, GptMlp(config=GPT3_145B, batch_seq=512).to_graph(), policy)
+
+    @pytest.mark.parametrize("policy", ["TileSync", "RowSync", "StridedTileSync"])
+    def test_gpt3_attention(self, attempts, policy):
+        graph = Attention(config=GPT3_145B, batch=1, seq=512, cached=0).to_graph()
+        _fuses_once(attempts, graph, policy)
+
+    def test_llama_mlp(self, attempts):
+        _fuses_once(attempts, LlamaMlp(config=LLAMA_65B, batch_seq=512).to_graph(), "TileSync")
+
+    def test_resnet_conv_chain(self, attempts):
+        resnet = {spec.channels: spec for spec in RESNET38_LAYERS}[256]
+        _fuses_once(attempts, ConvChain(resnet, batch=1).to_graph(), "Conv2DTileSync")
+
+    def test_jitter_free_gpt3_mlp(self, attempts):
+        graph = GptMlp(config=GPT3_145B, batch_seq=512).to_graph()
+        _fuses_once(attempts, graph, "TileSync", cost_model=FLAT)
