@@ -9,9 +9,9 @@ semaphores, exactly as the CUDA implementation re-initializes its arrays.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Iterable
 
-from repro.gpu.memory import GlobalMemory, SemaphoreArray
+from repro.gpu.memory import GlobalMemory
 
 #: Name of the shared array holding one "kernel has started" flag per stage,
 #: used by the wait-kernel mechanism (Section III-B).
@@ -37,29 +37,23 @@ class SemaphoreAllocator:
     def __init__(self, memory: GlobalMemory):
         self.memory = memory
 
-    def allocate(self, stages: Iterable) -> Dict[str, SemaphoreArray]:
+    def allocate(self, stages: Iterable) -> None:
         """Allocate per-stage tile semaphores plus the stage-start flags.
 
         ``stages`` is an iterable of :class:`~repro.cusync.custage.CuStage`;
         the import is kept local to avoid a circular dependency.  Every
         policy slot of a stage (the default policy plus any per-edge
-        overrides) gets its own array, sized by that slot's policy.
-
-        Returns the allocated arrays by name.  Re-allocation at an
-        unchanged size re-initializes the existing array in place (see
+        overrides) gets its own array, sized by that slot's policy.  An
+        array re-allocated at an unchanged size is zeroed in place (see
         :meth:`~repro.gpu.memory.GlobalMemory.alloc_semaphores`), so the
-        raw backing lists the simulator pre-resolves per run — and any
-        reference a caller takes from the returned mapping — stay valid
-        across the warmup/measure re-allocations of repeated pipeline runs.
+        value lists the simulator resolves per run stay valid across the
+        warmup/measure re-allocations of repeated pipeline runs.
         """
         stage_list = list(stages)
-        arrays: Dict[str, SemaphoreArray] = {}
         if not stage_list:
-            return arrays
-        start = self.memory.alloc_semaphores(STAGE_START_ARRAY, len(stage_list))
-        arrays[STAGE_START_ARRAY] = start
+            return
+        self.memory.alloc_semaphores(STAGE_START_ARRAY, len(stage_list))
         for stage in stage_list:
             for array, policy in stage.semaphore_slots():
                 count = policy.num_semaphores(stage.logical_grid)
-                arrays[array] = self.memory.alloc_semaphores(array, max(1, count))
-        return arrays
+                self.memory.alloc_semaphores(array, max(1, count))

@@ -40,7 +40,7 @@ from repro.gpu.arch import (
     unregister_arch,
 )
 from repro.gpu.occupancy import OccupancyCalculator, KernelResources
-from repro.gpu.memory import GlobalMemory, SemaphoreArray
+from repro.gpu.memory import GlobalMemory
 from repro.gpu.stream import Stream
 from repro.gpu.kernel import (
     SemWait,
@@ -70,7 +70,6 @@ __all__ = [
     "OccupancyCalculator",
     "KernelResources",
     "GlobalMemory",
-    "SemaphoreArray",
     "Stream",
     "SemWait",
     "SemPost",

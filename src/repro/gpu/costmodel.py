@@ -17,6 +17,7 @@ deliberately small and fully deterministic.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import List
 
@@ -59,6 +60,15 @@ class CostModel:
     #: Memoized per-kernel jitter seeds (one blake2b digest per kernel
     #: launch name); pure internal cache, excluded from init/equality/repr.
     _jitter_seeds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Negated, so a NaN (which fails every comparison) is rejected too:
+        # it makes segment durations NaN, and NaN event times never advance
+        # the simulated clock, so the run would report a wrong time.
+        for name in ("tile_fixed_overhead_us", "epilogue_overhead_us", "duration_jitter"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
     # ------------------------------------------------------------------
     # Generic roofline pieces

@@ -45,9 +45,6 @@ class SemWait(NamedTuple):
     index: int
     required: int
 
-    def satisfied(self, memory: GlobalMemory) -> bool:
-        return memory.semaphore_value(self.array, self.index) >= self.required
-
 
 class SemPost(NamedTuple):
     """Atomically add ``increment`` to semaphore ``index`` of ``array``."""
@@ -55,9 +52,6 @@ class SemPost(NamedTuple):
     array: str
     index: int
     increment: int = 1
-
-    def apply(self, memory: GlobalMemory) -> int:
-        return memory.atomic_add(self.array, self.index, self.increment)
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +104,8 @@ class Segment:
     def __post_init__(self) -> None:
         # Inlined check_non_negative: segments are built once per dispatched
         # block, so the extra call frame was a measurable dispatch cost.
-        if self.duration_us < 0:
+        # Negated, so a NaN (which fails every comparison) is rejected too.
+        if not self.duration_us >= 0.0:
             check_non_negative("duration_us", self.duration_us)
 
 
@@ -220,22 +215,6 @@ class KernelLaunch:
     def num_blocks(self) -> int:
         """Total number of thread blocks in the launch."""
         return self.grid.volume
-
-    def tile_for_dispatch(self, dispatch_index: int) -> Dim3:
-        """Tile processed by the ``dispatch_index``-th block to start."""
-        if self.tile_order is not None:
-            return self.tile_order(dispatch_index)
-        return delinearize(dispatch_index, self.grid)
-
-    def build_program(self, tile: Dim3) -> ThreadBlockProgram:
-        """Build the program for the thread block assigned to ``tile``."""
-        program = self.program_builder(tile)
-        if not isinstance(program, ThreadBlockProgram):
-            raise TypeError(
-                f"program_builder of kernel '{self.name}' returned "
-                f"{type(program).__name__}, expected ThreadBlockProgram"
-            )
-        return program
 
 
 def simple_kernel(

@@ -29,8 +29,8 @@ The simulator is deterministic: identical inputs produce identical traces.
 Hot-path structure (the invariants the fast paths preserve exactly):
 
 * **Threshold-indexed wakeups.**  CuSync semaphores are *monotone*: their
-  values only ever move upward (``atomic_add`` with positive increments)
-  within one run.  A blocked wait is therefore a fixed threshold that is
+  values only ever move upward (posts add positive increments) within one
+  run.  A blocked wait is therefore a fixed threshold that is
   crossed exactly once, so waiters are indexed per ``(array, index)`` key
   in a min-heap of ``(required value, registration order, block)`` entries
   plus a per-block count of unsatisfied waits.  A post at value ``v`` pops
@@ -41,12 +41,12 @@ Hot-path structure (the invariants the fast paths preserve exactly):
   so traces are bit-identical.  The rescan implementation survives as the
   ``wake_strategy="rescan"`` reference used by the differential stress
   tests.
-* **Pre-resolved semaphore storage.**  Wait checks and posts operate on
-  the raw per-array value lists (resolved once per run from
-  :meth:`~repro.gpu.memory.GlobalMemory.semaphore_backing_map`), so the
-  per-probe ``GlobalMemory`` dict lookup, method dispatch and index
-  re-validation are off the hot path; poll/atomic statistics are kept in
-  run-local counters and flushed into the memory object once.
+* **One semaphore store, resolved once per run.**  The memory holds each
+  array as a plain value list; wait checks and posts index those lists
+  directly (resolved once per run from
+  :meth:`~repro.gpu.memory.GlobalMemory.semaphore_backing_map`) and do
+  their own bounds checks.  Poll and atomic counts are kept in run-local
+  counters and added to the memory's statistics once, when the run ends.
 * **Structure-of-arrays block records.**  The mutable per-block state
   (segment index, duration factor, SM id, dispatch time, wait/work
   accumulators, unsatisfied-wait count) lives in parallel lists indexed by
@@ -66,9 +66,15 @@ Hot-path structure (the invariants the fast paths preserve exactly):
   a list kept sorted by (stream priority, launch index); a dispatch pass
   runs only when an SM slot was freed or a launch became eligible since the
   previous pass — any other event cannot change the placement outcome.
-* **Event coalescing.**  Events within ``_EPSILON`` of the current time are
-  drained before dispatching, so a whole wave frees its slots before the
-  next wave is placed.
+* **Event coalescing, one pop site.**  Events within ``_EPSILON`` of the
+  current time are drained before dispatching, so a whole wave frees its
+  slots before the next wave is placed.  The loop pops every event in one
+  place: a ``coalescing`` flag says whether a pop joins the current
+  instant or opens a new one (the past-time check, advancing ``now`` and
+  the ``max_sim_time_us`` guard), and each event kind is handled in one
+  branch.  A started segment's work is charged and its completion
+  scheduled by one routine, whether its waits held at once or it resumed
+  after busy-waiting.
 * **Fused wait-free segment runs.**  When a block's segment posts (and
   writes) nothing, its completion would only start the next segment, and
   if that segment's waits already hold they hold at that later instant
@@ -130,7 +136,7 @@ from repro.gpu.kernel import (
     ThreadBlockProgram,
     row_major_tiles,
 )
-from repro.gpu.memory import GlobalMemory, _raise_semaphore_index_error
+from repro.gpu.memory import GlobalMemory
 from repro.gpu.trace import (
     ExecutionTrace,
     KernelStats,
@@ -172,6 +178,16 @@ _DEADLOCK_REPORT_WAITERS = 16
 
 _entry_order = itemgetter(1)
 _entry_key = itemgetter(0)
+
+
+def _missing_array(name: str) -> None:
+    raise SimulationError(f"semaphore array '{name}' was never allocated")
+
+
+def _raise_semaphore_index_error(name: str, index: int, size: int) -> None:
+    raise IndexError(
+        f"semaphore index {index} out of range for array '{name}' of size {size}"
+    )
 
 
 class _FusionCoincidence(Exception):
@@ -358,9 +374,11 @@ class GpuSimulator:
             raise SimulationError(
                 f"unknown wake strategy {wake_strategy!r}; choose 'threshold' or 'rescan'"
             )
-        if max_events <= 0:
+        # Negated comparisons, so a NaN limit (which fails every comparison,
+        # and so would never trip) is rejected too.
+        if not max_events > 0:
             raise SimulationError(f"max_events must be positive, got {max_events}")
-        if max_sim_time_us is not None and max_sim_time_us <= 0:
+        if max_sim_time_us is not None and not max_sim_time_us > 0:
             raise SimulationError(
                 f"max_sim_time_us must be positive, got {max_sim_time_us}"
             )
@@ -493,9 +511,6 @@ class GpuSimulator:
         sem_values_get = sem_values.get
         polls = 0
         atomics = 0
-
-        def _missing_array(name: str) -> None:
-            raise SimulationError(f"semaphore array '{name}' was never allocated")
 
         # Threshold index: (array, index) -> min-heap of
         # (required value, registration order, block id).  Entries are popped
@@ -715,26 +730,10 @@ class GpuSimulator:
                 overhead = satisfied_wait_overhead_us * len(waits)
             else:
                 overhead = 0.0
-            posts = segment.posts
-            if posts:
-                overhead += post_overhead_us * len(posts)
-            duration = segment.duration_us * blk_factor[block_id] + overhead
-            blk_work_time[block_id] += duration
-            if functional:
-                for access in segment.reads:
-                    memory.check_tile_read(
-                        access.tensor,
-                        access.tile_key,
-                        reader=block_name(block_id),
-                        tracked_tensors=tracked_tensors,
-                    )
-            if fuse and not posts:
-                schedule_run(block_id, time + duration, time)
-            else:
-                heappush(events, (time + duration, next(sequence), _EV_SEGMENT_DONE, block_id))
+            run_segment(block_id, segment, overhead, 0.0, time)
 
         def resume_block(block_id: int, time: float) -> None:
-            """Schedule the blocked segment's completion after its waits clear."""
+            """Run the blocked segment now that its waits have cleared."""
             nonlocal polls
             waited = time - blk_waiting_since[block_id]
             blk_wait_time[block_id] += waited
@@ -749,6 +748,16 @@ class GpuSimulator:
                 # wake order are identical with or without the charge.
                 polls += len(segment.waits) * int(waited / interval)
             overhead = wait_overhead_us * len(segment.waits) + wait_resume_latency_us
+            run_segment(block_id, segment, overhead, waited, time)
+
+        def run_segment(
+            block_id: int, segment: Segment, overhead: float, waited: float, time: float
+        ) -> None:
+            """Charge the started segment's work and schedule its completion.
+
+            ``overhead`` is what its waits cost; ``waited`` is how long the
+            block busy-waited for them (0.0 when they held at once).
+            """
             posts = segment.posts
             if posts:
                 overhead += post_overhead_us * len(posts)
@@ -1100,18 +1109,27 @@ class GpuSimulator:
                     return False
             return True
 
+        # Events within ``_EPSILON`` of ``now`` coalesce into its instant:
+        # they are popped before the next dispatch pass, so a whole wave
+        # frees its slots before the next wave is placed.  ``coalescing``
+        # says whether the next pop joins the current instant; a pop that
+        # opens a new instant advances ``now``.  Every pop counts against
+        # the watchdog, so a livelock that spins at one timestamp (e.g. a
+        # zero-delay wake loop) still trips ``max_events``.
+        coalescing = False
         try:
             while events:
                 processed += 1
                 if processed > max_events:
                     raise _livelock("max_events", max_events)
                 time, _, kind, payload = heappop(events)
-                if time + _EPSILON < now:
-                    raise SimulationError("event queue produced a time in the past")
-                if time > now:
-                    now = time
-                    if max_sim_time_us is not None and now > max_sim_time_us:
-                        raise _livelock("max_sim_time_us", max_sim_time_us)
+                if not coalescing:
+                    if time + _EPSILON < now:
+                        raise SimulationError("event queue produced a time in the past")
+                    if time > now:
+                        now = time
+                        if max_sim_time_us is not None and now > max_sim_time_us:
+                            raise _livelock("max_sim_time_us", max_sim_time_us)
                 if fuse:
                     pop_time_append(time)
 
@@ -1128,74 +1146,30 @@ class GpuSimulator:
                 else:
                     finish_block(payload, now)
 
-                # Coalesce events at the same timestamp before dispatching so
-                # a whole wave frees its slots before the next wave is placed.
-                # Coalesced events count against the watchdog too: a livelock
-                # that spins at one timestamp (e.g. a zero-delay wake loop)
-                # must still trip ``max_events``.
-                while events and -_EPSILON <= events[0][0] - now <= _EPSILON:
-                    processed += 1
-                    if processed > max_events:
-                        raise _livelock("max_events", max_events)
-                    time, _, kind, payload = heappop(events)
-                    if fuse:
-                        pop_time_append(time)
-                    if kind == _EV_SEGMENT_DONE:
-                        complete_segment(payload, now)
-                    elif kind == _EV_RUN_DONE:
-                        if events and events[0][0] == time and not twin_runs(payload, events[0]):
-                            raise _FusionCoincidence
-                        complete_segment(payload, now)
-                    elif kind == _EV_ELIGIBLE:
-                        mark_eligible(payload)
-                    else:
-                        finish_block(payload, now)
-
+                if events and -_EPSILON <= events[0][0] - now <= _EPSILON:
+                    coalescing = True
+                    continue
+                coalescing = False
                 if dispatch_needed and eligible_order:
                     dispatch(now)
-
                 if not events and completed_blocks_total < total_blocks:
-                    stuck_ids = [
-                        block_id
-                        for block_id in range(next_block_id)
-                        if blk_state[block_id] is not None
-                    ]
-                    stuck = [block_name(block_id) for block_id in stuck_ids]
-                    waiter_records, cycle = self._deadlock_forensics(
-                        stuck_ids,
+                    raise self._deadlock_forensics(
+                        total_blocks - completed_blocks_total,
+                        [
+                            block_id
+                            for block_id in range(next_block_id)
+                            if blk_state[block_id] is not None
+                        ],
                         block_name,
                         blk_segments,
                         blk_segment_index,
                         blk_waiting_since,
                         sem_values_get,
                     )
-                    message = (
-                        "simulated GPU deadlocked: "
-                        f"{total_blocks - completed_blocks_total} blocks cannot make progress "
-                        f"({len(stuck)} resident blocks are busy-waiting). "
-                        "This is the failure the wait-kernel mechanism prevents (Section III-B)."
-                    )
-                    if waiter_records:
-                        shown = waiter_records[:_DEADLOCK_REPORT_WAITERS]
-                        message += " Blocked thresholds:\n  " + "\n  ".join(
-                            waiter.describe() for waiter in shown
-                        )
-                        hidden = len(waiter_records) - len(shown)
-                        if hidden:
-                            message += f"\n  ... and {hidden} more (see .waiters)"
-                    if cycle:
-                        message += "\nDependency cycle: " + " -> ".join(cycle + [cycle[0]])
-                    raise DeadlockError(
-                        message,
-                        waiting_blocks=stuck,
-                        waiters=waiter_records,
-                        cycle=cycle,
-                    )
             if not _fusion_audit_passes(skip_log, pop_times):
                 raise _FusionCoincidence
         finally:
-            # Flush the run-local statistics into the memory object (the
-            # raw-list fast paths bypass the counting accessors).
+            # Add the run's poll and atomic counts to the memory's statistics.
             memory.semaphore_reads += polls
             memory.atomic_operations += atomics
             if len(sm_heap) > sm_heap_peak:
@@ -1228,22 +1202,25 @@ class GpuSimulator:
     # ------------------------------------------------------------------
     @staticmethod
     def _deadlock_forensics(
+        pending,
         stuck_ids,
         block_name,
         blk_segments,
         blk_segment_index,
         blk_waiting_since,
         sem_values_get,
-    ) -> Tuple[List[SemaphoreWaiter], Optional[List[str]]]:
-        """Build the wait-graph report for a detected deadlock.
+    ) -> DeadlockError:
+        """The error for a deadlocked run, with its wait-graph report.
 
-        Returns one :class:`~repro.errors.SemaphoreWaiter` per blocked
-        threshold (with the semaphore's observed value and nearest-miss
-        delta) and, when the blocked blocks wait on posts only *other
-        blocked blocks* could still perform, the dependency cycle as a list
-        of block names.  Both are deterministic: blocks are visited in
-        dispatch order and wait keys in first-occurrence order, so the two
-        wake strategies report identical forensics.
+        ``pending`` blocks cannot make progress; ``stuck_ids`` are the
+        resident ones.  The error carries one
+        :class:`~repro.errors.SemaphoreWaiter` per blocked threshold (with
+        the semaphore's observed value and nearest-miss delta) and, when
+        the blocked blocks wait on posts only *other blocked blocks* could
+        still perform, the dependency cycle as a list of block names.  Both
+        are deterministic: blocks are visited in dispatch order and wait
+        keys in first-occurrence order, so the two wake strategies report
+        identical forensics.
         """
         waiter_records: List[SemaphoreWaiter] = []
         blocked_keys: Dict[int, List[Tuple[str, int]]] = {}
@@ -1294,7 +1271,25 @@ class GpuSimulator:
 
         cycle_ids = GpuSimulator._find_wait_cycle(edges)
         cycle = [block_name(block_id) for block_id in cycle_ids] if cycle_ids else None
-        return waiter_records, cycle
+
+        stuck = [block_name(block_id) for block_id in stuck_ids]
+        message = (
+            "simulated GPU deadlocked: "
+            f"{pending} blocks cannot make progress "
+            f"({len(stuck)} resident blocks are busy-waiting). "
+            "This is the failure the wait-kernel mechanism prevents (Section III-B)."
+        )
+        if waiter_records:
+            shown = waiter_records[:_DEADLOCK_REPORT_WAITERS]
+            message += " Blocked thresholds:\n  " + "\n  ".join(
+                waiter.describe() for waiter in shown
+            )
+            hidden = len(waiter_records) - len(shown)
+            if hidden:
+                message += f"\n  ... and {hidden} more (see .waiters)"
+        if cycle:
+            message += "\nDependency cycle: " + " -> ".join(cycle + [cycle[0]])
+        return DeadlockError(message, waiting_blocks=stuck, waiters=waiter_records, cycle=cycle)
 
     @staticmethod
     def _find_wait_cycle(edges: Dict[int, List[int]]) -> Optional[List[int]]:

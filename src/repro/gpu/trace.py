@@ -130,16 +130,6 @@ class ExecutionTrace:
             and self.blocks == other.blocks
         )
 
-    def add_block(self, record: BlockRecord) -> None:
-        self.blocks.append(record)
-        self.wait_time_us += record.wait_time_us
-        stats = self.kernels.get(record.kernel)
-        if stats is not None:
-            stats.start_time_us = min(stats.start_time_us, record.dispatch_time_us)
-            stats.end_time_us = max(stats.end_time_us, record.end_time_us)
-            stats.total_wait_time_us += record.wait_time_us
-            stats.total_work_time_us += record.work_time_us
-
     def blocks_of(self, kernel: str) -> List[BlockRecord]:
         """All block records of one kernel, in dispatch order."""
         records = [b for b in self.blocks if b.kernel == kernel]

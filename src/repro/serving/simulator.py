@@ -116,7 +116,7 @@ class ServingScenario:
             )
         if not self.slo_us > 0.0:
             raise ServingError(f"slo_us must be positive, got {self.slo_us}")
-        if self.max_iterations is not None and self.max_iterations <= 0:
+        if self.max_iterations is not None and not self.max_iterations > 0:
             raise ServingError(
                 f"max_iterations must be positive, got {self.max_iterations}"
             )

@@ -337,6 +337,12 @@ class TestLivelockWatchdog:
         with pytest.raises(SimulationError):
             GpuSimulator(small_arch, cost_model=small_cost_model, max_events=0)
 
+    @pytest.mark.parametrize("guard", ["max_events", "max_sim_time_us"])
+    def test_nan_watchdog_limits_rejected(self, small_arch, small_cost_model, guard):
+        """A NaN limit fails every comparison, so it would never trip."""
+        with pytest.raises(SimulationError, match=f"{guard} must be positive, got nan"):
+            GpuSimulator(small_arch, cost_model=small_cost_model, **{guard: float("nan")})
+
     def test_generous_limits_do_not_trip(self, small_arch, small_cost_model):
         stream = Stream(name="s")
         kernel = simple_kernel("k", Dim3(8, 1, 1), 10.0, stream=stream)

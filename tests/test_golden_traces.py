@@ -8,6 +8,11 @@ required to be trace preserving, so the current simulator must reproduce
 those traces exactly: total time, per-kernel durations and every block's
 ``(dispatch_time_us, sm_id, end_time_us)``, bit for bit.
 
+The default (fused) run is checked under the historical test ids; the
+unfused threshold loop and the ``wake_strategy="rescan"`` reference, which
+timing runs never take, are checked against the same fixture by
+monkeypatching ``GpuSimulator.run``.
+
 If a future change *intentionally* alters simulation semantics, regenerate
 the fixture with ``PYTHONPATH=src python tests/golden_trace_utils.py`` and
 call the semantic change out in the PR.
@@ -22,12 +27,22 @@ from golden_trace_utils import (
     _workloads,
     load_fixture,
 )
+from repro.gpu.simulator import GpuSimulator
 
 
 def _cases():
     return [
         (name, scheme) for name, workload in _workloads().items() for scheme in _schemes(name)
     ]
+
+
+def _unfused(self, launches):
+    return self._run(launches, fuse=False)
+
+
+def _rescan(self, launches):
+    self.wake_strategy = "rescan"
+    return self._run(launches, fuse=False)
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +52,17 @@ def golden():
 
 @pytest.mark.parametrize("workload_name,scheme", _cases())
 def test_trace_matches_seed_simulator(golden, workload_name, scheme):
+    _assert_matches_fixture(golden, workload_name, scheme)
+
+
+@pytest.mark.parametrize("workload_name,scheme", _cases())
+@pytest.mark.parametrize("path", [_unfused, _rescan], ids=["unfused", "rescan"])
+def test_unfused_loop_paths_match_seed_simulator(golden, monkeypatch, path, workload_name, scheme):
+    monkeypatch.setattr(GpuSimulator, "run", path)
+    _assert_matches_fixture(golden, workload_name, scheme)
+
+
+def _assert_matches_fixture(golden, workload_name, scheme):
     key = f"{workload_name}/{scheme}"
     assert key in golden, f"fixture missing {key}; regenerate golden_traces.json"
     expected = golden[key]

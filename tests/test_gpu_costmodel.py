@@ -96,3 +96,19 @@ class TestJitter:
         model = CostModel(arch=TESLA_V100, duration_jitter=0.0)
         assert model.block_duration_factors("kernel", 3) == [1.0, 1.0, 1.0]
         assert CostModel(arch=TESLA_V100).block_duration_factors("kernel", 0) == []
+
+
+class TestValidation:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    @pytest.mark.parametrize(
+        "name", ["duration_jitter", "tile_fixed_overhead_us", "epilogue_overhead_us"]
+    )
+    def test_non_finite_or_negative_fields_rejected(self, name, value):
+        """A NaN field would make segment durations NaN, which never advance
+        the simulated clock: the run would report a wrong time, not fail."""
+        with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
+            CostModel(**{name: value})
+
+    def test_zero_fields_accepted(self):
+        model = CostModel(duration_jitter=0.0, tile_fixed_overhead_us=0.0, epilogue_overhead_us=0.0)
+        assert model.block_duration_factor("k", 3) == 1.0

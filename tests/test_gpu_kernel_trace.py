@@ -1,21 +1,24 @@
 """Tests for kernel/program datatypes, streams and trace statistics."""
 
-import math
-
 import pytest
 
 from repro.common.dim3 import Dim3
 from repro.gpu.arch import TESLA_V100
 from repro.gpu.kernel import KernelLaunch, Segment, SemPost, SemWait, ThreadBlockProgram, simple_kernel
 from repro.gpu.memory import GlobalMemory
+from repro.gpu.simulator import GpuSimulator
 from repro.gpu.stream import Stream
-from repro.gpu.trace import BlockRecord, ExecutionTrace, KernelStats, analytic_utilization, wave_count
+from repro.gpu.trace import analytic_utilization, wave_count
 
 
 class TestSegmentsAndPrograms:
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             Segment(duration_us=-1.0)
+
+    def test_nan_duration_rejected(self):
+        with pytest.raises(ValueError, match="duration_us must be non-negative"):
+            Segment(duration_us=float("nan"))
 
     def test_program_totals(self):
         program = ThreadBlockProgram(
@@ -29,19 +32,6 @@ class TestSegmentsAndPrograms:
         assert program.wait_count == 1
         assert program.post_count == 1
 
-    def test_sem_wait_satisfied(self):
-        memory = GlobalMemory()
-        memory.alloc_semaphores("s", 1)
-        wait = SemWait("s", 0, 2)
-        assert not wait.satisfied(memory)
-        memory.atomic_add("s", 0, 2)
-        assert wait.satisfied(memory)
-
-    def test_sem_post_applies(self):
-        memory = GlobalMemory()
-        memory.alloc_semaphores("s", 1)
-        assert SemPost("s", 0, increment=3).apply(memory) == 3
-
 
 class TestKernelLaunch:
     def test_rejects_empty_grid(self):
@@ -52,15 +42,17 @@ class TestKernelLaunch:
         with pytest.raises(ValueError):
             simple_kernel("k", Dim3(1, 1, 1), 1.0, occupancy=0)
 
-    def test_default_tile_order_is_row_major(self):
+    def test_default_tile_order_is_row_major(self, small_arch, small_cost_model):
         kernel = simple_kernel("k", Dim3(3, 2, 1), 1.0)
-        assert kernel.tile_for_dispatch(0) == Dim3(0, 0, 0)
-        assert kernel.tile_for_dispatch(4) == Dim3(1, 1, 0)
+        trace = GpuSimulator(small_arch, cost_model=small_cost_model).run([kernel]).trace
+        tiles = {record.dispatch_index: record.tile for record in trace.blocks}
+        assert tiles[0] == Dim3(0, 0, 0)
+        assert tiles[4] == Dim3(1, 1, 0)
 
-    def test_build_program_type_checked(self):
+    def test_build_program_type_checked(self, small_arch, small_cost_model):
         kernel = KernelLaunch("k", Dim3(1, 1, 1), lambda tile: "not a program")
-        with pytest.raises(TypeError):
-            kernel.build_program(Dim3(0, 0, 0))
+        with pytest.raises(TypeError, match="kernel 'k' returned str"):
+            GpuSimulator(small_arch, cost_model=small_cost_model).run([kernel])
 
     def test_num_blocks(self):
         assert simple_kernel("k", Dim3(3, 2, 2), 1.0).num_blocks == 12
@@ -83,27 +75,32 @@ class TestTraceStatistics:
     def test_utilization_zero_blocks(self):
         assert analytic_utilization(0, 1, TESLA_V100) == 0.0
 
-    def test_trace_accumulates_block_records(self):
-        trace = ExecutionTrace(arch=TESLA_V100)
-        trace.kernels["k"] = KernelStats(
-            name="k", launch_index=0, grid=Dim3(1, 1, 1), occupancy=1, num_blocks=2, issue_time_us=0.0
+    def test_trace_accumulates_block_records(self, small_arch, small_cost_model):
+        """Each kernel's statistics and the run's wait total are the sums of
+        its block records, which cover every block once."""
+        memory = GlobalMemory()
+        memory.alloc_semaphores("s", 1)
+        producer = simple_kernel(
+            "producer", Dim3(1, 1, 1), 5.0, stream=Stream(name="p"),
+            posts_per_block=lambda tile: [SemPost("s", 0)],
         )
-        trace.add_block(
-            BlockRecord(
-                kernel="k", launch_index=0, tile=Dim3(0, 0, 0), dispatch_index=0, sm_id=0,
-                dispatch_time_us=0.0, end_time_us=5.0, wait_time_us=1.0, work_time_us=4.0,
-            )
+        consumer = simple_kernel(
+            "consumer", Dim3(2, 1, 1), 3.0, stream=Stream(name="c"),
+            waits_per_block=lambda tile: [SemWait("s", 0, 1)],
         )
-        trace.add_block(
-            BlockRecord(
-                kernel="k", launch_index=0, tile=Dim3(0, 0, 0), dispatch_index=1, sm_id=1,
-                dispatch_time_us=2.0, end_time_us=9.0, wait_time_us=0.0, work_time_us=7.0,
-            )
+        trace = (
+            GpuSimulator(small_arch, memory=memory, cost_model=small_cost_model)
+            .run([producer, consumer])
+            .trace
         )
-        trace.total_time_us = 9.0
-        stats = trace.kernels["k"]
-        assert stats.duration_us == pytest.approx(9.0)
-        assert stats.total_wait_time_us == pytest.approx(1.0)
-        assert trace.total_wait_time_us() == pytest.approx(1.0)
+        assert trace.total_wait_time_us() == sum(record.wait_time_us for record in trace.blocks) > 0.0
+        for name, blocks in (("producer", 1), ("consumer", 2)):
+            records = [record for record in trace.blocks if record.kernel == name]
+            stats = trace.kernels[name]
+            assert sorted(record.dispatch_index for record in records) == list(range(blocks))
+            assert stats.start_time_us == min(record.dispatch_time_us for record in records)
+            assert stats.end_time_us == max(record.end_time_us for record in records)
+            assert stats.total_wait_time_us == sum(record.wait_time_us for record in records)
+            assert stats.total_work_time_us == sum(record.work_time_us for record in records)
         assert 0.0 < trace.measured_sm_busy_fraction() <= 1.0
-        assert "k" in trace.summary()
+        assert "consumer" in trace.summary()

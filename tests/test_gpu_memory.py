@@ -3,55 +3,66 @@
 import numpy as np
 import pytest
 
+from repro.common.dim3 import Dim3
 from repro.errors import DataRaceError, SimulationError
-from repro.gpu.memory import GlobalMemory, SemaphoreArray
-
-
-class TestSemaphoreArray:
-    def test_initial_values_zero(self):
-        array = SemaphoreArray(name="s", size=4)
-        assert array.values == [0, 0, 0, 0]
-
-    def test_atomic_add_returns_new_value(self):
-        array = SemaphoreArray(name="s", size=2)
-        assert array.atomic_add(0) == 1
-        assert array.atomic_add(0, 3) == 4
-        assert array.read(0) == 4
-
-    def test_reset(self):
-        array = SemaphoreArray(name="s", size=2)
-        array.atomic_add(1)
-        array.reset()
-        assert array.values == [0, 0]
-
-    def test_index_bounds(self):
-        array = SemaphoreArray(name="s", size=2)
-        with pytest.raises(IndexError):
-            array.read(2)
-        with pytest.raises(IndexError):
-            array.atomic_add(-1)
+from repro.gpu.kernel import SemPost, SemWait, simple_kernel
+from repro.gpu.memory import GlobalMemory
+from repro.gpu.simulator import GpuSimulator
+from repro.gpu.stream import Stream
 
 
 class TestGlobalMemory:
     def test_alloc_and_read_semaphores(self):
         memory = GlobalMemory()
-        memory.alloc_semaphores("sems", 3, initial=1)
-        assert memory.semaphore_value("sems", 2) == 1
+        memory.alloc_semaphores("sems", 3)
+        assert memory.snapshot_semaphores() == {"sems": (0, 0, 0)}
+        values = memory.semaphore_backing_map()["sems"]
+        values[2] = 5
+        assert memory.snapshot_semaphores() == {"sems": (0, 0, 5)}
+        # Re-allocation at the same size zeroes the live list in place.
+        memory.alloc_semaphores("sems", 3)
+        assert memory.semaphore_backing_map()["sems"] is values
+        assert values == [0, 0, 0]
+        memory.alloc_semaphores("sems", 2)
+        assert memory.snapshot_semaphores() == {"sems": (0, 0)}
+        with pytest.raises(ValueError):
+            memory.alloc_semaphores("empty", 0)
 
-    def test_unknown_semaphore_array(self):
+    def test_unknown_semaphore_array(self, small_arch, small_cost_model):
+        """The store holds only allocated arrays, and a run that posts to
+        any other raises, whether the post ends a segment or starts the
+        kernel."""
         memory = GlobalMemory()
-        with pytest.raises(SimulationError):
-            memory.semaphores("missing")
+        assert memory.semaphore_backing_map() == {}
+        completion = simple_kernel(
+            "k", Dim3(1, 1, 1), 1.0, posts_per_block=lambda tile: [SemPost("missing", 0)]
+        )
+        first_start = simple_kernel("k", Dim3(1, 1, 1), 1.0)
+        first_start.on_first_block_start.append(SemPost("missing", 0))
+        for kernel in (completion, first_start):
+            with pytest.raises(SimulationError, match="'missing' was never allocated"):
+                GpuSimulator(small_arch, memory=memory, cost_model=small_cost_model).run([kernel])
+        assert memory.snapshot_semaphores() == {}
 
-    def test_statistics_counted(self):
+    def test_statistics_counted(self, small_arch, small_cost_model):
+        """A run adds its atomics and polls to the memory's counters."""
         memory = GlobalMemory()
         memory.alloc_semaphores("sems", 1)
-        memory.atomic_add("sems", 0)
-        memory.semaphore_value("sems", 0)
+        producer = simple_kernel(
+            "producer", Dim3(1, 1, 1), 1.0, stream=Stream(name="p"),
+            posts_per_block=lambda tile: [SemPost("sems", 0)],
+        )
+        consumer = simple_kernel(
+            "consumer", Dim3(2, 1, 1), 1.0, stream=Stream(name="c"),
+            waits_per_block=lambda tile: [SemWait("sems", 0, 1)],
+        )
+        simulator = GpuSimulator(small_arch, memory=memory, cost_model=small_cost_model)
+        simulator.run([producer, consumer])
         assert memory.atomic_operations == 1
-        assert memory.semaphore_reads == 1
-        memory.reset_statistics()
-        assert memory.atomic_operations == 0
+        assert memory.semaphore_reads == 2
+        memory.alloc_semaphores("sems", 1)
+        simulator.run([producer, consumer])
+        assert (memory.atomic_operations, memory.semaphore_reads) == (2, 4)
 
     def test_tensor_storage(self):
         memory = GlobalMemory()
@@ -92,22 +103,28 @@ class TestGlobalMemory:
     def test_snapshot(self):
         memory = GlobalMemory()
         memory.alloc_semaphores("a", 2)
-        memory.atomic_add("a", 1)
-        assert memory.snapshot_semaphores() == {"a": (0, 1)}
+        memory.semaphore_backing_map()["a"][1] += 1
+        snapshot = memory.snapshot_semaphores()
+        assert snapshot == {"a": (0, 1)}
+        memory.semaphore_backing_map()["a"][0] += 1
+        assert snapshot == {"a": (0, 1)}
 
     def test_restore_returns_to_the_checkpoint_in_place(self):
         memory = GlobalMemory()
-        backing = memory.alloc_semaphores("a", 2).values
-        memory.atomic_add("a", 0)
+        memory.alloc_semaphores("a", 2)
+        backing = memory.semaphore_backing_map()["a"]
+        backing[0] += 1
+        memory.atomic_operations = 1
         memory.mark_tile_written("C", (0, 0))
         checkpoint = memory.checkpoint()
-        memory.atomic_add("a", 1, 3)
-        memory.semaphore_value("a", 1)
+        backing[1] += 3
+        memory.atomic_operations += 1
+        memory.semaphore_reads += 1
         memory.mark_tile_written("C", (1, 0))
         memory.mark_tile_written("D", (0, 0))
         memory.restore(checkpoint)
         assert memory.snapshot_semaphores() == {"a": (1, 0)}
-        assert memory.semaphore_backing("a") is backing
+        assert memory.semaphore_backing_map()["a"] is backing
         assert memory.written_tiles("C") == {(0, 0)}
         assert memory.written_tiles("D") == set()
         assert (memory.semaphore_reads, memory.atomic_operations) == (0, 1)

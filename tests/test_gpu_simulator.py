@@ -168,7 +168,7 @@ class TestFineGrainedSync:
         kernel = simple_kernel("k", Dim3(2, 1, 1), 1.0, stream=Stream(name="s"))
         kernel.on_first_block_start.append(SemPost("start", 0))
         GpuSimulator(small_arch, memory=memory, cost_model=small_cost_model).run([kernel])
-        assert memory.semaphore_value("start", 0) == 1
+        assert memory.snapshot_semaphores() == {"start": (1,)}
 
 
 class TestPollAccounting:
@@ -252,6 +252,24 @@ class TestValidation:
     def test_empty_launch_list_rejected(self, small_arch, small_cost_model):
         with pytest.raises(SimulationError):
             GpuSimulator(small_arch, cost_model=small_cost_model).run([])
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    @pytest.mark.parametrize("path", ["completion", "first_block_start"])
+    def test_out_of_range_post_raises(self, small_arch, small_cost_model, path, index):
+        """A post to a semaphore past either end of its array raises, whether
+        it ends a segment or starts the kernel (a post to index -1 must not
+        reach the array's last semaphore)."""
+        memory = GlobalMemory()
+        memory.alloc_semaphores("sems", 2)
+        post = SemPost("sems", index)
+        if path == "completion":
+            kernel = simple_kernel("k", Dim3(1, 1, 1), 1.0, posts_per_block=lambda tile: [post])
+        else:
+            kernel = simple_kernel("k", Dim3(1, 1, 1), 1.0)
+            kernel.on_first_block_start.append(post)
+        with pytest.raises(IndexError, match=f"index {index} out of range for array 'sems' of size 2"):
+            GpuSimulator(small_arch, memory=memory, cost_model=small_cost_model).run([kernel])
+        assert memory.snapshot_semaphores() == {"sems": (0, 0)}
 
     def test_all_blocks_complete(self, small_arch, small_cost_model):
         stream = Stream(name="s")

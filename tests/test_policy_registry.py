@@ -307,8 +307,8 @@ class TestPerEdgePolicies:
         assert mixed.total_time_us != uniform.total_time_us  # policies really differ
 
         # The mixed run gave the producer a second semaphore slot.
-        assert mixed.memory.has_semaphores(stage_semaphore_array("fanout", 1))
-        assert not uniform.memory.has_semaphores(stage_semaphore_array("fanout", 1))
+        assert stage_semaphore_array("fanout", 1) in mixed.memory.snapshot_semaphores()
+        assert stage_semaphore_array("fanout", 1) not in uniform.memory.snapshot_semaphores()
 
         # Inspect the binding the executor builds: the left edge waits on
         # the producer's default (TileSync) array, the right edge on a

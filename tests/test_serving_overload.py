@@ -338,6 +338,11 @@ class TestWatchdogs:
         with pytest.raises(ServingError):
             self.overloaded(max_sim_time_us=-1.0)
 
+    def test_nan_max_iterations_rejected(self):
+        """A NaN limit fails every comparison, so it would never trip."""
+        with pytest.raises(ServingError, match="max_iterations must be positive, got nan"):
+            self.overloaded(max_iterations=float("nan"))
+
 
 def overload_scenario(shed=False):
     """A ~2x-overload mixed-priority scenario (rate calibrated offline)."""

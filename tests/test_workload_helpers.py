@@ -68,14 +68,16 @@ class TestSemaphoreAllocator:
         producer = self._stage("producer", TileSync())
         consumer = self._stage("consumer", RowSync())
         SemaphoreAllocator(memory).allocate([producer, consumer])
-        assert memory.semaphores(stage_semaphore_array("producer")).size == 8
-        assert memory.semaphores(stage_semaphore_array("consumer")).size == 2
-        assert memory.semaphores("cusync_stage_start").size == 2
+        assert memory.snapshot_semaphores() == {
+            "cusync_stage_start": (0,) * 2,
+            stage_semaphore_array("producer"): (0,) * 8,
+            stage_semaphore_array("consumer"): (0,) * 2,
+        }
 
     def test_empty_stage_list_is_noop(self):
         memory = GlobalMemory()
         SemaphoreAllocator(memory).allocate([])
-        assert not memory.has_semaphores("cusync_stage_start")
+        assert memory.snapshot_semaphores() == {}
 
 
 class TestWorkloadPolicyHelpers:
