@@ -23,6 +23,10 @@ a trajectory to defend.  The record holds:
   RowSync) on a fresh session: consumer blocks that walk 24-48 K chunks,
   so block-program build, the fused walk and its audit do the work, which
   the synthetic kernel's one-segment blocks never reach.
+* ``tune_points_build_s`` — the part of that repeat spent inside
+  ``build_block_program``, timed around each call as perfbench's traced
+  runs wrap it: the block-program build layer, which ``blocks_per_sec``
+  never sees.
 * ``sweep_cache_hit_rate`` (plus ``sweep_cache_cold_s`` /
   ``sweep_cache_replay_s``) — a small arch×policy grid swept twice through
   one :class:`~repro.pipeline.Session`: the second pass must replay every
@@ -46,9 +50,10 @@ or through pytest (``pytest benchmarks/bench_sim_throughput.py``).
 
 from __future__ import annotations
 
+import contextlib
 import sys
 import time
-from typing import Dict, List
+from typing import Dict, Iterator, List
 
 from repro.bench import format_table, harness, table4_mlp
 from repro.bench.experiments import SESSION
@@ -69,6 +74,7 @@ TIMING = (
     "table4_mlp_s",
     "attention_sweep_s",
     "tune_points_s",
+    "tune_points_build_s",
     "sweep_cache_cold_s",
     "sweep_cache_replay_s",
 )
@@ -156,9 +162,47 @@ def measure_attention(repeats: int = REPEATS) -> float:
 TUNE_TILES = ("128x128/k2.2", "128x128/k4.2", "256x128/k2.2")
 
 
-def measure_tune_points(repeats: int = REPEATS) -> float:
+@contextlib.contextmanager
+def timed_block_builds() -> Iterator[List[float]]:
+    """Accumulate into the yielded one-element list the wall time spent
+    inside ``build_block_program``: every kernel class that defines one is
+    wrapped with a timer, as perfbench's traced runs wrap it, until exit."""
+    import repro.kernels  # noqa: F401  (defines every kernel class)
+    from repro.kernels.base import TiledKernel
+
+    spent = [0.0]
+    builds = {}
+    pending = [TiledKernel]
+    while pending:
+        klass = pending.pop()
+        pending.extend(klass.__subclasses__())
+        build = klass.__dict__.get("build_block_program")
+        if build is not None and not getattr(build, "__isabstractmethod__", False):
+            builds[klass] = build
+
+    def timed(build):
+        def wrapper(self, tile):
+            start = time.perf_counter()
+            try:
+                return build(self, tile)
+            finally:
+                spent[0] += time.perf_counter() - start
+
+        return wrapper
+
+    for klass, build in builds.items():
+        setattr(klass, "build_block_program", timed(build))
+    try:
+        yield spent
+    finally:
+        for klass, build in builds.items():
+            setattr(klass, "build_block_program", build)
+
+
+def measure_tune_points(repeats: int = REPEATS) -> Dict[str, float]:
     """Best-of-``repeats`` wall time of the :data:`TUNE_TILES` GPT-3 MLP
-    points under TileSync and RowSync on A100."""
+    points under TileSync and RowSync on A100, and that repeat's time
+    inside ``build_block_program``."""
     from repro.pipeline import Session
     from repro.tune import gpt3_mlp_space
     from repro.tune.presets import mlp_tile_grid
@@ -168,15 +212,17 @@ def measure_tune_points(repeats: int = REPEATS) -> float:
     graphs = [space.graph_for(tile) for tile in tiles]
     policies = ("TileSync", "RowSync")
     Session(arch="A100").run(graphs[0], scheme="cusync", policy=policies[0])  # warm
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        session = Session(arch="A100")
-        for graph in graphs:
-            for policy in policies:
-                session.run(graph, scheme="cusync", policy=policy)
-        best = min(best, time.perf_counter() - start)
-    return best
+    best = (float("inf"), 0.0)
+    with timed_block_builds() as spent:
+        for _ in range(repeats):
+            spent[0] = 0.0
+            start = time.perf_counter()
+            session = Session(arch="A100")
+            for graph in graphs:
+                for policy in policies:
+                    session.run(graph, scheme="cusync", policy=policy)
+            best = min(best, (time.perf_counter() - start, spent[0]))
+    return {"tune_points_s": best[0], "tune_points_build_s": best[1]}
 
 
 def measure_sweep_cache() -> Dict[str, float]:
@@ -213,7 +259,7 @@ def run_experiment() -> Dict[str, float]:
     record = measure_throughput()
     record["table4_mlp_s"] = measure_table4()
     record["attention_sweep_s"] = measure_attention()
-    record["tune_points_s"] = measure_tune_points()
+    record.update(measure_tune_points())
     record.update(measure_sweep_cache())
     return record
 
@@ -228,6 +274,7 @@ def _print(record: Dict[str, float]) -> None:
                 ["table4_mlp regeneration (s)", f"{record['table4_mlp_s']:.3f}"],
                 ["attention sweep (s)", f"{record['attention_sweep_s']:.3f}"],
                 ["A100 MLP tune points (s)", f"{record['tune_points_s']:.3f}"],
+                ["  of which block-program build (s)", f"{record['tune_points_build_s']:.3f}"],
                 ["sweep cache hit rate", f"{record['sweep_cache_hit_rate']:.2f}"],
             ],
             title="Simulator throughput",

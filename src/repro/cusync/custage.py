@@ -107,9 +107,9 @@ class CuStage(SyncInterface):
         #: default policy).  When every edge overrides the default, nobody
         #: ever waits on the slot-0 array and its posts are elided.
         self._slot0_edges: int = 0
-        #: (array, policy) pairs each output tile posts, resolved by the
-        #: first post once the edges are wired (see :meth:`posts_for`).
-        self._post_slots: Optional[List[Tuple[str, SyncPolicy]]] = None
+        #: Each logical tile's posts, in row-major order, built by the first
+        #: post once the edges are wired (see :meth:`posts_for`).
+        self._post_table: Optional[List[List[SemPost]]] = None
         #: Per semaphore array: the wait guarding each logical tile, in
         #: row-major order, built by the first read planned through it.
         self._wait_tables: Dict[str, List[SemWait]] = {}
@@ -188,7 +188,7 @@ class CuStage(SyncInterface):
         value-identical to the stage default, is slot 0: the default policy
         and array.  Any other override gets its own deduplicated slot.
         """
-        self._post_slots = None
+        self._post_table = None
         if policy is None or policy.key() == self.policy.key():
             # Slot 0 has a consumer, so the producer must keep posting it.
             self._slot0_edges += 1
@@ -371,20 +371,38 @@ class CuStage(SyncInterface):
         )
 
     def posts_for(self, tile: Dim3, grid: Dim3) -> List[SemPost]:
+        """The posts after launch tile ``tile``: one row of the post table.
+
+        The first call builds the table, one list per logical tile in
+        row-major order; tiles that post the same semaphore indices share
+        one list, so callers must not mutate it.  The splits of a split-K
+        tile read their logical tile's row.
+        """
+        table = self._post_table
+        if table is None:
+            table = self._post_table = self._build_post_table()
+        logical = self._logical_grid
+        return table[((tile.z // self.geometry.split_k) * logical.y + tile.y) * logical.x + tile.x]
+
+    def _build_post_table(self) -> List[List[SemPost]]:
         # One post per slot a consumer synchronizes through: slot 0 (unless
         # elided) plus each edge override's own array, so mixing policies
         # costs extra posts only on stages that actually mix.
-        slots = self._post_slots
-        if slots is None:
-            slots = self._post_slots = self._resolve_post_slots()
+        slots = self._resolve_post_slots()
+        grid = self._logical_grid
         if not slots:
-            return []
-        logical = self.logical_tile(tile)
-        logical_grid = self._logical_grid
-        return [
-            SemPost(array, policy.semaphore_index(logical, logical_grid), 1)
-            for array, policy in slots
-        ]
+            return [[]] * grid.volume
+        interned: Dict[Tuple[int, ...], List[SemPost]] = {}
+        table = []
+        for tile in row_major_tiles(grid):
+            indices = tuple(policy.semaphore_index(tile, grid) for _, policy in slots)
+            posts = interned.get(indices)
+            if posts is None:
+                posts = interned[indices] = [
+                    SemPost(array, index, 1) for (array, _), index in zip(slots, indices)
+                ]
+            table.append(posts)
+        return table
 
     def _resolve_post_slots(self) -> List[Tuple[str, SyncPolicy]]:
         if not self.is_producer:

@@ -33,6 +33,7 @@ one spec type and registry of :mod:`repro.common.registry`:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Iterable, Tuple, Union
 
@@ -119,7 +120,9 @@ class GpuArchitecture:
             "kernel_dispatch_latency_us",
             "wait_resume_latency_us",
         ):
-            check_non_negative(latency_field, getattr(self, latency_field))
+            latency = check_non_negative(latency_field, getattr(self, latency_field))
+            if not math.isfinite(latency):
+                raise ValueError(f"{latency_field} must be finite, got {latency!r}")
         if not (0.0 < self.compute_efficiency <= 1.0):
             raise ValueError(f"compute_efficiency must be in (0, 1], got {self.compute_efficiency}")
         if not (0.0 < self.memory_efficiency <= 1.0):

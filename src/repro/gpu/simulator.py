@@ -29,8 +29,8 @@ The simulator is deterministic: identical inputs produce identical traces.
 Hot-path structure (the invariants the fast paths preserve exactly):
 
 * **Threshold-indexed wakeups.**  CuSync semaphores are *monotone*: their
-  values only ever move upward (posts add positive increments) within one
-  run.  A blocked wait is therefore a fixed threshold that is
+  values only ever move upward (posts add positive increments, or raise)
+  within one run.  A blocked wait is therefore a fixed threshold that is
   crossed exactly once, so waiters are indexed per ``(array, index)`` key
   in a min-heap of ``(required value, registration order, block)`` entries
   plus a per-block count of unsatisfied waits.  A post at value ``v`` pops
@@ -187,6 +187,13 @@ def _missing_array(name: str) -> None:
 def _raise_semaphore_index_error(name: str, index: int, size: int) -> None:
     raise IndexError(
         f"semaphore index {index} out of range for array '{name}' of size {size}"
+    )
+
+
+def _raise_post_increment_error(name: str, index: int, increment) -> None:
+    raise SimulationError(
+        f"post to semaphore '{name}'[{index}] adds {increment!r}: posts must add a "
+        "positive increment (semaphores only rise)"
     )
 
 
@@ -865,7 +872,10 @@ class GpuSimulator:
             index = post.index
             if index < 0 or index >= len(values):
                 _raise_semaphore_index_error(array, index, len(values))
-            value = values[index] + post.increment
+            increment = post.increment
+            if not increment > 0:
+                _raise_post_increment_error(array, index, increment)
+            value = values[index] + increment
             values[index] = value
             wake((array, index), value, time)
 
@@ -943,7 +953,10 @@ class GpuSimulator:
                         index = post.index
                         if index < 0 or index >= len(values):
                             _raise_semaphore_index_error(array, index, len(values))
-                        value = values[index] + post.increment
+                        increment = post.increment
+                        if not increment > 0:
+                            _raise_post_increment_error(array, index, increment)
+                        value = values[index] + increment
                         values[index] = value
                         wake((array, index), value, time)
                 else:

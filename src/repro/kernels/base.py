@@ -333,8 +333,6 @@ class TiledKernel(ABC):
 
     def _plan_entry(
         self,
-        entries: dict,
-        key: Tuple[int, int],
         tensor: str,
         rows: IndexRange,
         cols: IndexRange,
@@ -342,10 +340,10 @@ class TiledKernel(ABC):
         k_axis: str,
         extent: int,
     ) -> tuple:
-        """``(body key, plan)`` of one input, planned by the first block of
-        the binding that reads it at ``key`` (its tile row or column, and z).
+        """``(body key, plan)`` of one input over one tile row or column
+        and split.
 
-        The body key is the plan's id, unique while ``entries`` holds the
+        The body key is the plan's id, unique while the caller holds the
         plan, or the tile ``extent`` when the plan is one waitless step over
         the whole K range (``k_axis`` names the range that holds it), so such
         bodies are shared by tile shape.  An unsynchronized input keys by
@@ -353,12 +351,9 @@ class TiledKernel(ABC):
         """
         if tensor not in self.sync_inputs:
             return extent, None
-        entry = entries.get(key)
-        if entry is None:
-            plan = self._plan_operand(tensor, rows, cols, batch)
-            neutral = _neutral_plan(plan, cols if k_axis == "cols" else rows, k_axis)
-            entry = entries[key] = (extent if neutral else id(plan), plan)
-        return entry
+        plan = self._plan_operand(tensor, rows, cols, batch)
+        neutral = _neutral_plan(plan, cols if k_axis == "cols" else rows, k_axis)
+        return (extent if neutral else id(plan)), plan
 
     def _epilogue_duration_us(self, tile_m: int, tile_n: int, occupancy: int) -> float:
         """Epilogue time of one output tile; kernels with an epilogue define it."""

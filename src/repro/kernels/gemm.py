@@ -30,7 +30,7 @@ from repro.common.validation import check_positive
 from repro.errors import SimulationError
 from repro.gpu.arch import GpuArchitecture, TESLA_V100
 from repro.gpu.costmodel import CostModel
-from repro.gpu.kernel import Segment, ThreadBlockProgram
+from repro.gpu.kernel import Segment, ThreadBlockProgram, row_major_tiles
 from repro.gpu.memory import GlobalMemory
 from repro.gpu.occupancy import KernelResources, OccupancyCalculator
 from repro.kernels.base import IndexRange, ReadPlanStep, StageGeometry, SyncInterface, TiledKernel
@@ -236,24 +236,9 @@ class GemmKernel(TiledKernel):
         super()._invalidate_plan_caches()
         self._chunk_duration_cache: dict = {}
         self._overlap_cache: dict = {}
-        #: Shared main-loop segment lists, keyed by the ranges that actually
-        #: influence them (see :meth:`build_block_program`).
-        self._body_segment_cache: dict = {}
-        #: The one program of the blocks that post, gate and compute
-        #: nothing, per body (keyed by the id of a list the body caches
-        #: hold, so the key is unique while this dict lives).
-        self._shared_programs: dict = {}
-        #: Base main-loop segments *without* the B operand's waits, keyed by
-        #: the A-side plan and the B step's span.  When both operands are
-        #: synchronized the full body differs per column tile solely in the
-        #: waits the B plan contributes, so the expensive plan merge runs
-        #: once per base key and each column tile composes in O(1) (see
-        #: :meth:`_cached_body` / :meth:`_compose_body`).
-        self._base_body_cache: dict = {}
-        #: Synchronized operands' ``(body key, plan)`` entries (see
-        #: :meth:`_plan_entry`): A's per (tile row, z), B's per (tile column, z).
-        self._a_entries: dict = {}
-        self._b_entries: dict = {}
+        #: Timing runs: every block's program, in row-major launch order
+        #: (see :meth:`build_block_program`).
+        self._programs: Optional[List[ThreadBlockProgram]] = None
         self._grid_cache: Optional[Dim3] = None
 
     def stage_geometry(self) -> StageGeometry:
@@ -270,101 +255,103 @@ class GemmKernel(TiledKernel):
     # Block program construction
     # ------------------------------------------------------------------
     def build_block_program(self, tile: Dim3) -> ThreadBlockProgram:
+        """Program of the block that computes ``tile``.
+
+        A timing binding builds every block's program in one pass on its
+        first call (:meth:`_timing_programs`); each call, the first
+        included, is then one index into that table, so blocks that behave
+        alike get one shared, immutable program.  A functional binding
+        builds each block's own program, because its compute closures
+        capture the block's ranges.
+        """
+        if not self._functional:
+            programs = self._programs
+            if programs is None:
+                programs = self._programs = self._timing_programs()
+            grid = self._grid_cache  # set by the pass
+            return programs[(tile.z * grid.y + tile.y) * grid.x + tile.x]
         problem = self.problem
         row_spans, col_spans, z_spans = self._tables or self._block_tables(problem.m, problem.n, problem.k)
         rows, tile_m_actual = row_spans[tile.y]
         cols, tile_n_actual = col_spans[tile.x]
         batch_index, k_range = z_spans[tile.z]
-        shape = (tile_m_actual, tile_n_actual)
-        functional = self._functional
+        segments, _ = self._body_segments_indexed(
+            rows, cols, k_range, batch_index, tile_m_actual, tile_n_actual, self.occupancy()
+        )
         sync = self._sync
-
-        if functional:
-            # Compute closures capture absolute ranges: every block builds
-            # its own segments.
-            segments, _ = self._body_segments_indexed(
-                rows, cols, k_range, batch_index, tile_m_actual, tile_n_actual, self.occupancy()
-            )
-        else:
-            # Main-loop segments carry no per-tile state beyond what their
-            # read plans dictate, so the immutable body is shared by every
-            # block whose operand plans are identical.
-            segments = self._cached_body(tile, rows, cols, k_range, batch_index, tile_m_actual, tile_n_actual)
-
         gate = ()
         if self.gate_input is not None and self.gate_input in self.sync_inputs:
             gate = sync.plan_reads(self.gate_input, rows, cols, batch_index)
         posts = sync.posts_for(tile, self.grid)
-        if functional:
-            compute = self._make_epilogue_compute(tile, batch_index, rows, cols)
-            segments.append(self._epilogue_segment(tile, shape, problem.c, posts, compute, gate))
-            return ThreadBlockProgram(tile, segments)
-        if posts or gate:
-            return ThreadBlockProgram(
-                tile, segments + [self._epilogue_segment(tile, shape, problem.c, posts, None, gate)]
-            )
-        # A block that posts, gates and computes nothing runs its body and
-        # the shared epilogue of its shape: one program serves them all.
-        program = self._shared_programs.get(id(segments))
-        if program is None:
-            program = self._shared_programs[id(segments)] = ThreadBlockProgram(
-                tile, segments + [self._epilogue_segment(tile, shape, problem.c, posts)]
-            )
-        return program
+        compute = self._make_epilogue_compute(tile, batch_index, rows, cols)
+        segments.append(
+            self._epilogue_segment(tile, (tile_m_actual, tile_n_actual), problem.c, posts, compute, gate)
+        )
+        return ThreadBlockProgram(tile, segments)
 
-    def _cached_body(
-        self,
-        tile: Dim3,
-        rows: IndexRange,
-        cols: IndexRange,
-        k_range: IndexRange,
-        batch_index: int,
-        tile_m_actual: int,
-        tile_n_actual: int,
-    ) -> List[Segment]:
-        """Memoized body segments, keyed by the operand plan entries.
+    def _timing_programs(self) -> List[ThreadBlockProgram]:
+        """Every block's timing program, in row-major launch order.
 
-        A synchronized operand's plan is resolved once per tile row (A) or
-        tile column (B) and split: the producing stage's memoized shared
-        list, whose id keys the body cache exactly while the entry holds it.
-        Unsynchronized operands and waitless single-step plans (``NoSync``
-        bindings) key by tile extent instead, so a StreamSync binding shares
-        one body across its whole grid.
-
-        A body whose B operand is unsynchronized (weights, Conv2D filters)
-        merges directly with B's one waitless step over the whole K range:
-        a :meth:`_compose_body` base entry would be keyed one-to-one with
-        this cache's entry and never hit.
+        One pass over the launch grid resolves, per split ``z``, each tile
+        column's B entry and each tile row's A entry (:meth:`_plan_entry`),
+        then per tile its body, its posts and its program.  Bodies are
+        memoized by their operand entries, tile shape and split, so a
+        StreamSync binding shares one body across its grid.  Blocks with
+        the same body and the same posts list (a stage interns one per
+        distinct set of semaphores) share one program; a block that posts
+        nothing keys by body alone, and a gated block gets an epilogue of
+        its own.
         """
         problem = self.problem
-        a_key, a_plan = self._plan_entry(
-            self._a_entries, (tile.y, tile.z), problem.a, rows, k_range, batch_index, "cols", tile_m_actual
-        )
-        b_key, b_plan = self._plan_entry(
-            self._b_entries, (tile.x, tile.z), problem.b, k_range, cols, batch_index, "rows", tile_n_actual
-        )
-        key = (a_key, b_key, tile_m_actual, tile_n_actual, k_range, batch_index)
-        segments = self._body_segment_cache.get(key)
-        if segments is None:
-            if a_plan is None:
-                a_plan = self._plan_operand(problem.a, rows, k_range, batch_index)
-            if b_plan is None:
-                segments = self._body_segments_indexed(
-                    rows, cols, k_range, batch_index, tile_m_actual, tile_n_actual, self.occupancy(),
-                    a_plan=a_plan, b_plan=[ReadPlanStep(rows=k_range, cols=cols, batch=batch_index)],
-                )[0]
-            else:
-                segments = self._compose_body(
-                    a_plan, b_plan, rows, cols, k_range, batch_index,
-                    tile_m_actual, tile_n_actual, self.occupancy(), a_key,
-                )
-            self._body_segment_cache[key] = segments
-        return segments
+        grid = self.grid
+        row_spans, col_spans, z_spans = self._tables or self._block_tables(problem.m, problem.n, problem.k)
+        sync = self._sync
+        gate_input = self.gate_input if self.gate_input in self.sync_inputs else None
+        occupancy = self.occupancy()
+        tiles = iter(row_major_tiles(grid))
+        bodies: dict = {}
+        bases: dict = {}
+        shared: dict = {}
+        programs: List[ThreadBlockProgram] = []
+        for batch_index, k_range in z_spans:
+            # A body key holds plan ids and its split's (k_range, batch), so
+            # while these lists hold the split's plans no two keys collide.
+            a_entries = [
+                self._plan_entry(problem.a, rows, k_range, batch_index, "cols", tile_m)
+                for rows, tile_m in row_spans
+            ]
+            b_entries = [
+                self._plan_entry(problem.b, k_range, cols, batch_index, "rows", tile_n)
+                for cols, tile_n in col_spans
+            ]
+            for (rows, tile_m), (a_key, a_plan) in zip(row_spans, a_entries):
+                for (cols, tile_n), (b_key, b_plan) in zip(col_spans, b_entries):
+                    tile = next(tiles)
+                    key = (a_key, b_key, tile_m, tile_n, k_range, batch_index)
+                    body = bodies.get(key)
+                    if body is None:
+                        body = bodies[key] = self._compose_body(
+                            a_plan, b_plan, rows, cols, k_range, batch_index,
+                            tile_m, tile_n, occupancy, a_key, bases,
+                        )
+                    posts = sync.posts_for(tile, grid)
+                    if gate_input is not None:
+                        gate = sync.plan_reads(gate_input, rows, cols, batch_index)
+                        epilogue = self._epilogue_segment(tile, (tile_m, tile_n), problem.c, posts, None, gate)
+                        programs.append(ThreadBlockProgram(tile, body + [epilogue]))
+                        continue
+                    program_key = (id(body), id(posts)) if posts else id(body)
+                    program = shared.get(program_key)
+                    if program is None:
+                        epilogue = self._epilogue_segment(tile, (tile_m, tile_n), problem.c, posts)
+                        program = shared[program_key] = ThreadBlockProgram(tile, body + [epilogue])
+                    programs.append(program)
+        return programs
 
     def _compose_body(
         self,
-        a_plan: List[ReadPlanStep],
-        b_plan: List[ReadPlanStep],
+        a_plan: Optional[List[ReadPlanStep]],
+        b_plan: Optional[List[ReadPlanStep]],
         rows: IndexRange,
         cols: IndexRange,
         k_range: IndexRange,
@@ -373,6 +360,7 @@ class GemmKernel(TiledKernel):
         tile_n_actual: int,
         occupancy: int,
         a_key,
+        bases: dict,
     ) -> List[Segment]:
         """Body segments for one distinct (A plan, B plan) combination.
 
@@ -380,21 +368,23 @@ class GemmKernel(TiledKernel):
         span and attaches the B waits to the chunk starting at
         ``b.rows[0]``; the chunk structure depends on the B step's *span*
         but not its waits.  The merged-and-priced A-side segment list is
-        therefore cached once per (A plan, B span) — ``_base_body_cache`` —
-        and every distinct B step with the same span composes one fresh
-        segment in O(1) instead of re-running the plan merge: a TileSync
-        consumer of both operands no longer rebuilds its waits per column
-        tile.  Multi-step B plans take the full merge, which is
-        value-identical by construction.
+        therefore cached once per (A plan, B span) in ``bases``, and every
+        distinct B step with the same span composes one fresh segment in
+        O(1) instead of re-running the plan merge: a TileSync consumer of
+        both operands does not rebuild its waits per column tile.
+        Multi-step B plans take the full merge, which is value-identical by
+        construction; so does an unsynchronized B (``b_plan`` is ``None``),
+        whose base entry would be keyed one-to-one with the body and never
+        hit.  A ``None`` plan is planned by the merge.
         """
-        if len(b_plan) != 1:
+        if b_plan is None or len(b_plan) != 1:
             return self._body_segments_indexed(
                 rows, cols, k_range, batch_index, tile_m_actual, tile_n_actual, occupancy,
                 a_plan=a_plan, b_plan=b_plan,
             )[0]
         b_step = b_plan[0]
         base_key = (a_key, tile_m_actual, tile_n_actual, k_range, batch_index, b_step.rows)
-        entry = self._base_body_cache.get(base_key)
+        entry = bases.get(base_key)
         if entry is None:
             # Same chunk boundaries as the full merge (the neutral step
             # spans exactly what the real B step spans), no B waits yet.
@@ -403,7 +393,7 @@ class GemmKernel(TiledKernel):
                 rows, cols, k_range, batch_index, tile_m_actual, tile_n_actual, occupancy,
                 a_plan=a_plan, b_plan=neutral,
             )
-            entry = self._base_body_cache[base_key] = (segments, positions)
+            entry = bases[base_key] = (segments, positions)
         base, chunk_positions = entry
         if not b_step.waits and not b_step.reads:
             return base

@@ -230,7 +230,9 @@ def _simulate(
     Loads ``ctx.tensors`` into ``ctx.memory`` (a fresh memory when unset),
     allocates the kernels' outputs in functional mode and the semaphore
     arrays of the cuSync ``stages``.  With ``stages``, the producers'
-    outputs are the tensors race-checked in functional mode.
+    outputs are the tensors race-checked in functional mode.  Once the
+    simulator returns or raises, every graph kernel is rebound to
+    :class:`NoSync`, which drops the run's stages and per-binding tables.
     """
     memory = ctx.memory if ctx.memory is not None else GlobalMemory()
     if ctx.tensors:
@@ -250,8 +252,13 @@ def _simulate(
         functional=ctx.functional,
         tracked_tensors=tracked,
     )
+    try:
+        simulation = simulator.run(launches)
+    finally:
+        for kernel in graph.kernels:
+            kernel.sync = NoSync()
     return PipelineResult(
-        simulation=simulator.run(launches),
+        simulation=simulation,
         wait_kernel_names=[f"waitkernel_{stage.name}" for stage in stages if stage.needs_wait_kernel()],
     )
 
@@ -334,8 +341,10 @@ class CuSyncBackend(Executor):
     the stages from the graph's edges and launches each stage on its own
     stream (priority = launch index), with a wait-kernel in front of every
     consumer unless the W optimization elides it (the host code of the
-    paper's Figure 4a).  The binding is discarded afterwards; the graph and
-    its kernels survive unchanged for the next run.
+    paper's Figure 4a).  The binding dies with the run: once the simulator
+    returns or raises, every kernel is rebound to :class:`NoSync`, so no
+    stage, plan cache, post table or block-program table outlives it, and
+    the graph and its kernels survive unchanged for the next run.
     """
 
     scheme = "cusync"

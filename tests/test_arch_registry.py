@@ -31,6 +31,15 @@ from repro.pipeline import Session, SweepPoint
 
 ARCH_NAMES = st.sampled_from(registered_archs())
 
+LATENCY_FIELDS = (
+    "global_latency_us",
+    "atomic_latency_us",
+    "fence_latency_us",
+    "kernel_launch_latency_us",
+    "kernel_dispatch_latency_us",
+    "wait_resume_latency_us",
+)
+
 #: Small override grids that keep resolution valid for every preset.
 OVERRIDES = st.fixed_dictionaries(
     {},
@@ -185,6 +194,18 @@ class TestValidation:
     def test_nan_latency_rejected(self):
         with pytest.raises(ValueError, match="global_latency_us"):
             resolve_arch(ArchSpec("V100", global_latency_us=float("nan")))
+
+    @pytest.mark.parametrize("field", LATENCY_FIELDS)
+    def test_infinite_latency_rejected(self, field):
+        """An infinite latency used to give an infinite run time, no error."""
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TESLA_V100.with_overrides(name="what-if", **{field: float("inf")})
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            resolve_arch(ArchSpec("V100", **{field: float("inf")}))
+
+    def test_scaled_infinite_latency_rejected(self):
+        with pytest.raises(ValueError, match="global_latency_us must be finite"):
+            ArchSpec("V100").scaled(latency=float("inf")).resolve()
 
     def test_occupancy_bounds_enforced(self):
         with pytest.raises(ValueError, match="max_threads_per_block"):

@@ -7,11 +7,13 @@ from repro.common.dim3 import Dim3
 from repro.errors import SynchronizationError
 from repro.gpu.arch import TESLA_V100
 from repro.gpu.costmodel import CostModel
+from repro.gpu.kernel import SemPost, row_major_tiles
 from repro.gpu.simulator import GpuSimulator
 from repro.kernels.base import StageGeometry
 from repro.kernels.epilogue import GeLU
 from repro.kernels.gemm import GemmConfig, GemmKernel, GemmProblem
 from repro.cusync import (
+    BatchSync,
     CuStage,
     OptimizationFlags,
     RowSync,
@@ -98,6 +100,26 @@ class TestCuStagePlanning:
         posts = producer.posts_for(Dim3(1, 1, 0), producer.grid)
         assert len(posts) == 1
         assert posts[0].array == producer.semaphore_array
+
+    @pytest.mark.parametrize("policy", [TileSync(), RowSync(), StridedSync(stride=2), BatchSync()])
+    def test_post_table_matches_each_tiles_policy(self, policy):
+        """Every launch tile of a batched split-K producer posts, per slot,
+        its logical tile's semaphore under that slot's policy; tiles that
+        post the same indices share one list."""
+        split_k, batch = 3, 2
+        producer = make_stage(policy, grid=Dim3(4, 3, split_k * batch), split_k=split_k, batch=batch)
+        make_stage(TileSync()).depends_on(producer, "OUT")
+        make_stage(TileSync()).depends_on(producer, "OUT", policy=RowSync())
+        slots = producer.semaphore_slots()
+        logical_grid = producer.logical_grid
+        by_indices = {}
+        for tile in row_major_tiles(producer.grid):
+            logical = Dim3(tile.x, tile.y, tile.z // split_k)
+            posts = producer.posts_for(tile, producer.grid)
+            expected = [SemPost(array, slot.semaphore_index(logical, logical_grid), 1) for array, slot in slots]
+            assert posts == expected
+            by_indices.setdefault(tuple(post.index for post in posts), []).append(posts)
+        assert all(posts is group[0] for group in by_indices.values() for posts in group)
 
     def test_first_block_posts_target_stage_start(self):
         producer = make_stage(TileSync())

@@ -10,6 +10,8 @@ import pytest
 from repro.common.dim3 import Dim3
 from repro.common.tiles import linearize
 from repro.errors import DeadlockError, SimulationError
+from repro.gpu.arch import TESLA_V100
+from repro.gpu.costmodel import CostModel
 from repro.gpu.kernel import KernelLaunch, Segment, SemPost, SemWait, ThreadBlockProgram, simple_kernel
 from repro.gpu.memory import GlobalMemory
 from repro.gpu.simulator import GpuSimulator
@@ -270,6 +272,52 @@ class TestValidation:
         with pytest.raises(IndexError, match=f"index {index} out of range for array 'sems' of size 2"):
             GpuSimulator(small_arch, memory=memory, cost_model=small_cost_model).run([kernel])
         assert memory.snapshot_semaphores() == {"sems": (0, 0)}
+
+    @pytest.mark.parametrize("wake_strategy", ["threshold", "rescan"])
+    @pytest.mark.parametrize("increment", [-1, 0])
+    def test_non_positive_post_raises(self, wake_strategy, increment):
+        """A block waits on ``A >= 1`` and ``B >= 1``; another posts
+        ``A += 1`` then ``A += increment``, and a third posts ``B += 1``
+        later.  A post that does not raise its semaphore breaks the
+        monotone invariant the threshold index relies on (with -1 the wait
+        used to pass under ``threshold`` and deadlock under ``rescan``), so
+        both wake strategies refuse it."""
+        memory = GlobalMemory()
+        memory.alloc_semaphores("A", 1)
+        memory.alloc_semaphores("B", 1)
+
+        def launch(name, segments):
+            program = ThreadBlockProgram(Dim3(0, 0, 0), segments)
+            return KernelLaunch(name, Dim3(1, 1, 1), lambda tile: program, stream=Stream(name=name))
+
+        launches = [
+            launch("waiter", [Segment(waits=[SemWait("A", 0, 1), SemWait("B", 0, 1)], duration_us=1.0)]),
+            launch(
+                "flip",
+                [
+                    Segment(duration_us=1.0, posts=[SemPost("A", 0, 1)]),
+                    Segment(duration_us=1.0, posts=[SemPost("A", 0, increment)]),
+                ],
+            ),
+            launch("late", [Segment(duration_us=5.0, posts=[SemPost("B", 0, 1)])]),
+        ]
+        simulator = GpuSimulator(
+            TESLA_V100,
+            memory=memory,
+            cost_model=CostModel(arch=TESLA_V100, duration_jitter=0.0),
+            wake_strategy=wake_strategy,
+        )
+        with pytest.raises(SimulationError, match=rf"'A'\[0\] adds {increment}"):
+            simulator.run(launches)
+
+    @pytest.mark.parametrize("increment", [-1, 0])
+    def test_non_positive_first_block_post_raises(self, small_arch, small_cost_model, increment):
+        memory = GlobalMemory()
+        memory.alloc_semaphores("sems", 1)
+        kernel = simple_kernel("k", Dim3(1, 1, 1), 1.0)
+        kernel.on_first_block_start.append(SemPost("sems", 0, increment))
+        with pytest.raises(SimulationError, match=rf"'sems'\[0\] adds {increment}"):
+            GpuSimulator(small_arch, memory=memory, cost_model=small_cost_model).run([kernel])
 
     def test_all_blocks_complete(self, small_arch, small_cost_model):
         stream = Stream(name="s")
